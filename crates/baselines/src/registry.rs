@@ -54,10 +54,11 @@ pub fn register_baselines(reg: &mut AlgorithmRegistry) {
         "route:net=benes",
         |k| Ok(Box::new(RouteRenaming::from_key(k)?)),
     );
-    reg.register_capped(
+    reg.register_sized(
         "splitter-grid",
         "Moir–Anderson read/write grid (quadratic space)",
         "splitter-grid",
+        1,
         Some(1 << 12),
         |k| {
             k.check_known(&[])?;

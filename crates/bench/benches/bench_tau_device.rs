@@ -52,7 +52,7 @@ fn bench_concurrent_acquire(c: &mut Criterion) {
                 let reg = ConcurrentTauRegister::new(64, 32, 0);
                 std::thread::scope(|s| {
                     for t in 0..threads {
-                        let reg = reg.clone();
+                        let reg = &reg;
                         s.spawn(move || {
                             for bit in 0..(32 / threads).max(1) {
                                 black_box(reg.acquire((t * 7 + bit) % 64).ok());

@@ -11,8 +11,8 @@
 //! is this binary's `--json` output — the workspace's speed trajectory.
 
 use rr_bench::runner::RunConfig;
-use rr_bench::scenario::drive;
 use rr_bench::scenario::specs::{backends, BackendsOptions};
+use rr_bench::scenario::{drive, registry};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,6 +52,13 @@ fn main() {
         }
         if opts.seeds == 0 {
             eprintln!("exp_backends: --seeds must be ≥ 1");
+            std::process::exit(2);
+        }
+        let reg = registry();
+        let checked =
+            reg.build(&opts.algorithm).and_then(|_| reg.check_size(&opts.algorithm, opts.n));
+        if let Err(e) = checked {
+            eprintln!("exp_backends: {e}");
             std::process::exit(2);
         }
         backends(cfg, &opts)

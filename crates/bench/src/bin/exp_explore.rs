@@ -41,7 +41,8 @@ usage: exp_explore [--quick] [--json PATH] [--help]
                  kind:\"throughput\" schedules/sec rows; any violation
                  adds a kind:\"counterexample\" row)
   --algos        comma-separated algorithm registry keys to exhaust
-  --sizes        comma-separated process counts (protocols need n ≥ 4)
+  --sizes        comma-separated process counts (below an algorithm's
+                 minimum, see exp_matrix --list, exits 2)
   --depth D      DFS branching horizon (decisions that fork)
   --crashes C    crash-decision budget inside the explored choice sets
   --fuzz-algo    algorithm registry key for the fuzz sweep
@@ -116,8 +117,12 @@ fn main() {
             std::process::exit(2);
         }
         let reg = registry();
-        for key in opts.algorithms.iter().chain(std::iter::once(&opts.fuzz_algorithm)) {
-            if let Err(e) = reg.build(key) {
+        let exhaustive = opts.algorithms.iter().map(|key| (key, &opts.sizes[..]));
+        let fuzz = std::iter::once((&opts.fuzz_algorithm, std::slice::from_ref(&opts.fuzz_n)));
+        for (key, sizes) in exhaustive.chain(fuzz) {
+            let checked =
+                reg.build(key).and_then(|_| sizes.iter().try_for_each(|&n| reg.check_size(key, n)));
+            if let Err(e) = checked {
                 eprintln!("exp_explore: {e}");
                 std::process::exit(2);
             }

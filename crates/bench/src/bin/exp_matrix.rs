@@ -42,7 +42,8 @@ usage: exp_matrix [--quick] [--json PATH] [--list] [--help]
                  seed-reproducible)
   --algos        comma-separated algorithm registry keys
   --adversaries  comma-separated adversary registry keys
-  --sizes        comma-separated process counts
+  --sizes        comma-separated process counts (each algorithm's
+                 minimum is shown by --list; smaller sizes exit 2)
   --seeds N      seeds per cell
   --list         print both registries and exit
   --list-md      print the README's generated registry key tables
@@ -136,7 +137,10 @@ fn main() {
         }
         let reg = registry();
         for key in &opts.algorithms {
-            if let Err(e) = reg.build(key) {
+            let checked = reg
+                .build(key)
+                .and_then(|_| opts.sizes.iter().try_for_each(|&n| reg.check_size(key, n)));
+            if let Err(e) = checked {
                 eprintln!("exp_matrix: {e}");
                 std::process::exit(2);
             }

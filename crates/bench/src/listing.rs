@@ -36,13 +36,24 @@ pub fn backend_rows() -> Vec<(&'static str, &'static str, &'static str)> {
     ]
 }
 
+/// An algorithm's size bounds as `n ≥ min`, `n ≤ cap` or both; `None`
+/// when the entry runs at every size.
+fn size_bounds(n_min: usize, n_cap: Option<usize>) -> Option<String> {
+    match (n_min > 1, n_cap) {
+        (false, None) => None,
+        (true, None) => Some(format!("n ≥ {n_min}")),
+        (false, Some(cap)) => Some(format!("n ≤ {cap}")),
+        (true, Some(cap)) => Some(format!("{n_min} ≤ n ≤ {cap}")),
+    }
+}
+
 /// The `exp_matrix --list` text: both registries, one line per entry.
 pub fn registry_listing() -> String {
     let mut out = String::new();
     out.push_str("registered algorithms (key: summary):\n");
-    for (name, summary, example, n_cap) in crate::scenario::registry().entries() {
-        let cap = n_cap.map(|c| format!(" [n ≤ {c}]")).unwrap_or_default();
-        let _ = writeln!(out, "  {name:16} {summary}{cap}  e.g. `{example}`");
+    for (name, summary, example, n_min, n_cap) in crate::scenario::registry().entries() {
+        let sizes = size_bounds(n_min, n_cap).map(|b| format!(" [{b}]")).unwrap_or_default();
+        let _ = writeln!(out, "  {name:16} {summary}{sizes}  e.g. `{example}`");
     }
     out.push_str("registered adversaries (key: summary):\n");
     for (name, summary, example) in rr_sched::registry::standard().entries() {
@@ -61,9 +72,9 @@ pub fn registry_tables_markdown() -> String {
     let mut out = String::new();
     out.push_str("**Algorithms** (`rr_renaming::AlgorithmRegistry` + baselines):\n\n");
     out.push_str("| key | algorithm | example |\n|---|---|---|\n");
-    for (name, summary, example, n_cap) in crate::scenario::registry().entries() {
-        let cap = n_cap.map(|c| format!(" (n ≤ {c})")).unwrap_or_default();
-        let _ = writeln!(out, "| `{name}` | {summary}{cap} | `{example}` |");
+    for (name, summary, example, n_min, n_cap) in crate::scenario::registry().entries() {
+        let sizes = size_bounds(n_min, n_cap).map(|b| format!(" ({b})")).unwrap_or_default();
+        let _ = writeln!(out, "| `{name}` | {summary}{sizes} | `{example}` |");
     }
     out.push_str("\n**Adversaries** (`rr_sched::registry::AdversaryRegistry`):\n\n");
     out.push_str("| key | strategy | example |\n|---|---|---|\n");

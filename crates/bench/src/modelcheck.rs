@@ -148,11 +148,11 @@ fn tau_run(
     bits: &'static [usize],
     collector: bool,
 ) -> ModelRun<Vec<ModelOp>> {
-    let reg = ConcurrentTauRegister::<TracedWord>::with_atomics(width, tau, 0);
+    let reg = Arc::new(ConcurrentTauRegister::<TracedWord>::with_atomics(width, tau, 0));
     let mut threads: Vec<Box<dyn FnOnce() -> Vec<ModelOp> + Send>> = bits
         .iter()
         .map(|&bit| {
-            let reg = reg.clone();
+            let reg = Arc::clone(&reg);
             Box::new(move || match reg.acquire(bit) {
                 Ok((name, _steps)) => {
                     vec![ModelOp::Request { bit, won: true }, ModelOp::Claim { name }]
@@ -162,7 +162,7 @@ fn tau_run(
         })
         .collect();
     if collector {
-        let reg = reg.clone();
+        let reg = Arc::clone(&reg);
         threads.push(Box::new(move || {
             let (quota, bits) = reg.quota_and_bits();
             vec![ModelOp::Collect { quota, bits }]
@@ -231,9 +231,9 @@ fn mk_tau_collide() -> ModelRun<Vec<ModelOp>> {
 /// must be explainable as those requests executed back to back, and
 /// bit 1 must have exactly one winner across both threads.
 fn mk_tau_block() -> ModelRun<Vec<ModelOp>> {
-    let reg = ConcurrentTauRegister::<TracedWord>::with_atomics(4, 2, 0);
+    let reg = Arc::new(ConcurrentTauRegister::<TracedWord>::with_atomics(4, 2, 0));
     let block = {
-        let reg = reg.clone();
+        let reg = Arc::clone(&reg);
         Box::new(move || {
             let mut wins = Vec::new();
             reg.request_block(&[0, 1], &mut wins);
@@ -241,7 +241,7 @@ fn mk_tau_block() -> ModelRun<Vec<ModelOp>> {
         }) as Box<dyn FnOnce() -> Vec<ModelOp> + Send>
     };
     let single = {
-        let reg = reg.clone();
+        let reg = Arc::clone(&reg);
         Box::new(move || vec![ModelOp::Request { bit: 1, won: reg.request_bit(1) }])
             as Box<dyn FnOnce() -> Vec<ModelOp> + Send>
     };

@@ -272,7 +272,7 @@ pub fn tau(_cfg: &RunConfig) -> ScenarioSpec {
         let names: Vec<usize> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..256)
                 .map(|i| {
-                    let reg = reg.clone();
+                    let reg = &reg;
                     s.spawn(move || reg.acquire(i % 40).ok().map(|(name, _)| name))
                 })
                 .collect();

@@ -186,6 +186,90 @@ fn algorithm_registry_lists_every_algorithm_on_unknown_names() {
 }
 
 #[test]
+fn algorithm_registry_names_each_minimum_size() {
+    let reg = registry();
+    for (key, n, n_min) in [
+        ("cor9", 3, 4),
+        ("cor7", 3, 4),
+        ("loose-l6", 3, 4),
+        ("loose-l8:l=2", 3, 4),
+        ("tight-tau", 1, 2),
+        ("tight-tau-paper:c=4", 3, 4),
+        ("aagw", 0, 1),
+    ] {
+        assert_eq!(
+            reg.check_size(key, n).unwrap_err(),
+            format!("algorithm `{key}` needs n ≥ {n_min}, got n = {n}")
+        );
+        assert!(reg.check_size(key, n_min).is_ok(), "{key} at its minimum");
+    }
+}
+
+#[test]
+fn experiment_binaries_exit_2_on_sizes_below_an_algorithm_minimum() {
+    // Each binary rejects the size up front with exit 2 (never a panic
+    // from the protocol's parameter assertions, never a silent clamp).
+    let cases: [(&str, &str, &[&str], &str); 6] = [
+        (
+            env!("CARGO_BIN_EXE_exp_matrix"),
+            "exp_matrix",
+            &["--algos", "cor9", "--adversaries", "fair", "--sizes", "3", "--seeds", "1"],
+            "algorithm `cor9` needs n ≥ 4, got n = 3",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_matrix"),
+            "exp_matrix",
+            &["--algos", "loose-l6", "--adversaries", "fair", "--sizes", "8,3", "--seeds", "1"],
+            "algorithm `loose-l6` needs n ≥ 4, got n = 3",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_matrix"),
+            "exp_matrix",
+            &["--algos", "tight-tau", "--adversaries", "fair", "--sizes", "1", "--seeds", "1"],
+            "algorithm `tight-tau` needs n ≥ 2, got n = 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_explore"),
+            "exp_explore",
+            &["--algos", "tight-tau-paper", "--sizes", "3"],
+            "algorithm `tight-tau-paper` needs n ≥ 4, got n = 3",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_explore"),
+            "exp_explore",
+            &["--fuzz-algo", "cor7", "--fuzz-n", "2"],
+            "algorithm `cor7` needs n ≥ 4, got n = 2",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_backends"),
+            "exp_backends",
+            &["--algo", "loose-l8", "--n", "2"],
+            "algorithm `loose-l8` needs n ≥ 4, got n = 2",
+        ),
+    ];
+    for (exe, name, args, message) in cases {
+        let out = std::process::Command::new(exe).args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.trim(), format!("{name}: {message}"), "{name} {args:?}");
+    }
+}
+
+#[test]
+fn registry_listing_shows_each_size_bound() {
+    let listing = rr_bench::listing::registry_listing();
+    let tables = rr_bench::listing::registry_tables_markdown();
+    for (line, row) in [
+        ("Corollary 9 full loose renaming [n ≥ 4]", "Corollary 9 full loose renaming (n ≥ 4)"),
+        ("(Theorem 5) [n ≥ 2]", "(Theorem 5) (n ≥ 2)"),
+        ("(quadratic space) [n ≤ 4096]", "(quadratic space) (n ≤ 4096)"),
+    ] {
+        assert!(listing.contains(line), "--list lacks `{line}`");
+        assert!(tables.contains(row), "--list-md lacks `{row}`");
+    }
+}
+
+#[test]
 fn backend_round_trip_still_accepts_the_valid_grammar() {
     // Guard against over-tightening: the messages above must coexist
     // with the documented happy paths.

@@ -54,7 +54,7 @@ fn readme_tables_and_matrix_list_agree_on_every_key() {
 /// Every example key the README tables advertise actually builds.
 #[test]
 fn advertised_example_keys_build() {
-    for (_, _, example, _) in rr_bench::scenario::registry().entries() {
+    for (_, _, example, ..) in rr_bench::scenario::registry().entries() {
         assert!(
             rr_bench::scenario::registry().build(example).is_ok(),
             "algorithm example key `{example}` no longer builds"

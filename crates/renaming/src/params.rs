@@ -65,12 +65,18 @@ pub struct TightPlan {
 }
 
 impl TightPlan {
+    /// Smallest `n` [`TightPlan::calibrated`] accepts.
+    pub const MIN_N_CALIBRATED: usize = 2;
+
+    /// Smallest `n` [`TightPlan::paper_exact`] accepts (`log n ≥ 2`).
+    pub const MIN_N_PAPER_EXACT: usize = 4;
+
     /// Builds the calibrated plan (see [`TightVariant::Calibrated`]).
     ///
     /// # Panics
     /// Panics if `n < 2` or `c < 1`.
     pub fn calibrated(n: usize, c: u32) -> Self {
-        assert!(n >= 2, "need at least two processes");
+        assert!(n >= Self::MIN_N_CALIBRATED, "need at least two processes");
         assert!(c >= 1);
         let l = ceil_log2(n) as u32;
         let register_tau = Self::register_taus(n, l);
@@ -104,7 +110,7 @@ impl TightPlan {
     /// under-provisions; see DESIGN.md) still exist and hold names — the
     /// fallback scan reaches them.
     pub fn paper_exact(n: usize, c: u32) -> Self {
-        assert!(n >= 4, "Definition 2 needs log n ≥ 2");
+        assert!(n >= Self::MIN_N_PAPER_EXACT, "Definition 2 needs log n ≥ 2");
         assert!(c >= 1);
         let l = ceil_log2(n) as u32;
         let register_tau = Self::register_taus(n, l);
@@ -197,12 +203,15 @@ pub struct Lemma6Schedule {
 }
 
 impl Lemma6Schedule {
+    /// Smallest `n` [`Lemma6Schedule::new`] accepts.
+    pub const MIN_N: usize = 4;
+
     /// Schedule for `n` processes with exponent `ell`.
     ///
     /// # Panics
     /// Panics if `n < 4` or `ell == 0`.
     pub fn new(n: usize, ell: u32) -> Self {
-        assert!(n >= 4 && ell >= 1);
+        assert!(n >= Self::MIN_N && ell >= 1);
         let log_n = ceil_log2(n) as f64;
         let log_log_n = log_n.log2().max(1.0);
         let log_log_log_n = log_log_n.log2().max(1.0);
@@ -248,12 +257,15 @@ pub struct Lemma8Schedule {
 }
 
 impl Lemma8Schedule {
+    /// Smallest `n` [`Lemma8Schedule::new`] accepts.
+    pub const MIN_N: usize = 4;
+
     /// Schedule for `n` processes with exponent `ell`.
     ///
     /// # Panics
     /// Panics if `n < 4` or `ell == 0`.
     pub fn new(n: usize, ell: u32) -> Self {
-        assert!(n >= 4 && ell >= 1);
+        assert!(n >= Self::MIN_N && ell >= 1);
         let log_n = ceil_log2(n) as f64;
         let log_log_n = (log_n.log2().max(1.0)).ceil() as u32;
         // Corrected phase count (see type docs); capped where the

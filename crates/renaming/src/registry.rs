@@ -15,6 +15,7 @@
 //! that validates the key's parameters.
 
 use crate::adaptive::AdaptiveRenaming;
+use crate::params::{Lemma6Schedule, Lemma8Schedule, TightPlan};
 use crate::tight::TightRenaming;
 use crate::traits::{AagwLoose, Cor7, Cor9, LooseL6, LooseL8, RenamingAlgorithm};
 use std::collections::BTreeMap;
@@ -31,6 +32,7 @@ struct Entry {
     factory: Factory,
     summary: &'static str,
     example: &'static str,
+    n_min: usize,
     n_cap: Option<usize>,
 }
 
@@ -50,47 +52,84 @@ impl AlgorithmRegistry {
 
     /// The paper's protocols:
     ///
-    /// | name | parameters | algorithm |
-    /// |---|---|---|
-    /// | `tight-tau` | `c` (default 4) | §III calibrated tight renaming |
-    /// | `tight-tau-paper` | `c` (default 4) | §III paper-exact variant |
-    /// | `loose-l6` | `l` (default 1) | Lemma 6 almost-tight |
-    /// | `loose-l8` | `l` (default 1) | Lemma 8 almost-tight |
-    /// | `cor7` | `l` (default 1) | Corollary 7 composition |
-    /// | `cor9` | `l` (default 1) | Corollary 9 composition |
-    /// | `aagw` | — | \[8\]-style finisher standalone, `m = 2n` |
-    /// | `adaptive` | — | doubling-guess transform (unknown `k`) |
+    /// | name | parameters | algorithm | sizes |
+    /// |---|---|---|---|
+    /// | `tight-tau` | `c` (default 4) | §III calibrated tight renaming | n ≥ 2 |
+    /// | `tight-tau-paper` | `c` (default 4) | §III paper-exact variant | n ≥ 4 |
+    /// | `loose-l6` | `l` (default 1) | Lemma 6 almost-tight | n ≥ 4 |
+    /// | `loose-l8` | `l` (default 1) | Lemma 8 almost-tight | n ≥ 4 |
+    /// | `cor7` | `l` (default 1) | Corollary 7 composition | n ≥ 4 |
+    /// | `cor9` | `l` (default 1) | Corollary 9 composition | n ≥ 4 |
+    /// | `aagw` | — | \[8\]-style finisher standalone, `m = 2n` | any |
+    /// | `adaptive` | — | doubling-guess transform (unknown `k`) | any |
     pub fn with_paper_algorithms() -> Self {
         let mut reg = Self::new();
-        reg.register("tight-tau", "calibrated tight renaming (Theorem 5)", "tight-tau:c=4", |k| {
-            k.check_known(&["c"])?;
-            Ok(Box::new(TightRenaming::calibrated(positive(k, "c", 4)?)))
-        });
-        reg.register(
+        reg.register_sized(
+            "tight-tau",
+            "calibrated tight renaming (Theorem 5)",
+            "tight-tau:c=4",
+            TightPlan::MIN_N_CALIBRATED,
+            None,
+            |k| {
+                k.check_known(&["c"])?;
+                Ok(Box::new(TightRenaming::calibrated(positive(k, "c", 4)?)))
+            },
+        );
+        reg.register_sized(
             "tight-tau-paper",
             "paper-exact tight renaming (Definition 2 as printed)",
             "tight-tau-paper:c=4",
+            TightPlan::MIN_N_PAPER_EXACT,
+            None,
             |k| {
                 k.check_known(&["c"])?;
                 Ok(Box::new(TightRenaming::paper_exact(positive(k, "c", 4)?)))
             },
         );
-        reg.register("loose-l6", "Lemma 6 almost-tight renaming", "loose-l6:l=1", |k| {
-            k.check_known(&["l"])?;
-            Ok(Box::new(LooseL6 { ell: positive(k, "l", 1)? }))
-        });
-        reg.register("loose-l8", "Lemma 8 almost-tight renaming", "loose-l8:l=1", |k| {
-            k.check_known(&["l"])?;
-            Ok(Box::new(LooseL8 { ell: positive(k, "l", 1)? }))
-        });
-        reg.register("cor7", "Corollary 7 full loose renaming", "cor7:l=1", |k| {
-            k.check_known(&["l"])?;
-            Ok(Box::new(Cor7 { ell: positive(k, "l", 1)? }))
-        });
-        reg.register("cor9", "Corollary 9 full loose renaming", "cor9:l=1", |k| {
-            k.check_known(&["l"])?;
-            Ok(Box::new(Cor9 { ell: positive(k, "l", 1)? }))
-        });
+        reg.register_sized(
+            "loose-l6",
+            "Lemma 6 almost-tight renaming",
+            "loose-l6:l=1",
+            Lemma6Schedule::MIN_N,
+            None,
+            |k| {
+                k.check_known(&["l"])?;
+                Ok(Box::new(LooseL6 { ell: positive(k, "l", 1)? }))
+            },
+        );
+        reg.register_sized(
+            "loose-l8",
+            "Lemma 8 almost-tight renaming",
+            "loose-l8:l=1",
+            Lemma8Schedule::MIN_N,
+            None,
+            |k| {
+                k.check_known(&["l"])?;
+                Ok(Box::new(LooseL8 { ell: positive(k, "l", 1)? }))
+            },
+        );
+        reg.register_sized(
+            "cor7",
+            "Corollary 7 full loose renaming",
+            "cor7:l=1",
+            Lemma6Schedule::MIN_N,
+            None,
+            |k| {
+                k.check_known(&["l"])?;
+                Ok(Box::new(Cor7 { ell: positive(k, "l", 1)? }))
+            },
+        );
+        reg.register_sized(
+            "cor9",
+            "Corollary 9 full loose renaming",
+            "cor9:l=1",
+            Lemma8Schedule::MIN_N,
+            None,
+            |k| {
+                k.check_known(&["l"])?;
+                Ok(Box::new(Cor9 { ell: positive(k, "l", 1)? }))
+            },
+        );
         reg.register("aagw", "[8]-style finisher standalone (m = 2n)", "aagw", |k| {
             k.check_known(&[])?;
             Ok(Box::new(AagwLoose))
@@ -102,10 +141,9 @@ impl AlgorithmRegistry {
         reg
     }
 
-    /// Registers `name` with a one-line `summary`, an `example` key, an
-    /// optional size cap `n_cap` (drivers clamp sweeps for algorithms
-    /// whose space or work is super-linear), and a factory that validates
-    /// a parsed key. Re-registering a name replaces the entry.
+    /// Registers `name` with a one-line `summary`, an `example` key and
+    /// a factory that validates a parsed key, valid at every `n ≥ 1`.
+    /// Re-registering a name replaces the entry.
     pub fn register(
         &mut self,
         name: &str,
@@ -113,21 +151,27 @@ impl AlgorithmRegistry {
         example: &'static str,
         factory: impl Fn(&ParsedKey) -> Result<BoxedAlgorithm, String> + Send + Sync + 'static,
     ) {
-        self.register_capped(name, summary, example, None, factory);
+        self.register_sized(name, summary, example, 1, None, factory);
     }
 
-    /// [`AlgorithmRegistry::register`] with an explicit size cap.
-    pub fn register_capped(
+    /// [`AlgorithmRegistry::register`] with explicit size bounds: the
+    /// smallest population `n_min` the protocol's parameters are defined
+    /// for (the experiment binaries reject smaller sizes, see
+    /// [`AlgorithmRegistry::check_size`]) and an optional cap `n_cap`
+    /// (the binaries clamp sweeps for algorithms whose space or work is
+    /// super-linear).
+    pub fn register_sized(
         &mut self,
         name: &str,
         summary: &'static str,
         example: &'static str,
+        n_min: usize,
         n_cap: Option<usize>,
         factory: impl Fn(&ParsedKey) -> Result<BoxedAlgorithm, String> + Send + Sync + 'static,
     ) {
         self.entries.insert(
             name.to_string(),
-            Entry { factory: Arc::new(factory), summary, example, n_cap },
+            Entry { factory: Arc::new(factory), summary, example, n_min, n_cap },
         );
     }
 
@@ -146,8 +190,31 @@ impl AlgorithmRegistry {
     /// The size cap of `key`'s entry (`None` when the key is unknown or
     /// uncapped).
     pub fn n_cap(&self, key: &str) -> Option<usize> {
-        let parsed = ParsedKey::parse(key).ok()?;
-        self.entries.get(&parsed.name).and_then(|e| e.n_cap)
+        self.entry(key).and_then(|e| e.n_cap)
+    }
+
+    /// The smallest population `key`'s entry runs at (1 when the key is
+    /// unknown).
+    pub fn n_min(&self, key: &str) -> usize {
+        self.entry(key).map_or(1, |e| e.n_min)
+    }
+
+    /// Rejects a population below `key`'s minimum instead of letting the
+    /// protocol's parameter assertions panic mid-run.
+    ///
+    /// # Errors
+    /// Returns a message naming the key and its bound when `n` is too
+    /// small.
+    pub fn check_size(&self, key: &str, n: usize) -> Result<(), String> {
+        let n_min = self.n_min(key);
+        if n < n_min {
+            return Err(format!("algorithm `{key}` needs n ≥ {n_min}, got n = {n}"));
+        }
+        Ok(())
+    }
+
+    fn entry(&self, key: &str) -> Option<&Entry> {
+        self.entries.get(&ParsedKey::parse(key).ok()?.name)
     }
 
     /// Registered names, sorted.
@@ -155,9 +222,13 @@ impl AlgorithmRegistry {
         self.entries.keys().map(String::as_str).collect()
     }
 
-    /// `(name, summary, example, n_cap)` rows for `--list`-style output.
-    pub fn entries(&self) -> Vec<(&str, &'static str, &'static str, Option<usize>)> {
-        self.entries.iter().map(|(k, e)| (k.as_str(), e.summary, e.example, e.n_cap)).collect()
+    /// `(name, summary, example, n_min, n_cap)` rows for `--list`-style
+    /// output.
+    pub fn entries(&self) -> Vec<(&str, &'static str, &'static str, usize, Option<usize>)> {
+        self.entries
+            .iter()
+            .map(|(k, e)| (k.as_str(), e.summary, e.example, e.n_min, e.n_cap))
+            .collect()
     }
 }
 
@@ -214,15 +285,41 @@ mod tests {
     }
 
     #[test]
-    fn caps_default_to_none_and_register_capped_sticks() {
+    fn sizes_default_to_open_and_register_sized_sticks() {
         let mut reg = AlgorithmRegistry::with_paper_algorithms();
         assert_eq!(reg.n_cap("tight-tau:c=4"), None);
-        reg.register_capped("toy", "test entry", "toy", Some(128), |k| {
+        assert_eq!(reg.n_min("aagw"), 1);
+        reg.register_sized("toy", "test entry", "toy", 3, Some(128), |k| {
             k.check_known(&[])?;
             Ok(Box::new(AagwLoose))
         });
         assert_eq!(reg.n_cap("toy"), Some(128));
+        assert_eq!(reg.n_min("toy"), 3);
         assert!(reg.keys().contains(&"toy"));
+    }
+
+    /// Every declared minimum is exactly the smallest size the protocol
+    /// instantiates at: the bound is neither loose nor too tight.
+    #[test]
+    fn declared_minimums_match_the_protocols() {
+        let reg = AlgorithmRegistry::with_paper_algorithms();
+        for (name, _, example, n_min, _) in reg.entries() {
+            let algo = reg.build(example).unwrap();
+            assert!(reg.check_size(example, n_min).is_ok(), "{name}");
+            assert_eq!(algo.instantiate(n_min, 0).processes.len(), n_min, "{name}");
+            if n_min > 1 {
+                let below = n_min - 1;
+                assert_eq!(
+                    reg.check_size(example, below).unwrap_err(),
+                    format!("algorithm `{example}` needs n ≥ {n_min}, got n = {below}")
+                );
+                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    algo.instantiate(below, 0)
+                }))
+                .is_err();
+                assert!(panicked, "{name} runs at n = {below}: its minimum is too strict");
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,8 @@ impl RequestRecorder {
 pub struct TightShared {
     /// The cluster layout in force.
     pub plan: TightPlan,
-    /// One τ-register per `L` names.
+    /// One τ-register per `L` names: a contiguous bank of inline
+    /// registers, no per-register heap allocation.
     pub registers: Vec<ConcurrentTauRegister>,
     /// Optional request recorder (E3).
     pub recorder: Option<RequestRecorder>,
@@ -302,10 +303,11 @@ impl Process for TightProcess {
                 StepOutcome::Continue
             }
             Planned::Slot { reg, slot } => {
-                if self.shared.registers[reg].try_slot(slot) {
-                    return StepOutcome::Done(self.shared.plan.base_name(reg) + slot);
+                let register = &self.shared.registers[reg];
+                if register.try_slot(slot) {
+                    return StepOutcome::Done(register.base_name() + slot);
                 }
-                let tau = self.shared.plan.register_tau[reg] as usize;
+                let tau = register.tau() as usize;
                 let next = slot + 1;
                 assert!(
                     next < tau,

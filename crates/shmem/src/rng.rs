@@ -223,17 +223,6 @@ impl ProcessRng {
             Backend::Counter(rng) => rng.ctr,
         }
     }
-
-    /// Direct access for callers needing other distributions.
-    ///
-    /// # Panics
-    /// Panics in counter mode, which has no underlying stream cipher.
-    pub fn raw(&mut self) -> &mut ChaCha8Rng {
-        match &mut self.backend {
-            Backend::ChaCha8(rng) => rng,
-            Backend::Counter(_) => panic!("raw() is ChaCha8-only; counter mode has no cipher"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -372,11 +361,5 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn counter_mode_zero_bound_panics() {
         ProcessRng::with_mode(RngMode::Counter, 0, 0).index(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ChaCha8-only")]
-    fn counter_mode_has_no_raw_cipher() {
-        let _ = ProcessRng::with_mode(RngMode::Counter, 0, 0).raw();
     }
 }

@@ -30,36 +30,25 @@
 
 use crate::device::MAX_WIDTH;
 use rr_shmem::atomics::AtomicWord;
-use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A τ-register shared by free-running threads.
 ///
-/// Cloning the handle is cheap (`Arc` internally); all clones address the
-/// same hardware.
+/// A plain inline struct — no `Arc`, no boxed slot array, not `Clone` —
+/// so a `Vec<ConcurrentTauRegister>` is one contiguous register bank
+/// and every request or slot TAS touches only the register's own words.
+/// Threads share a register by reference: borrow it into
+/// `std::thread::scope`, or wrap it in an explicit `Arc` when the
+/// threads must be `'static`.
 ///
-/// Generic over the [`AtomicWord`] instantiation of its state word and
-/// name-slot array: production code uses the `AtomicU64` default (the
-/// unqualified `ConcurrentTauRegister` type, identical codegen to the
-/// pre-abstraction register), while `rr_sched::model` instantiates the
-/// same struct with an instrumented word so every load/CAS/TAS becomes
-/// a schedulable event in an exhaustive interleaving search.
+/// Generic over the [`AtomicWord`] instantiation of its state and
+/// name-slot words: production code uses the `AtomicU64` default (the
+/// unqualified `ConcurrentTauRegister` type), while `rr_sched::model`
+/// instantiates the same struct with an instrumented word so every
+/// load/CAS/TAS becomes a schedulable event in an exhaustive
+/// interleaving search.
 #[derive(Debug)]
 pub struct ConcurrentTauRegister<W: AtomicWord = AtomicU64> {
-    inner: Arc<Inner<W>>,
-}
-
-// Manual impl: `#[derive(Clone)]` would demand `W: Clone`, but the
-// handle only clones the `Arc`.
-impl<W: AtomicWord> Clone for ConcurrentTauRegister<W> {
-    fn clone(&self) -> Self {
-        Self { inner: Arc::clone(&self.inner) }
-    }
-}
-
-#[derive(Debug)]
-struct Inner<W: AtomicWord> {
     /// The confirmed bit map — the device's `out_reg` (== `in_reg`
     /// between cycles). Single source of truth, updated by CAS.
     state: W,
@@ -70,7 +59,9 @@ struct Inner<W: AtomicWord> {
     cycles: AtomicU64,
     width: u32,
     tau: u32,
-    slots: AtomicTasArray<W>,
+    /// The τ name slots, one TAS bit each: bit `s` set means name
+    /// `base_name + s` is taken. One word suffices since τ ≤ width ≤ 64.
+    slots: W,
     base_name: usize,
 }
 
@@ -107,35 +98,33 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
         assert!(width <= MAX_WIDTH, "device width {width} exceeds one machine word");
         assert!(tau <= width, "threshold τ={tau} exceeds width {width}");
         Self {
-            inner: Arc::new(Inner {
-                state: W::new(0),
-                cycles: AtomicU64::new(0),
-                width,
-                tau,
-                slots: AtomicTasArray::with_atomics(tau as usize),
-                base_name,
-            }),
+            state: W::new(0),
+            cycles: AtomicU64::new(0),
+            width,
+            tau,
+            slots: W::new(0),
+            base_name,
         }
     }
 
     /// Number of device TAS bits.
     pub fn width(&self) -> u32 {
-        self.inner.width
+        self.width
     }
 
     /// Number of names (τ).
     pub fn tau(&self) -> u32 {
-        self.inner.tau
+        self.tau
     }
 
     /// First name handed out by this register.
     pub fn base_name(&self) -> usize {
-        self.inner.base_name
+        self.base_name
     }
 
     /// Device clock cycles executed so far (one per answered request).
     pub fn cycles(&self) -> u64 {
-        self.inner.cycles.load(Ordering::Relaxed)
+        self.cycles.load(Ordering::Relaxed)
     }
 
     /// Confirmed winner count (≤ τ always).
@@ -147,12 +136,12 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
     /// all `2·log n` bits of a register can be read in one operation, so
     /// callers may charge this as a single step.
     pub fn confirmed_bits(&self) -> u64 {
-        self.inner.state.load(Ordering::Acquire)
+        self.state.load(Ordering::Acquire)
     }
 
     /// Remaining winner quota (τ − confirmed).
     pub fn remaining_quota(&self) -> u32 {
-        self.inner.tau - self.confirmed_count()
+        self.tau - self.confirmed_count()
     }
 
     /// `(remaining_quota, confirmed_bits)` from one atomic snapshot —
@@ -161,7 +150,7 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
     /// operation).
     pub fn quota_and_bits(&self) -> (u32, u64) {
         let bits = self.confirmed_bits();
-        (self.inner.tau - bits.count_ones(), bits)
+        (self.tau - bits.count_ones(), bits)
     }
 
     /// Requests device bit `bit`: one clock cycle, answered immediately.
@@ -174,19 +163,14 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
     /// # Panics
     /// Panics if `bit` is out of range.
     pub fn request_bit(&self, bit: usize) -> bool {
-        assert!(
-            (bit as u32) < self.inner.width,
-            "bit {bit} out of range (width {})",
-            self.inner.width
-        );
+        assert!((bit as u32) < self.width, "bit {bit} out of range (width {})", self.width);
         let b = 1u64 << bit;
         let won = loop {
-            let cur = self.inner.state.load(Ordering::Acquire);
-            if cur & b != 0 || cur.count_ones() >= self.inner.tau {
+            let cur = self.state.load(Ordering::Acquire);
+            if cur & b != 0 || cur.count_ones() >= self.tau {
                 break false;
             }
             if self
-                .inner
                 .state
                 .compare_exchange_weak(cur, cur | b, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
@@ -194,7 +178,7 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
                 break true;
             }
         };
-        self.inner.cycles.fetch_add(1, Ordering::Relaxed);
+        self.cycles.fetch_add(1, Ordering::Relaxed);
         won
     }
 
@@ -220,18 +204,14 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
     /// Panics if any bit is out of range.
     pub fn request_block(&self, bits: &[usize], wins: &mut Vec<bool>) {
         for &bit in bits {
-            assert!(
-                (bit as u32) < self.inner.width,
-                "bit {bit} out of range (width {})",
-                self.inner.width
-            );
+            assert!((bit as u32) < self.width, "bit {bit} out of range (width {})", self.width);
         }
         let start = wins.len();
-        let cur = self.inner.state.load(Ordering::Acquire);
+        let cur = self.state.load(Ordering::Acquire);
         let mut next = cur;
         for &bit in bits {
             let b = 1u64 << bit;
-            let won = next & b == 0 && next.count_ones() < self.inner.tau;
+            let won = next & b == 0 && next.count_ones() < self.tau;
             if won {
                 next |= b;
             }
@@ -240,16 +220,12 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
         if next == cur {
             // Every entry lost against the snapshot alone — the block
             // linearizes at the load; nothing to commit.
-            self.inner.cycles.fetch_add(bits.len() as u64, Ordering::Relaxed);
+            self.cycles.fetch_add(bits.len() as u64, Ordering::Relaxed);
             return;
         }
-        if self
-            .inner
-            .state
-            .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        if self.state.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire).is_ok()
         {
-            self.inner.cycles.fetch_add(bits.len() as u64, Ordering::Relaxed);
+            self.cycles.fetch_add(bits.len() as u64, Ordering::Relaxed);
             return;
         }
         // Stale snapshot: discard and take the per-bit slow path (each
@@ -262,15 +238,24 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
 
     /// Number of name slots (τ).
     pub fn slots_len(&self) -> usize {
-        self.inner.slots.len()
+        self.tau as usize
     }
 
     /// TAS a single name slot — one shared-memory step. Returns `true`
     /// iff the slot (and hence name `base_name + slot`) was won. The
     /// step-granular building block the renaming state machines use
     /// instead of the batched [`Self::claim_name`].
+    ///
+    /// One `fetch_or(bit, AcqRel)`: the caller won iff the bit was clear
+    /// before, and `AcqRel` gives the winner a happens-before edge to
+    /// every later reader that observes the slot taken.
+    ///
+    /// # Panics
+    /// Panics if `slot >= τ`.
     pub fn try_slot(&self, slot: usize) -> bool {
-        self.inner.slots.tas(slot)
+        assert!(slot < self.tau as usize, "name slot {slot} out of bounds (τ = {})", self.tau);
+        let bit = 1u64 << slot;
+        self.slots.fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
     /// Name-slot search for a process that won a device bit: TAS the τ
@@ -278,10 +263,10 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
     /// Returns `(name, probes)`.
     pub fn claim_name(&self) -> (usize, u32) {
         let mut probes = 0;
-        for slot in 0..self.inner.slots.len() {
+        for slot in 0..self.tau as usize {
             probes += 1;
-            if self.inner.slots.tas(slot) {
-                return (self.inner.base_name + slot, probes);
+            if self.try_slot(slot) {
+                return (self.base_name + slot, probes);
             }
         }
         unreachable!("≤ τ admitted searchers, τ slots: a free slot must exist");
@@ -331,13 +316,15 @@ mod tests {
     fn concurrent_contention_names_distinct_and_quota_held() {
         // 64 threads contend for a register with τ = 8 names over 16 bits.
         let reg = ConcurrentTauRegister::new(16, 8, 100);
-        let handles: Vec<_> = (0..64)
-            .map(|i| {
-                let reg = reg.clone();
-                thread::spawn(move || reg.acquire(i % 16).ok().map(|(name, _)| name))
-            })
-            .collect();
-        let names: Vec<usize> = handles.into_iter().filter_map(|h| h.join().unwrap()).collect();
+        let names: Vec<usize> = thread::scope(|s| {
+            let handles: Vec<_> = (0..64)
+                .map(|i| {
+                    let reg = &reg;
+                    s.spawn(move || reg.acquire(i % 16).ok().map(|(name, _)| name))
+                })
+                .collect();
+            handles.into_iter().filter_map(|h| h.join().unwrap()).collect()
+        });
         let distinct: HashSet<_> = names.iter().copied().collect();
         assert_eq!(names.len(), distinct.len(), "duplicate names handed out");
         assert!(names.len() <= 8, "more winners than τ");
@@ -350,16 +337,43 @@ mod tests {
         // With every bit requested by some thread and τ = width/2, the
         // register must fill completely.
         let reg = ConcurrentTauRegister::new(16, 8, 0);
-        let handles: Vec<_> = (0..16)
-            .map(|bit| {
-                let reg = reg.clone();
-                thread::spawn(move || reg.acquire(bit).is_ok())
-            })
-            .collect();
-        let wins = handles.into_iter().filter(|_| true).map(|h| h.join().unwrap());
-        let won: usize = wins.filter(|&w| w).count();
+        let won = thread::scope(|s| {
+            let reg = &reg;
+            let handles: Vec<_> =
+                (0..16).map(|bit| s.spawn(move || reg.acquire(bit).is_ok())).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).filter(|&w| w).count()
+        });
         assert_eq!(won, 8);
         assert_eq!(reg.confirmed_count(), 8);
+    }
+
+    /// Every name slot is won exactly once however many threads TAS it.
+    #[test]
+    fn concurrent_slot_tas_single_winner_per_slot() {
+        let reg = ConcurrentTauRegister::new(64, 64, 0);
+        let won: usize = thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| (0..64).filter(|&slot| reg.try_slot(slot)).count()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(won, 64);
+        assert!((0..64).all(|slot| !reg.try_slot(slot)), "every slot stays taken");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn try_slot_rejects_slot_tau() {
+        ConcurrentTauRegister::new(8, 4, 0).try_slot(4);
+    }
+
+    /// The register is stored inline: no `Arc` or boxed slot array
+    /// (which would need a drop) and no alignment padding beyond its
+    /// five words.
+    #[test]
+    fn register_is_inline_and_unpadded() {
+        assert!(!std::mem::needs_drop::<ConcurrentTauRegister>());
+        assert!(std::mem::size_of::<ConcurrentTauRegister>() <= 40);
     }
 
     #[test]
@@ -419,18 +433,20 @@ mod tests {
     fn concurrent_blocks_hold_the_quota() {
         for trial in 0..32 {
             let reg = ConcurrentTauRegister::new(16, 5, 0);
-            let handles: Vec<_> = (0..8)
-                .map(|t| {
-                    let reg = reg.clone();
-                    thread::spawn(move || {
-                        let bits = [(t + trial) % 16, (t + trial + 3) % 16];
-                        let mut wins = Vec::new();
-                        reg.request_block(&bits, &mut wins);
-                        wins.iter().filter(|&&w| w).count()
+            let won: usize = thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|t| {
+                        let reg = &reg;
+                        s.spawn(move || {
+                            let bits = [(t + trial) % 16, (t + trial + 3) % 16];
+                            let mut wins = Vec::new();
+                            reg.request_block(&bits, &mut wins);
+                            wins.iter().filter(|&&w| w).count()
+                        })
                     })
-                })
-                .collect();
-            let won: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
             assert_eq!(won as u32, reg.confirmed_count());
             assert!(reg.confirmed_count() <= 5, "quota overshoot");
         }
