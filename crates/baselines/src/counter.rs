@@ -7,9 +7,10 @@
 //! fetch-add as the limit the τ-register approaches: O(1) vs O(log n)
 //! steps, at the cost of a stronger primitive and a single hot spot.
 
-use rr_renaming::traits::{Instance, RenamingAlgorithm};
+use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
+use rr_shmem::rng::RngMode;
 use rr_shmem::Access;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,14 +43,9 @@ impl Process for CounterProcess {
 #[derive(Debug, Clone, Copy)]
 pub struct FetchAddRenaming;
 
-impl FetchAddRenaming {
-    fn build(&self, n: usize) -> Vec<CounterProcess> {
-        let counter = Arc::new(AtomicUsize::new(0));
-        (0..n).map(|pid| CounterProcess { pid, counter: Arc::clone(&counter), limit: n }).collect()
-    }
-}
+impl RenamingProtocol for FetchAddRenaming {
+    type Proc = CounterProcess;
 
-impl RenamingAlgorithm for FetchAddRenaming {
     fn name(&self) -> String {
         "fetch-add".into()
     }
@@ -58,30 +54,18 @@ impl RenamingAlgorithm for FetchAddRenaming {
         n
     }
 
-    fn instantiate(&self, n: usize, _seed: u64) -> Instance {
-        Instance { processes: rr_renaming::traits::boxed(self.build(n)), m: n, n }
-    }
-
-    /// Deterministic: no randomness is drawn, so every RNG backend is
-    /// trivially supported (the mode is irrelevant, not refused).
-    fn instantiate_rng(&self, n: usize, seed: u64, _rng: rr_shmem::rng::RngMode) -> Instance {
-        self.instantiate(n, seed)
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        _seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
+    /// Deterministic: draws no coins, so the seed and the RNG mode are
+    /// ignored.
+    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<CounterProcess> {
+        let counter = Arc::new(AtomicUsize::new(0));
+        (0..n).map(|pid| CounterProcess { pid, counter: Arc::clone(&counter), limit: n }).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::FairAdversary;
     use rr_sched::virtual_exec::run;
 

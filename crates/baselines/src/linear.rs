@@ -8,9 +8,10 @@
 //! initial symmetry to exploit), the k-th winner pays k steps and the
 //! step complexity is exactly n.
 
-use rr_renaming::traits::{Instance, RenamingAlgorithm};
+use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
+use rr_shmem::rng::RngMode;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -77,7 +78,9 @@ pub struct LinearScan {
     pub start: ScanStart,
 }
 
-impl RenamingAlgorithm for LinearScan {
+impl RenamingProtocol for LinearScan {
+    type Proc = ScanProcess;
+
     fn name(&self) -> String {
         match self.start {
             ScanStart::Zero => "linear-scan(0)".into(),
@@ -89,34 +92,14 @@ impl RenamingAlgorithm for LinearScan {
         n
     }
 
-    fn instantiate(&self, n: usize, _seed: u64) -> Instance {
-        Instance { processes: rr_renaming::traits::boxed(self.build(n)), m: n, n }
-    }
-
-    /// Deterministic: no randomness is drawn, so every RNG backend is
-    /// trivially supported (the mode is irrelevant, not refused).
-    fn instantiate_rng(&self, n: usize, seed: u64, _rng: rr_shmem::rng::RngMode) -> Instance {
-        self.instantiate(n, seed)
-    }
-
     fn step_budget(&self, n: usize) -> u64 {
         // Θ(n) per process by design.
         4 * (n as u64) * (n as u64) + 1024
     }
 
-    fn run_dense(
-        &self,
-        n: usize,
-        _seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
-    }
-}
-
-impl LinearScan {
-    fn build(&self, n: usize) -> Vec<ScanProcess> {
+    /// Deterministic: draws no coins, so the seed and the RNG mode are
+    /// ignored.
+    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<ScanProcess> {
         let mem = Arc::new(AtomicTasArray::new(n));
         (0..n).map(|pid| ScanProcess::new(pid, Arc::clone(&mem), self.start)).collect()
     }
@@ -125,6 +108,7 @@ impl LinearScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::virtual_exec::run;
 
@@ -135,7 +119,9 @@ mod tests {
         let inst = algo.instantiate(n, 0);
         let procs: Vec<Box<dyn Process>> =
             inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
+        let out =
+            run(procs, &mut FairAdversary::default(), RenamingAlgorithm::step_budget(&algo, n))
+                .unwrap();
         out.verify_renaming(n).unwrap();
         // The last winner scanned the whole space.
         assert_eq!(out.step_complexity(), n as u64);
@@ -149,7 +135,9 @@ mod tests {
         let inst = algo.instantiate(n, 0);
         let procs: Vec<Box<dyn Process>> =
             inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
+        let out =
+            run(procs, &mut FairAdversary::default(), RenamingAlgorithm::step_budget(&algo, n))
+                .unwrap();
         out.verify_renaming(n).unwrap();
         // Distinct starting points: everyone wins the first probe.
         assert_eq!(out.step_complexity(), 1);
@@ -161,13 +149,21 @@ mod tests {
         let inst = algo.instantiate(64, 0);
         let procs: Vec<Box<dyn Process>> =
             inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut RandomAdversary::new(7), algo.step_budget(64)).unwrap();
+        let out =
+            run(procs, &mut RandomAdversary::new(7), RenamingAlgorithm::step_budget(&algo, 64))
+                .unwrap();
         out.verify_renaming(64).unwrap();
     }
 
     #[test]
     fn names() {
-        assert_eq!(LinearScan { start: ScanStart::Zero }.name(), "linear-scan(0)");
-        assert_eq!(LinearScan { start: ScanStart::OwnPid }.name(), "linear-scan(pid)");
+        assert_eq!(
+            RenamingAlgorithm::name(&LinearScan { start: ScanStart::Zero }),
+            "linear-scan(0)"
+        );
+        assert_eq!(
+            RenamingAlgorithm::name(&LinearScan { start: ScanStart::OwnPid }),
+            "linear-scan(pid)"
+        );
     }
 }

@@ -18,9 +18,10 @@
 //! — same code path, buildable — and provide the analytic AKS depth in
 //! [`crate::aks_model`] for the crossover tables. See DESIGN.md.
 
-use rr_renaming::traits::{Instance, RenamingAlgorithm};
+use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
+use rr_shmem::rng::RngMode;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -209,12 +210,14 @@ impl Process for NetworkProcess {
     }
 }
 
-/// Network renaming as a [`RenamingAlgorithm`]: width = next power of two
+/// Network renaming as a [`RenamingProtocol`]: width = next power of two
 /// ≥ n, so `m < 2n` (tight `m = n` when `n` is a power of two).
 #[derive(Debug, Clone, Copy)]
 pub struct BitonicRenaming;
 
-impl RenamingAlgorithm for BitonicRenaming {
+impl RenamingProtocol for BitonicRenaming {
+    type Proc = NetworkProcess;
+
     fn name(&self) -> String {
         "bitonic-network".into()
     }
@@ -223,29 +226,9 @@ impl RenamingAlgorithm for BitonicRenaming {
         n.next_power_of_two().max(2)
     }
 
-    fn instantiate(&self, n: usize, _seed: u64) -> Instance {
-        Instance { processes: rr_renaming::traits::boxed(self.build(n)), m: self.m(n), n }
-    }
-
-    /// Deterministic: no randomness is drawn, so every RNG backend is
-    /// trivially supported (the mode is irrelevant, not refused).
-    fn instantiate_rng(&self, n: usize, seed: u64, _rng: rr_shmem::rng::RngMode) -> Instance {
-        self.instantiate(n, seed)
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        _seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
-    }
-}
-
-impl BitonicRenaming {
-    fn build(&self, n: usize) -> Vec<NetworkProcess> {
+    /// Deterministic: draws no coins, so the seed and the RNG mode are
+    /// ignored.
+    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<NetworkProcess> {
         let shared = Arc::new(NetworkShared::new(ComparatorNetwork::bitonic(self.m(n))));
         (0..n).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect()
     }
@@ -254,6 +237,7 @@ impl BitonicRenaming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{CollisionMaximizer, FairAdversary, RandomAdversary};
     use rr_sched::virtual_exec::run;
 

@@ -30,7 +30,8 @@
 //! and deeper repetitions are both legal layered networks.
 
 use crate::network::{Comparator, ComparatorNetwork, NetworkProcess, NetworkShared};
-use rr_renaming::traits::{Instance, RenamingAlgorithm};
+use rr_renaming::traits::RenamingProtocol;
+use rr_shmem::rng::RngMode;
 use std::sync::Arc;
 
 /// TAS address space of the route family's switches — distinct from the
@@ -125,7 +126,7 @@ pub fn route_network(
     ComparatorNetwork::new(width, layers)
 }
 
-/// Topology-routed renaming as a [`RenamingAlgorithm`]: width = next
+/// Topology-routed renaming as a [`RenamingProtocol`]: width = next
 /// power of two ≥ n (so `m < 2n`, tight at powers of two), exactly like
 /// the bitonic baseline — only the stage schedule differs.
 #[derive(Debug, Clone, Copy)]
@@ -171,17 +172,11 @@ impl RouteRenaming {
     pub fn depth(&self, n: usize) -> usize {
         self.stages.unwrap_or_else(|| self.topology.closed_form_depth(self.m(n)))
     }
-
-    fn build(&self, n: usize) -> Vec<NetworkProcess> {
-        let net = route_network(self.topology, self.m(n), self.stages);
-        let shared = Arc::new(NetworkShared::new(net));
-        (0..n)
-            .map(|pid| NetworkProcess::with_array(pid, Arc::clone(&shared), ROUTE_TAS_ARRAY))
-            .collect()
-    }
 }
 
-impl RenamingAlgorithm for RouteRenaming {
+impl RenamingProtocol for RouteRenaming {
+    type Proc = NetworkProcess;
+
     fn name(&self) -> String {
         match self.stages {
             None => format!("route({})", self.topology.label()),
@@ -193,41 +188,21 @@ impl RenamingAlgorithm for RouteRenaming {
         n.next_power_of_two().max(2)
     }
 
-    fn instantiate(&self, n: usize, _seed: u64) -> Instance {
-        Instance { processes: rr_renaming::traits::boxed(self.build(n)), m: self.m(n), n }
-    }
-
-    /// Deterministic: no randomness is drawn, so every RNG backend is
-    /// trivially supported (the mode is irrelevant, not refused).
-    fn instantiate_rng(&self, n: usize, seed: u64, _rng: rr_shmem::rng::RngMode) -> Instance {
-        self.instantiate(n, seed)
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        _seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        _rng: rr_shmem::rng::RngMode,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        self.run_dense(n, seed, adversary, arena)
+    /// Deterministic: draws no coins, so the seed and the RNG mode are
+    /// ignored.
+    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<NetworkProcess> {
+        let net = route_network(self.topology, self.m(n), self.stages);
+        let shared = Arc::new(NetworkShared::new(net));
+        (0..n)
+            .map(|pid| NetworkProcess::with_array(pid, Arc::clone(&shared), ROUTE_TAS_ARRAY))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{CollisionMaximizer, FairAdversary, RandomAdversary};
     use rr_sched::process::Process;
     use rr_sched::virtual_exec::run;
@@ -320,7 +295,7 @@ mod tests {
     #[test]
     fn single_process_percolates_to_wire_zero() {
         let algo = RouteRenaming { topology: RouteTopology::Benes, stages: None };
-        let mut procs = algo.build(1);
+        let mut procs = algo.build(1, 0, RngMode::default());
         // Alone, the process wins every switch and exits on wire 0 — but
         // it entered on wire 0, so route from a different wire directly.
         let net = route_network(RouteTopology::Benes, 8, None);
@@ -335,7 +310,7 @@ mod tests {
     #[test]
     fn announces_on_the_route_array() {
         let algo = RouteRenaming { topology: RouteTopology::Butterfly, stages: None };
-        let mut procs = algo.build(4);
+        let mut procs = algo.build(4, 0, RngMode::default());
         match procs[0].announce() {
             rr_shmem::Access::Tas { array, .. } => assert_eq!(array, ROUTE_TAS_ARRAY),
             other => panic!("unexpected announce {other:?}"),
@@ -345,11 +320,17 @@ mod tests {
     #[test]
     fn names_encode_topology_and_stages() {
         assert_eq!(
-            RouteRenaming { topology: RouteTopology::Benes, stages: None }.name(),
+            RenamingAlgorithm::name(&RouteRenaming {
+                topology: RouteTopology::Benes,
+                stages: None
+            }),
             "route(benes)"
         );
         assert_eq!(
-            RouteRenaming { topology: RouteTopology::Butterfly, stages: Some(5) }.name(),
+            RenamingAlgorithm::name(&RouteRenaming {
+                topology: RouteTopology::Butterfly,
+                stages: Some(5)
+            }),
             "route(butterfly,stages=5)"
         );
     }

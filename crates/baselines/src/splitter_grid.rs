@@ -23,9 +23,10 @@
 //! unique name. Every register access is charged as one step (four per
 //! splitter visit), faithful to the read/write cost model.
 
-use rr_renaming::traits::{Instance, RenamingAlgorithm};
+use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
+use rr_shmem::rng::RngMode;
 use rr_shmem::Access;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -209,12 +210,14 @@ impl Process for GridProcess {
     }
 }
 
-/// Splitter-grid renaming as a [`RenamingAlgorithm`]:
+/// Splitter-grid renaming as a [`RenamingProtocol`]:
 /// `m = n(n+1)/2`, deterministic, read/write registers only.
 #[derive(Debug, Clone, Copy)]
 pub struct SplitterGrid;
 
-impl RenamingAlgorithm for SplitterGrid {
+impl RenamingProtocol for SplitterGrid {
+    type Proc = GridProcess;
+
     fn name(&self) -> String {
         "splitter-grid(r/w)".into()
     }
@@ -223,34 +226,14 @@ impl RenamingAlgorithm for SplitterGrid {
         n * (n + 1) / 2
     }
 
-    fn instantiate(&self, n: usize, _seed: u64) -> Instance {
-        Instance { processes: rr_renaming::traits::boxed(self.build(n)), m: self.m(n), n }
-    }
-
-    /// Deterministic: no randomness is drawn, so every RNG backend is
-    /// trivially supported (the mode is irrelevant, not refused).
-    fn instantiate_rng(&self, n: usize, seed: u64, _rng: rr_shmem::rng::RngMode) -> Instance {
-        self.instantiate(n, seed)
-    }
-
     fn step_budget(&self, n: usize) -> u64 {
         // ≤ n splitters on a path, 4 accesses each, for each process.
         16 * (n as u64) * (n as u64) + 1024
     }
 
-    fn run_dense(
-        &self,
-        n: usize,
-        _seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n), adversary, self.step_budget(n))
-    }
-}
-
-impl SplitterGrid {
-    fn build(&self, n: usize) -> Vec<GridProcess> {
+    /// Deterministic: draws no coins, so the seed and the RNG mode are
+    /// ignored.
+    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<GridProcess> {
         let shared = Arc::new(GridShared::new(n));
         (0..n).map(|pid| GridProcess::new(pid, Arc::clone(&shared))).collect()
     }
@@ -259,6 +242,7 @@ impl SplitterGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{CollisionMaximizer, FairAdversary, RandomAdversary};
     use rr_sched::virtual_exec::run;
 
@@ -288,8 +272,12 @@ mod tests {
             let m = inst.m;
             let procs: Vec<Box<dyn Process>> =
                 inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out =
-                run(procs, &mut FairAdversary::default(), SplitterGrid.step_budget(n)).unwrap();
+            let out = run(
+                procs,
+                &mut FairAdversary::default(),
+                RenamingAlgorithm::step_budget(&SplitterGrid, n),
+            )
+            .unwrap();
             out.verify_renaming(m).unwrap();
             assert_eq!(out.gave_up_count(), 0);
         }
@@ -305,7 +293,8 @@ mod tests {
             let inst = SplitterGrid.instantiate(n, 0);
             let procs: Vec<Box<dyn Process>> =
                 inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out = run(procs, adv.as_mut(), SplitterGrid.step_budget(n)).unwrap();
+            let out =
+                run(procs, adv.as_mut(), RenamingAlgorithm::step_budget(&SplitterGrid, n)).unwrap();
             out.verify_renaming(n * (n + 1) / 2).unwrap();
             // ≤ n−1 moves of 4 accesses each, plus the final stop visit.
             assert!(out.step_complexity() <= 4 * n as u64);
@@ -321,8 +310,12 @@ mod tests {
             let inst = SplitterGrid.instantiate(n, 0);
             let procs: Vec<Box<dyn Process>> =
                 inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out =
-                run(procs, &mut FairAdversary::default(), SplitterGrid.step_budget(n)).unwrap();
+            let out = run(
+                procs,
+                &mut FairAdversary::default(),
+                RenamingAlgorithm::step_budget(&SplitterGrid, n),
+            )
+            .unwrap();
             let steps = out.step_complexity();
             assert!(steps > prev, "steps must grow with n");
             assert!(steps as usize >= n / 2, "Θ(n) regime expected, got {steps} at n={n}");
@@ -349,6 +342,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::RandomAdversary;
     use rr_sched::virtual_exec::run;
 

@@ -6,7 +6,7 @@
 //! paper's `O((log log n)^ℓ)` protocols that the E8 comparison table
 //! exhibits.
 
-use rr_renaming::traits::{Instance, RenamingAlgorithm};
+use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::rng::{ProcessRng, RngMode};
@@ -88,7 +88,9 @@ impl UniformProbing {
     }
 }
 
-impl RenamingAlgorithm for UniformProbing {
+impl RenamingProtocol for UniformProbing {
+    type Proc = UniformProcess;
+
     fn name(&self) -> String {
         format!("uniform(eps={})", self.epsilon)
     }
@@ -97,41 +99,6 @@ impl RenamingAlgorithm for UniformProbing {
         ((1.0 + self.epsilon) * n as f64).ceil() as usize
     }
 
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        Instance {
-            processes: rr_renaming::traits::boxed(self.build(n, seed, rng)),
-            m: self.m(n),
-            n,
-        }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
-    }
-}
-
-impl UniformProbing {
     fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<UniformProcess> {
         assert!(self.epsilon > 0.0, "uniform probing needs m > n");
         let mem = Arc::new(AtomicTasArray::new(self.m(n)));
@@ -146,6 +113,7 @@ impl UniformProbing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::virtual_exec::run;
 
@@ -181,8 +149,8 @@ mod tests {
 
     #[test]
     fn name_space_size() {
-        assert_eq!(UniformProbing { epsilon: 1.0 }.m(100), 200);
-        assert_eq!(UniformProbing { epsilon: 0.5 }.m(100), 150);
+        assert_eq!(RenamingAlgorithm::m(&UniformProbing { epsilon: 1.0 }, 100), 200);
+        assert_eq!(RenamingAlgorithm::m(&UniformProbing { epsilon: 0.5 }, 100), 150);
         assert_eq!(UniformProbing::double().epsilon, 1.0);
     }
 

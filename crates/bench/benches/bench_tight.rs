@@ -8,6 +8,7 @@ use rr_renaming::TightRenaming;
 use rr_sched::adversary::FairAdversary;
 use rr_sched::process::Process;
 use rr_sched::{run_threads_bounded, virtual_exec};
+use rr_shmem::rng::RngMode;
 use std::hint::black_box;
 
 fn bench_virtual(c: &mut Criterion) {
@@ -16,7 +17,8 @@ fn bench_virtual(c: &mut Criterion) {
     for n in [1usize << 8, 1 << 10, 1 << 12] {
         g.bench_function(format!("n={n}"), |b| {
             b.iter(|| {
-                let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(n, 1);
+                let (_s, procs) =
+                    TightRenaming::calibrated(4).instantiate_shared_rng(n, 1, RngMode::default());
                 let boxed: Vec<Box<dyn Process>> =
                     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
                 let out = virtual_exec::run(boxed, &mut FairAdversary::default(), 1 << 32).unwrap();
@@ -33,7 +35,8 @@ fn bench_threads(c: &mut Criterion) {
     for n in [1usize << 8, 1 << 10] {
         g.bench_function(format!("n={n},threads=8"), |b| {
             b.iter(|| {
-                let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(n, 1);
+                let (_s, procs) =
+                    TightRenaming::calibrated(4).instantiate_shared_rng(n, 1, RngMode::default());
                 let boxed: Vec<Box<dyn Process + Send>> =
                     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process + Send>).collect();
                 let out = run_threads_bounded(boxed, 8, 1 << 26);

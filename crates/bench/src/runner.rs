@@ -4,11 +4,10 @@
 
 use rr_renaming::traits::RenamingAlgorithm;
 use rr_sched::adversary::Adversary;
-use rr_sched::process::Process;
 use rr_sched::registry::{standard, ParsedKey};
 use rr_sched::shard::{run_sharded, shard_seed, Arena, ShardRun, DEFAULT_COUPLING_EVERY};
 use rr_sched::thread_exec::run_threads_bounded;
-use rr_sched::virtual_exec::{run, RunOutcome};
+use rr_sched::virtual_exec::RunOutcome;
 use rr_shmem::rng::RngMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -87,126 +86,6 @@ impl BatchStats {
     }
 }
 
-/// Which adversary to schedule under. This is the typed mirror of the
-/// [`rr_sched::registry`] keys: every variant round-trips through
-/// [`Schedule::key`] / [`Schedule::parse`], and [`Schedule`]-driven runs
-/// build their adversary through the registry so there is exactly one
-/// construction path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Round-robin (`"fair"`).
-    Fair,
-    /// Seeded random (`"random"`).
-    Random,
-    /// Collision-maximizing adaptive adversary (`"collisions"`).
-    CollisionMax,
-    /// Stalls winning-kind announces behind everyone else (`"stall"`).
-    Stall,
-    /// Fair schedule + crash injection `(probability ‰, budget %)`
-    /// (`"crash:p=…,cap=…"`).
-    Crashes {
-        /// Crash probability at winning announces, in permille.
-        p_permille: u32,
-        /// Max crashes as a percentage of n.
-        budget_pct: u32,
-    },
-}
-
-impl Schedule {
-    /// Human-readable label for tables.
-    pub fn label(&self) -> String {
-        match self {
-            Schedule::Fair => "fair".into(),
-            Schedule::Random => "random".into(),
-            Schedule::CollisionMax => "collision-max".into(),
-            Schedule::Stall => "stall".into(),
-            Schedule::Crashes { p_permille, budget_pct } => {
-                format!("crash(p={:.1}%,cap={budget_pct}%)", *p_permille as f64 / 10.0)
-            }
-        }
-    }
-
-    /// The [`rr_sched::registry`] key this schedule builds through.
-    pub fn key(&self) -> String {
-        match self {
-            Schedule::Fair => "fair".into(),
-            Schedule::Random => "random".into(),
-            Schedule::CollisionMax => "collisions".into(),
-            Schedule::Stall => "stall".into(),
-            Schedule::Crashes { p_permille, budget_pct } => {
-                format!("crash:p={p_permille},cap={budget_pct}")
-            }
-        }
-    }
-
-    /// Parses a registry key back into the typed schedule (accepts the
-    /// table label `collision-max` as an alias for `collisions`).
-    ///
-    /// # Errors
-    /// Returns a message for unknown names or bad parameters — the key
-    /// is validated through the registry factory itself, so anything
-    /// `parse` accepts, [`Schedule`]-driven runs can build.
-    pub fn parse(key: &str) -> Result<Self, String> {
-        let parsed = ParsedKey::parse(key)?;
-        if parsed.name == "collision-max" {
-            parsed.check_known(&[])?;
-            return Ok(Schedule::CollisionMax);
-        }
-        let schedule = match parsed.name.as_str() {
-            "fair" => Schedule::Fair,
-            "random" => Schedule::Random,
-            "collisions" => Schedule::CollisionMax,
-            "stall" => Schedule::Stall,
-            "crash" => Schedule::Crashes {
-                p_permille: parsed.get("p", 20)?,
-                budget_pct: parsed.get("cap", 10)?,
-            },
-            // The schedule-space searchers are stateful across runs and
-            // have no typed mirror — name them explicitly so the error
-            // doesn't suggest a key this parse can never accept.
-            searcher @ ("explore" | "fuzz") => {
-                return Err(format!(
-                    "`{searcher}` is a registry-only adversary (stateful across seeds); \
-                     use the keyed batch API (BatchRun::adversary / --adversaries) instead \
-                     of the typed Schedule"
-                ))
-            }
-            // The load-shape zoo is stateless but registry-only: the
-            // typed enum mirrors the historical schedules and is closed.
-            zoo @ ("lookahead" | "bursty" | "diurnal" | "victim") => {
-                return Err(format!(
-                    "`{zoo}` has no typed Schedule mirror; use the keyed batch API \
-                     (BatchRun::adversary / --adversaries) instead"
-                ))
-            }
-            other => {
-                let typed: Vec<&str> = standard()
-                    .keys()
-                    .into_iter()
-                    .filter(|k| {
-                        !matches!(
-                            *k,
-                            "explore" | "fuzz" | "lookahead" | "bursty" | "diurnal" | "victim"
-                        )
-                    })
-                    .collect();
-                return Err(format!("unknown schedule `{other}` (known: {})", typed.join(", ")));
-            }
-        };
-        // Full validation (unknown params, value ranges) lives in the
-        // registry factories — run it so parse never accepts a key that
-        // build would later reject.
-        let _builder = standard().prepare(key)?;
-        Ok(schedule)
-    }
-
-    fn build(&self, n: usize, seed: u64) -> Box<dyn Adversary> {
-        standard()
-            .build(&self.key(), n, seed)
-            .expect("every Schedule variant maps to a registered adversary key")
-    }
-}
-
 /// Which execution core a batch drives — the `--backend` axis of the
 /// experiment layer.
 ///
@@ -218,7 +97,9 @@ impl Schedule {
 /// | `shard:s=N` | S coupled per-shard arenas, one thread each | pure function of `(seed, S)` regardless of thread timing; `s=1` bit-identical to `dense` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// The historical boxed executor ([`rr_sched::virtual_exec::run`]).
+    /// The historical boxed executor: the boxed processes of
+    /// [`RenamingAlgorithm::instantiate_with`] on the arena loop, as
+    /// [`rr_sched::virtual_exec::run`] drives them.
     #[default]
     Virtual,
     /// The flat arena core with monomorphized process storage and
@@ -332,58 +213,43 @@ impl BatchTiming {
     }
 }
 
-/// Runs `algo` at size `n` once with `seed` on `backend`.
+/// Runs `algo` at size `n` once with `seed` on `backend`, every
+/// process drawing coins in `rng` mode.
 ///
 /// `adversary` schedules the `virtual` and `dense` backends; the
 /// `threads` backend is free-running (the machine schedules) and ignores
-/// it. `arena` is the dense backend's reusable scratch — pass the same
-/// one across seeds to amortize its buffers.
+/// it. `arena` is the executor's reusable scratch — pass the same one
+/// across seeds to amortize its buffers. The shard backend builds one
+/// adversary per shard, so it runs through [`run_once_sharded`].
 ///
 /// # Panics
-/// Panics on executor errors or renaming-safety violations (these are
-/// bugs, not data).
-pub fn run_once_backend(
-    algo: &dyn RenamingAlgorithm,
-    n: usize,
-    seed: u64,
-    adversary: &mut dyn Adversary,
-    backend: ExecBackend,
-    arena: &mut Arena,
-) -> RunOutcome {
-    run_once_backend_rng(algo, n, seed, RngMode::default(), adversary, backend, arena)
-}
-
-/// [`run_once_backend`] with an explicit per-process RNG backend.
-/// Algorithms that don't implement the requested mode refuse loudly
-/// (see [`RenamingAlgorithm::instantiate_rng`]); the default mode is
-/// bit-identical to [`run_once_backend`].
-///
-/// # Panics
-/// Panics on executor errors, renaming-safety violations, or an
-/// unsupported RNG mode.
-pub fn run_once_backend_rng(
+/// Panics on the shard backend, executor errors or renaming-safety
+/// violations (these are bugs, not data).
+pub fn run_once(
     algo: &dyn RenamingAlgorithm,
     n: usize,
     seed: u64,
     rng: RngMode,
-    adversary: &mut dyn Adversary,
     backend: ExecBackend,
+    adversary: &mut dyn Adversary,
     arena: &mut Arena,
 ) -> RunOutcome {
     let out = match backend {
-        ExecBackend::Virtual => return run_once_with_rng(algo, n, seed, rng, adversary),
-        ExecBackend::Dense => algo
-            .run_dense_rng(n, seed, rng, adversary, arena)
-            .unwrap_or_else(|e| panic!("{} at n={n}, seed {seed}: {e}", algo.name())),
+        ExecBackend::Virtual => {
+            let mut processes = algo.instantiate_with(n, seed, rng).processes;
+            arena.run(&mut processes, adversary, algo.step_budget(n))
+        }
+        ExecBackend::Dense => algo.run_dense_with(n, seed, rng, adversary, arena),
         ExecBackend::Threads { t } => {
-            let inst = algo.instantiate_rng(n, seed, rng);
-            run_threads_bounded(inst.processes, t, algo.step_budget(n))
+            let processes = algo.instantiate_with(n, seed, rng).processes;
+            Ok(run_threads_bounded(processes, t, algo.step_budget(n)))
         }
         ExecBackend::Shard { .. } => panic!(
             "the shard backend builds one adversary per shard and cannot reuse a single \
              `&mut dyn Adversary`; drive it through `BatchRun` or `run_once_sharded`"
         ),
-    };
+    }
+    .unwrap_or_else(|e| panic!("{} at n={n}, seed {seed}: {e}", algo.name()));
     if let Err(v) = out.verify_renaming(algo.m(n)) {
         panic!("{} violated renaming safety at n={n}, seed {seed}: {v}", algo.name());
     }
@@ -391,7 +257,8 @@ pub fn run_once_backend_rng(
 }
 
 /// Runs `algo` at size `n` once with `seed` as `shards` coupled
-/// shard sub-instances (the `shard:s=N` backend).
+/// shard sub-instances (the `shard:s=N` backend), every process drawing
+/// coins in `rng` mode.
 ///
 /// Shard `s` runs `algo` at its sub-size `n_s` (round-robin partition
 /// of the pid space) with a fresh adversary from
@@ -409,23 +276,6 @@ pub fn run_once_sharded(
     algo: &(dyn RenamingAlgorithm + Sync),
     n: usize,
     seed: u64,
-    build_adv: &(dyn Fn(usize, u64) -> Box<dyn Adversary> + Sync),
-    shards: usize,
-) -> RunOutcome {
-    run_once_sharded_rng(algo, n, seed, RngMode::default(), build_adv, shards)
-}
-
-/// [`run_once_sharded`] with an explicit per-process RNG backend (every
-/// shard sub-instance draws in `rng` mode; the default mode is
-/// bit-identical to [`run_once_sharded`]).
-///
-/// # Panics
-/// Same conditions as [`run_once_sharded`], plus an unsupported RNG
-/// mode (see [`RenamingAlgorithm::instantiate_rng`]).
-pub fn run_once_sharded_rng(
-    algo: &(dyn RenamingAlgorithm + Sync),
-    n: usize,
-    seed: u64,
     rng: RngMode,
     build_adv: &(dyn Fn(usize, u64) -> Box<dyn Adversary> + Sync),
     shards: usize,
@@ -436,7 +286,7 @@ pub fn run_once_sharded_rng(
         let sub_seed = shard_seed(seed, s);
         let mut adversary = ctx.couple(build_adv(n_s, sub_seed));
         let mut arena = Arena::new();
-        algo.run_dense_rng(n_s, sub_seed, rng, &mut adversary, &mut arena)
+        algo.run_dense_with(n_s, sub_seed, rng, &mut adversary, &mut arena)
             .map(|outcome| ShardRun { outcome, m: algo.m(n_s) })
     })
     .unwrap_or_else(|e| panic!("{} at n={n}, seed {seed}, shard:s={shards}: {e}", algo.name()));
@@ -445,59 +295,6 @@ pub fn run_once_sharded_rng(
             "{} violated renaming safety at n={n}, seed {seed}, shard:s={shards}: {v}",
             algo.name()
         );
-    }
-    out
-}
-
-/// Runs `algo` at size `n` once under `schedule` with `seed`.
-///
-/// # Panics
-/// Panics on executor errors or renaming-safety violations (these are
-/// bugs, not data).
-pub fn run_once(
-    algo: &dyn RenamingAlgorithm,
-    n: usize,
-    seed: u64,
-    schedule: Schedule,
-) -> RunOutcome {
-    run_once_with(algo, n, seed, schedule.build(n, seed).as_mut())
-}
-
-/// Runs `algo` at size `n` once with `seed` under an arbitrary
-/// (possibly recording or replaying) adversary.
-///
-/// # Panics
-/// Panics on executor errors or renaming-safety violations.
-pub fn run_once_with(
-    algo: &dyn RenamingAlgorithm,
-    n: usize,
-    seed: u64,
-    adversary: &mut dyn Adversary,
-) -> RunOutcome {
-    run_once_with_rng(algo, n, seed, RngMode::default(), adversary)
-}
-
-/// [`run_once_with`] with an explicit per-process RNG backend (the
-/// default mode is bit-identical to it).
-///
-/// # Panics
-/// Panics on executor errors, renaming-safety violations, or an
-/// unsupported RNG mode.
-pub fn run_once_with_rng(
-    algo: &dyn RenamingAlgorithm,
-    n: usize,
-    seed: u64,
-    rng: RngMode,
-    adversary: &mut dyn Adversary,
-) -> RunOutcome {
-    let inst = algo.instantiate_rng(n, seed, rng);
-    let m = inst.m;
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    let out = run(procs, adversary, algo.step_budget(n))
-        .unwrap_or_else(|e| panic!("{} at n={n}, seed {seed}: {e}", algo.name()));
-    if let Err(v) = out.verify_renaming(m) {
-        panic!("{} violated renaming safety at n={n}, seed {seed}: {v}", algo.name());
     }
     out
 }
@@ -604,12 +401,6 @@ impl<'a> BatchRun<'a> {
         self
     }
 
-    /// Typed-schedule convenience: equivalent to
-    /// `.adversary(schedule.key())`.
-    pub fn schedule(self, schedule: Schedule) -> Self {
-        self.adversary(schedule.key())
-    }
-
     /// Execution backend (default [`ExecBackend::Virtual`]).
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
@@ -620,8 +411,8 @@ impl<'a> BatchRun<'a> {
     /// bit-identical to not calling this at all). A non-default mode is
     /// a **modelling change**: step counts follow a different coin
     /// stream, so the scenario layer stamps its records with the mode.
-    /// Algorithms that don't implement the requested mode panic loudly
-    /// at instantiation (see [`RenamingAlgorithm::instantiate_rng`]).
+    /// Every algorithm builds in every mode; the deterministic baselines
+    /// draw no coins, so for them the mode changes nothing.
     pub fn rng_mode(mut self, rng: RngMode) -> Self {
         self.rng = rng;
         self
@@ -699,16 +490,8 @@ fn run_batch_core(
 ) -> BatchStats {
     let run_seed = |seed: u64, arena: &mut Arena| {
         let out = match backend {
-            ExecBackend::Shard { s } => run_once_sharded_rng(algo, n, seed, rng, build_adv, s),
-            _ => run_once_backend_rng(
-                algo,
-                n,
-                seed,
-                rng,
-                build_adv(n, seed).as_mut(),
-                backend,
-                arena,
-            ),
+            ExecBackend::Shard { s } => run_once_sharded(algo, n, seed, rng, build_adv, s),
+            _ => run_once(algo, n, seed, rng, backend, build_adv(n, seed).as_mut(), arena),
         };
         measure(&out, n)
     };
@@ -887,11 +670,8 @@ mod tests {
 
     #[test]
     fn almost_tight_batch_counts_unnamed() {
-        let stats = BatchRun::new(&LooseL6 { ell: 1 }, 256)
-            .seeds(2)
-            .schedule(Schedule::Random)
-            .stats()
-            .unwrap();
+        let stats =
+            BatchRun::new(&LooseL6 { ell: 1 }, 256).seeds(2).adversary("random").stats().unwrap();
         assert!(stats.mean_unnamed() > 0.0, "L6 should leave someone unnamed at n=256");
     }
 
@@ -899,7 +679,7 @@ mod tests {
     fn crash_schedule_counts_crashes() {
         let stats = BatchRun::new(&TightRenaming::calibrated(4), 64)
             .seeds(2)
-            .schedule(Schedule::Crashes { p_permille: 500, budget_pct: 20 })
+            .adversary("crash:p=500,cap=20")
             .stats()
             .unwrap();
         assert!(stats.crashed.iter().any(|&c| c > 0));
@@ -912,51 +692,21 @@ mod tests {
     #[test]
     fn parallel_batch_bit_identical_to_serial() {
         let algo = TightRenaming::calibrated(4);
-        for schedule in [
-            Schedule::Fair,
-            Schedule::Random,
-            Schedule::CollisionMax,
-            Schedule::Stall,
-            Schedule::Crashes { p_permille: 200, budget_pct: 25 },
-        ] {
+        for key in ["fair", "random", "collisions", "stall", "crash:p=200,cap=25"] {
             let serial =
-                BatchRun::new(&algo, 96).seeds(8).schedule(schedule).workers(1).stats().unwrap();
+                BatchRun::new(&algo, 96).seeds(8).adversary(key).workers(1).stats().unwrap();
             // Force real threading: the default worker count would fall
             // back to serial on single-core CI machines.
             let parallel =
-                BatchRun::new(&algo, 96).seeds(8).schedule(schedule).workers(4).stats().unwrap();
-            assert_eq!(serial.step_complexity, parallel.step_complexity, "{schedule:?}");
-            assert_eq!(serial.unnamed, parallel.unnamed, "{schedule:?}");
-            assert_eq!(serial.crashed, parallel.crashed, "{schedule:?}");
-            assert_eq!(serial.runs, parallel.runs, "{schedule:?}");
-            assert_eq!(serial.violations, parallel.violations, "{schedule:?}");
+                BatchRun::new(&algo, 96).seeds(8).adversary(key).workers(4).stats().unwrap();
+            assert_eq!(serial.step_complexity, parallel.step_complexity, "{key}");
+            assert_eq!(serial.unnamed, parallel.unnamed, "{key}");
+            assert_eq!(serial.crashed, parallel.crashed, "{key}");
+            assert_eq!(serial.runs, parallel.runs, "{key}");
+            assert_eq!(serial.violations, parallel.violations, "{key}");
             let serial_bits: Vec<u64> = serial.mean_steps.iter().map(|f| f.to_bits()).collect();
             let parallel_bits: Vec<u64> = parallel.mean_steps.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(serial_bits, parallel_bits, "{schedule:?}");
-        }
-    }
-
-    /// The keyed (registry-string) path and the typed [`Schedule`] path
-    /// are the same executor over the same construction — identical
-    /// stats, bit for bit.
-    #[test]
-    fn keyed_batch_matches_schedule_batch() {
-        let algo = TightRenaming::calibrated(4);
-        for (key, schedule) in [
-            ("fair", Schedule::Fair),
-            ("random", Schedule::Random),
-            ("collisions", Schedule::CollisionMax),
-            ("stall", Schedule::Stall),
-            ("crash:p=200,cap=25", Schedule::Crashes { p_permille: 200, budget_pct: 25 }),
-        ] {
-            let keyed = BatchRun::new(&algo, 96).seeds(4).adversary(key).stats().unwrap();
-            let typed = BatchRun::new(&algo, 96).seeds(4).schedule(schedule).stats().unwrap();
-            assert_eq!(keyed.step_complexity, typed.step_complexity, "{key}");
-            assert_eq!(keyed.unnamed, typed.unnamed, "{key}");
-            assert_eq!(keyed.crashed, typed.crashed, "{key}");
-            let kb: Vec<u64> = keyed.mean_steps.iter().map(|f| f.to_bits()).collect();
-            let tb: Vec<u64> = typed.mean_steps.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(kb, tb, "{key}");
+            assert_eq!(serial_bits, parallel_bits, "{key}");
         }
     }
 
@@ -971,61 +721,6 @@ mod tests {
     fn single_seed_batch_falls_back_to_serial() {
         let stats = BatchRun::new(&TightRenaming::calibrated(4), 64).stats().unwrap();
         assert_eq!(stats.runs, 1);
-    }
-
-    #[test]
-    fn schedule_labels() {
-        assert_eq!(Schedule::Fair.label(), "fair");
-        assert_eq!(Schedule::Stall.label(), "stall");
-        assert_eq!(
-            Schedule::Crashes { p_permille: 100, budget_pct: 10 }.label(),
-            "crash(p=10.0%,cap=10%)"
-        );
-    }
-
-    #[test]
-    fn schedule_keys_round_trip() {
-        for schedule in [
-            Schedule::Fair,
-            Schedule::Random,
-            Schedule::CollisionMax,
-            Schedule::Stall,
-            Schedule::Crashes { p_permille: 150, budget_pct: 30 },
-        ] {
-            assert_eq!(Schedule::parse(&schedule.key()).unwrap(), schedule);
-        }
-        // The table label is accepted as an alias; defaults fill crash in.
-        assert_eq!(Schedule::parse("collision-max").unwrap(), Schedule::CollisionMax);
-        assert_eq!(
-            Schedule::parse("crash").unwrap(),
-            Schedule::Crashes { p_permille: 20, budget_pct: 10 }
-        );
-        assert!(Schedule::parse("livelock").is_err());
-        // Unknown names suggest only the typed schedules — not the
-        // registry-only searchers this parse can never accept.
-        let msg = Schedule::parse("livelock").unwrap_err();
-        assert_eq!(
-            msg,
-            "unknown schedule `livelock` (known: collisions, crash, fair, random, stall)"
-        );
-        // The searchers themselves get a pointed redirection.
-        for key in ["explore", "explore:depth=4", "fuzz:rounds=8"] {
-            let msg = Schedule::parse(key).unwrap_err();
-            assert!(msg.contains("registry-only"), "{key}: {msg}");
-            assert!(msg.contains("BatchRun::adversary"), "{key}: {msg}");
-        }
-        // So does the load-shape zoo — registry-only, never suggested.
-        for key in ["lookahead", "bursty:len=4,gap=2", "diurnal", "victim:pid=3"] {
-            let msg = Schedule::parse(key).unwrap_err();
-            assert!(msg.contains("no typed Schedule mirror"), "{key}: {msg}");
-            assert!(msg.contains("BatchRun::adversary"), "{key}: {msg}");
-        }
-        // parse runs the registry's full validation: anything it accepts,
-        // build can construct — and vice versa.
-        assert!(Schedule::parse("crash:p=2000").is_err(), "p > 1000 permille");
-        assert!(Schedule::parse("crash:typo=5").is_err(), "unknown parameter");
-        assert!(Schedule::parse("fair:x=1").is_err(), "fair takes no parameters");
-        assert!(Schedule::parse("collision-max:x=1").is_err(), "alias takes no parameters");
     }
 
     #[test]
@@ -1277,7 +972,21 @@ mod tests {
     #[test]
     fn from_outcomes_matches_batch_aggregation() {
         let algo = TightRenaming::calibrated(4);
-        let outs: Vec<_> = (0..3).map(|s| run_once(&algo, 64, s, Schedule::Fair)).collect();
+        let mut arena = Arena::new();
+        let outs: Vec<_> = (0..3)
+            .map(|seed| {
+                let mut fair = standard().build("fair", 64, seed).unwrap();
+                run_once(
+                    &algo,
+                    64,
+                    seed,
+                    RngMode::default(),
+                    ExecBackend::Virtual,
+                    fair.as_mut(),
+                    &mut arena,
+                )
+            })
+            .collect();
         let manual = BatchStats::from_outcomes(&outs, 64);
         let batch = BatchRun::new(&algo, 64).seeds(3).workers(1).stats().unwrap();
         assert_eq!(manual.step_complexity, batch.step_complexity);

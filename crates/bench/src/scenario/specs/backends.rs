@@ -199,7 +199,7 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
             let outs: Vec<_> = (0..opts.seeds)
                 .map(|seed| {
                     let mut adv = build(opts.n, seed);
-                    algo.run_dense_rng(opts.n, seed, RngMode::Counter, adv.as_mut(), &mut arena)
+                    algo.run_dense_with(opts.n, seed, RngMode::Counter, adv.as_mut(), &mut arena)
                         .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"))
                 })
                 .collect();

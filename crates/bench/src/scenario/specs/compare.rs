@@ -2,7 +2,7 @@
 //! landscape (E8), the deterministic gap (E11) and the progress curves
 //! (E15).
 
-use crate::runner::{BatchRun, RunConfig, Schedule};
+use crate::runner::{BatchRun, RunConfig};
 use crate::scenario::{BatchSection, Column, RowSpec, ScenarioSpec, Section};
 use rr_analysis::stats::{norm_log2, norm_loglog_sq, upper_median};
 use rr_analysis::table::{fnum, Table};
@@ -12,15 +12,24 @@ use rr_renaming::traits::{Cor9, RenamingAlgorithm};
 use rr_renaming::TightRenaming;
 use rr_sched::adversary::{Adversary, Decision, FairAdversary, RunView};
 use rr_sched::process::Process;
+use rr_sched::registry::ParsedKey;
 use rr_sched::virtual_exec::run;
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// Adversary display label: the typed [`Schedule`] label when the key
-/// parses (the tables have always shown `collision-max`,
-/// `crash(p=2.0%,cap=10%)`, …), else the raw key.
+/// Adversary display label for the E9 table, which has always shown
+/// `collision-max` and `crash(p=2.0%,cap=10%)` rather than the registry
+/// keys; every other key is shown as written.
 fn adversary_label(key: &str) -> String {
-    Schedule::parse(key).map(|s| s.label()).unwrap_or_else(|_| key.to_string())
+    let Ok(parsed) = ParsedKey::parse(key) else { return key.to_string() };
+    match parsed.name.as_str() {
+        "collisions" => "collision-max".into(),
+        "crash" => match (parsed.get::<u32>("p", 20), parsed.get::<u32>("cap", 10)) {
+            (Ok(p), Ok(cap)) => format!("crash(p={:.1}%,cap={cap}%)", p as f64 / 10.0),
+            _ => key.to_string(),
+        },
+        _ => key.to_string(),
+    }
 }
 
 /// E9 — model validation (§II-A): the w.h.p. guarantees hold against an
@@ -175,7 +184,7 @@ pub fn baselines(cfg: &RunConfig) -> ScenarioSpec {
 ///
 /// Each table row spans four differently-seeded batches (deterministic
 /// scan, capped splitter grid, tight, loose), so this runs as a custom
-/// section over the typed [`Schedule`] API rather than a batch table.
+/// section over [`BatchRun`] rather than a batch table.
 pub fn deterministic_gap(cfg: &RunConfig) -> ScenarioSpec {
     let (sizes, seeds) =
         cfg.pick((vec![1 << 10, 1 << 12, 1 << 14, 1 << 16], 10u64), (vec![1 << 8, 1 << 10], 3u64));
@@ -324,5 +333,28 @@ pub fn progress(cfg: &RunConfig) -> ScenarioSpec {
              the distribution shapes behind the step-complexity tables."
         ),
         reproduces: vec![],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::adversary_label;
+
+    /// The E9 table keeps the labels it has always printed.
+    #[test]
+    fn adversary_labels_match_the_e9_table() {
+        for (key, label) in [
+            ("fair", "fair"),
+            ("random", "random"),
+            ("stall", "stall"),
+            ("collisions", "collision-max"),
+            ("crash", "crash(p=2.0%,cap=10%)"),
+            ("crash:p=20,cap=10", "crash(p=2.0%,cap=10%)"),
+            ("crash:p=200,cap=50", "crash(p=20.0%,cap=50%)"),
+            ("lookahead:k=2", "lookahead:k=2"),
+            ("crash:p=x", "crash:p=x"),
+        ] {
+            assert_eq!(adversary_label(key), label, "{key}");
+        }
     }
 }

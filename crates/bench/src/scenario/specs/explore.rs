@@ -17,8 +17,8 @@ use crate::scenario::{registry, Record, ScenarioSpec, Section, Value};
 use rr_analysis::table::fnum;
 use rr_analysis::Table;
 use rr_renaming::registry::BoxedAlgorithm;
-use rr_sched::dense::Arena;
 use rr_sched::explore::{Counterexample, ExhaustiveExplorer, FuzzExplorer};
+use rr_sched::shard::Arena;
 use rr_sched::Adversary;
 use rr_sched::RunOutcome;
 use std::sync::atomic::{AtomicBool, Ordering};

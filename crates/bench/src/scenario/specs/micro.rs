@@ -20,6 +20,7 @@ use rr_renaming::traits::RenamingAlgorithm;
 use rr_sched::adversary::FairAdversary;
 use rr_sched::process::Process;
 use rr_sched::virtual_exec::run;
+use rr_shmem::rng::RngMode;
 use rr_tau::{ConcurrentTauRegister, CountingDevice};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -107,7 +108,7 @@ fn lemma4_report(
     max_rounds: usize,
 ) {
     let algo = algo.with_recorder();
-    let (shared, procs) = algo.instantiate_shared(n, seed);
+    let (shared, procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
     let boxed: Vec<Box<dyn Process>> =
         procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
     // The recorder's extra bookkeeping doubles the guard over the
@@ -325,7 +326,12 @@ pub fn adaptive(cfg: &RunConfig) -> ScenarioSpec {
             let mut worst_steps = 0u64;
             let mut unnamed = 0usize;
             for seed in 0..seeds {
-                let (shared, procs) = AdaptiveRenaming.instantiate_participants(k, max_n, seed);
+                let (shared, procs) = AdaptiveRenaming.instantiate_participants_rng(
+                    k,
+                    max_n,
+                    seed,
+                    RngMode::default(),
+                );
                 let boxed: Vec<Box<dyn Process>> =
                     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
                 let out = run(

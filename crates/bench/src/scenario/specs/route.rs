@@ -18,8 +18,8 @@ use rr_analysis::table::fnum;
 use rr_analysis::Table;
 use rr_baselines::RouteRenaming;
 use rr_renaming::traits::RenamingAlgorithm;
-use rr_sched::dense::Arena;
 use rr_sched::registry::{standard, ParsedKey};
+use rr_sched::shard::Arena;
 use std::time::Instant;
 
 /// What to route: all fields have `--quick`-aware defaults (see

@@ -10,6 +10,10 @@
 //! * `shard:s=1` is the degenerate partition (one shard, identity
 //!   sub-seed, zero cross-shard traffic) and must likewise be
 //!   bit-identical to `dense` — and therefore to `virtual`.
+//! * Both identities hold in every RNG mode: under `rng:mode=counter`
+//!   the deterministic baselines (which draw no coins) and the
+//!   randomized protocols alike build their typed processes through the
+//!   same `build`, so no backend can fall back to a different path.
 //! * `threads` is free-running (the machine schedules), so its step
 //!   counts are not reproducible — but it must still satisfy
 //!   `verify_renaming` and account for every process.
@@ -29,6 +33,7 @@ use rr_bench::runner::{BatchRun, BatchStats, ExecBackend};
 use rr_bench::scenario::registry;
 use rr_renaming::registry::BoxedAlgorithm;
 use rr_sched::registry::standard;
+use rr_shmem::rng::RngMode;
 
 /// Sizes small enough that the full registry × adversary sweep stays in
 /// CI territory while still exercising multi-round protocol behaviour.
@@ -60,10 +65,23 @@ fn batch(
     backend: ExecBackend,
     workers: usize,
 ) -> BatchStats {
+    batch_rng(algo, n, seeds, adv_key, backend, RngMode::default(), workers)
+}
+
+fn batch_rng(
+    algo: &BoxedAlgorithm,
+    n: usize,
+    seeds: u64,
+    adv_key: &str,
+    backend: ExecBackend,
+    rng: RngMode,
+    workers: usize,
+) -> BatchStats {
     BatchRun::new(algo.as_ref(), n)
         .seeds(seeds)
         .adversary(adv_key)
         .backend(backend)
+        .rng_mode(rng)
         .workers(workers)
         .stats()
         .unwrap()
@@ -109,6 +127,28 @@ fn shard_with_one_shard_matches_dense_bit_for_bit_for_every_algorithm_and_advers
             let dense = batch(&algo, N, SEEDS, adv_key, ExecBackend::Dense, 1);
             let shard = batch(&algo, N, SEEDS, adv_key, ExecBackend::Shard { s: 1 }, 1);
             assert_bit_identical(&dense, &shard, &format!("{algo_key} under {adv_key}"));
+        }
+    }
+}
+
+/// The same two identities under the counter RNG stream: `virtual`,
+/// `dense` and `shard:s=1` agree bit for bit for every registry cell,
+/// deterministic baselines included.
+#[test]
+fn counter_mode_backends_match_bit_for_bit_for_every_algorithm_and_adversary() {
+    let reg = registry();
+    for algo_key in reg.keys() {
+        let algo = reg.build(algo_key).unwrap();
+        for adv_key in swept_adversary_keys() {
+            let run = |backend| batch_rng(&algo, N, SEEDS, adv_key, backend, RngMode::Counter, 1);
+            let virt = run(ExecBackend::Virtual);
+            let ctx = format!("{algo_key} under {adv_key}, rng counter");
+            assert_bit_identical(&virt, &run(ExecBackend::Dense), &format!("{ctx}: dense"));
+            assert_bit_identical(
+                &virt,
+                &run(ExecBackend::Shard { s: 1 }),
+                &format!("{ctx}: shard"),
+            );
         }
     }
 }

@@ -14,9 +14,10 @@
 //! the envelope long before it corrupts a name).
 
 use proptest::prelude::*;
-use rr_bench::runner::run_once_with_rng;
+use rr_bench::runner::{run_once, ExecBackend};
 use rr_bench::scenario::registry;
 use rr_sched::registry::standard;
+use rr_sched::shard::Arena;
 use rr_shmem::rng::RngMode;
 
 /// Keys whose protocols are total under the fair schedule (every
@@ -41,7 +42,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Safety and step-envelope over random registry cells in counter
-    /// mode. `run_once_with_rng` already panics on a renaming-safety
+    /// mode. `run_once` already panics on a renaming-safety
     /// violation; the properties are also spelled out so a failure
     /// names what broke.
     #[test]
@@ -61,7 +62,15 @@ proptest! {
 
         let algo = reg.build(key).unwrap();
         let mut adv = standard().build(adversary, n, seed).unwrap();
-        let out = run_once_with_rng(algo.as_ref(), n, seed, RngMode::Counter, adv.as_mut());
+        let out = run_once(
+            algo.as_ref(),
+            n,
+            seed,
+            RngMode::Counter,
+            ExecBackend::Virtual,
+            adv.as_mut(),
+            &mut Arena::new(),
+        );
 
         // Unique names, valid range — the invariant the mode may never move.
         let m = algo.m(n);
@@ -107,7 +116,16 @@ proptest! {
         let algo = reg.build(key).unwrap();
         let run = |rng| {
             let mut adv = standard().build("fair", n, seed).unwrap();
-            run_once_with_rng(algo.as_ref(), n, seed, rng, adv.as_mut()).total_steps()
+            run_once(
+                algo.as_ref(),
+                n,
+                seed,
+                rng,
+                ExecBackend::Virtual,
+                adv.as_mut(),
+                &mut Arena::new(),
+            )
+            .total_steps()
         };
         let chacha = run(RngMode::ChaCha8).max(1);
         let counter = run(RngMode::Counter).max(1);

@@ -25,7 +25,7 @@ use rr_shmem::rng::RngMode;
 /// schedule and returns `(total_steps, Σ rng_words)`.
 fn draw_schedule(key: &str, n: usize, seed: u64, rng: RngMode) -> (u64, u64) {
     let algo = registry().build(key).unwrap_or_else(|e| panic!("{key}: {e}"));
-    let mut inst = algo.instantiate_rng(n, seed, rng);
+    let mut inst = algo.instantiate_with(n, seed, rng);
     let mut arena = Arena::new();
     let out = arena
         .run(&mut inst.processes, &mut FairAdversary::default(), algo.step_budget(n))

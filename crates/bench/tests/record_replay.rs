@@ -7,15 +7,17 @@
 //! counterexample is as trustworthy an artifact as the original.
 
 use proptest::prelude::*;
-use rr_bench::runner::{run_once_with, BatchStats};
+use rr_bench::runner::{run_once, BatchStats, ExecBackend};
 use rr_renaming::traits::{LooseL6, RenamingAlgorithm};
 use rr_renaming::TightRenaming;
 use rr_sched::explore::{shrink_tape, TolerantReplay};
 use rr_sched::process::Process;
 use rr_sched::registry::standard;
 use rr_sched::replay::{RecordingAdversary, ReplayAdversary, Tape};
+use rr_sched::shard::Arena;
 use rr_sched::virtual_exec::{run, RunOutcome};
 use rr_sched::Adversary;
+use rr_shmem::rng::RngMode;
 
 /// Adversary keys covering every registered strategy, the crash one in
 /// both a light and a heavy parameterization, and the schedule-space
@@ -44,15 +46,26 @@ fn assert_bit_identical(a: &BatchStats, b: &BatchStats, what: &str) {
     assert_eq!(ab, bb, "{what}: mean_steps bits");
 }
 
+/// One audited run of `algo` on the virtual backend in the default RNG
+/// mode under `adversary`.
+fn run_virtual(
+    algo: &dyn RenamingAlgorithm,
+    n: usize,
+    seed: u64,
+    adversary: &mut dyn Adversary,
+) -> RunOutcome {
+    run_once(algo, n, seed, RngMode::default(), ExecBackend::Virtual, adversary, &mut Arena::new())
+}
+
 fn record_then_replay(algo: &dyn RenamingAlgorithm, n: usize, seed: u64, key: &str) {
     let mut recorder =
         RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
-    let recorded_out = run_once_with(algo, n, seed, &mut recorder);
+    let recorded_out = run_virtual(algo, n, seed, &mut recorder);
     let tape = recorder.into_tape();
     assert_eq!(tape.len() as u64, recorded_out.decisions, "{key}: tape covers every decision");
 
     let mut replayer = ReplayAdversary::new(tape);
-    let replayed_out = run_once_with(algo, n, seed, &mut replayer);
+    let replayed_out = run_virtual(algo, n, seed, &mut replayer);
 
     let recorded = BatchStats::from_outcomes([&recorded_out], n);
     let replayed = BatchStats::from_outcomes([&replayed_out], n);
@@ -114,7 +127,7 @@ proptest! {
         for key in ADVERSARIES {
             let mut recorder =
                 RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
-            let original_out = run_once_with(&algo, n, seed, &mut recorder);
+            let original_out = run_virtual(&algo, n, seed, &mut recorder);
             let tape = recorder.into_tape();
             let worst = original_out.step_complexity();
             let fails = |t: &Tape| tolerant_replay(&algo, n, seed, t).step_complexity() >= worst;
@@ -142,7 +155,7 @@ proptest! {
         for key in ADVERSARIES {
             let mut recorder =
                 RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
-            let out = run_once_with(&algo, n, seed, &mut recorder);
+            let out = run_virtual(&algo, n, seed, &mut recorder);
             let tape = recorder.into_tape();
             let budget = out.total_steps() / 2;
             let failing_run = |adv: &mut dyn Adversary| -> Result<RunOutcome, String> {

@@ -15,10 +15,11 @@
 
 use proptest::prelude::*;
 use rr_baselines::{RouteRenaming, RouteTopology};
-use rr_bench::runner::run_once_with_rng;
+use rr_bench::runner::{run_once, ExecBackend};
 use rr_renaming::traits::RenamingAlgorithm;
 use rr_sched::adversary::{Decision, ViewFixture};
 use rr_sched::registry::standard;
+use rr_sched::shard::Arena;
 use rr_sched::{entity_vec, EntityVec, Pid};
 use rr_shmem::intent::Access;
 use rr_shmem::rng::RngMode;
@@ -47,7 +48,15 @@ proptest! {
         let algo = RouteRenaming { topology: topology(t), stages };
         let adversary = ["fair", "random", "collisions"][adv_idx];
         let mut adv = standard().build(adversary, n, seed).unwrap();
-        let out = run_once_with_rng(&algo, n, seed, RngMode::ChaCha8, adv.as_mut());
+        let out = run_once(
+            &algo,
+            n,
+            seed,
+            RngMode::ChaCha8,
+            ExecBackend::Virtual,
+            adv.as_mut(),
+            &mut Arena::new(),
+        );
 
         let m = algo.m(n);
         let mut names: Vec<usize> = out.names.iter().flatten().copied().collect();

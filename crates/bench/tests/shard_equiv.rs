@@ -16,6 +16,7 @@ use rr_bench::scenario::registry;
 use rr_sched::ids::{LocalIdx, Pid, ShardId, ShardMap};
 use rr_sched::registry::standard;
 use rr_sched::shard::{shard_seed, Arena};
+use rr_shmem::rng::RngMode;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -37,6 +38,7 @@ proptest! {
             algo.as_ref(),
             n,
             seed,
+            RngMode::default(),
             &|n_s, sub_seed| build(n_s, sub_seed),
             s,
         );
@@ -90,7 +92,7 @@ proptest! {
         let algo = reg.build("cor9").unwrap();
         let build = standard().prepare("random").unwrap();
         let run = || {
-            run_once_sharded(algo.as_ref(), n, seed, &|n_s, sub| build(n_s, sub), s)
+            run_once_sharded(algo.as_ref(), n, seed, RngMode::default(), &|n_s, sub| build(n_s, sub), s)
         };
         let a = run();
         let b = run();

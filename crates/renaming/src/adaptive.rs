@@ -27,7 +27,7 @@ use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
 use crate::params::{FinisherPlan, Lemma6Schedule};
 use crate::phase::{PhaseOutcome, PhaseProcess};
-use crate::traits::{Instance, RenamingAlgorithm};
+use crate::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::rng::RngMode;
@@ -271,11 +271,11 @@ impl Process for AdaptiveProcess {
     }
 }
 
-/// Adaptive loose renaming as a [`RenamingAlgorithm`].
+/// Adaptive loose renaming as a [`RenamingProtocol`].
 ///
-/// `instantiate(n, …)` sizes the ladder for up to `n` participants but
+/// `build(n, …)` sizes the ladder for up to `n` participants but
 /// the *processes do not know n* — they start at guess 1 and climb. Use
-/// [`AdaptiveRenaming::instantiate_participants`] to run only `k ≤ n`
+/// [`AdaptiveRenaming::instantiate_participants_rng`] to run only `k ≤ n`
 /// participants against the same ladder and observe the adaptive
 /// name-space bound `O(k)`.
 #[derive(Debug, Clone, Copy)]
@@ -283,18 +283,7 @@ pub struct AdaptiveRenaming;
 
 impl AdaptiveRenaming {
     /// Builds a ladder sized for `max_n` and processes for `k`
-    /// participants (`k ≤ max_n`).
-    pub fn instantiate_participants(
-        &self,
-        k: usize,
-        max_n: usize,
-        seed: u64,
-    ) -> (Arc<AdaptiveShared>, Vec<AdaptiveProcess>) {
-        self.instantiate_participants_rng(k, max_n, seed, RngMode::default())
-    }
-
-    /// [`AdaptiveRenaming::instantiate_participants`] with an explicit
-    /// RNG backend.
+    /// participants (`k ≤ max_n`), drawing coins in `rng` mode.
     pub fn instantiate_participants_rng(
         &self,
         k: usize,
@@ -314,7 +303,9 @@ impl AdaptiveRenaming {
     }
 }
 
-impl RenamingAlgorithm for AdaptiveRenaming {
+impl RenamingProtocol for AdaptiveRenaming {
+    type Proc = AdaptiveProcess;
+
     fn name(&self) -> String {
         "adaptive(doubling)".into()
     }
@@ -324,53 +315,27 @@ impl RenamingAlgorithm for AdaptiveRenaming {
         AdaptiveLayout::new(max_guess_log).total
     }
 
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        let m = self.m(n);
-        let (_shared, procs) = self.instantiate_participants_rng(n, n, seed, rng);
-        Instance { processes: crate::traits::boxed(procs), m, n }
-    }
-
     fn step_budget(&self, n: usize) -> u64 {
         // log k guesses, each a bounded loose protocol; ⌈log₂⌉ like the
         // default budget so n just past a power of two is not shaved.
         400 * (n as u64) * ((n.max(2) as f64).log2().ceil() as u64 + 16)
     }
 
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn rr_sched::adversary::Adversary,
-        arena: &mut rr_sched::dense::Arena,
-    ) -> Result<rr_sched::virtual_exec::RunOutcome, rr_sched::virtual_exec::ExecError> {
-        let (_shared, mut procs) = self.instantiate_participants_rng(n, n, seed, rng);
-        arena.run(&mut procs, adversary, self.step_budget(n))
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AdaptiveProcess> {
+        self.instantiate_participants_rng(n, n, seed, rng).1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::RenamingAlgorithm;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::virtual_exec::run;
 
     fn run_adaptive(k: usize, max_n: usize, seed: u64) -> (Vec<usize>, u64, usize) {
-        let (shared, procs) = AdaptiveRenaming.instantiate_participants(k, max_n, seed);
+        let (shared, procs) =
+            AdaptiveRenaming.instantiate_participants_rng(k, max_n, seed, RngMode::default());
         let boxed: Vec<Box<dyn Process>> =
             procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
         let out = run(
@@ -430,7 +395,8 @@ mod tests {
 
     #[test]
     fn safety_under_random_adversary() {
-        let (shared, procs) = AdaptiveRenaming.instantiate_participants(64, 256, 2);
+        let (shared, procs) =
+            AdaptiveRenaming.instantiate_participants_rng(64, 256, 2, RngMode::default());
         let boxed: Vec<Box<dyn Process>> =
             procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
         let out = run(boxed, &mut RandomAdversary::new(11), 1 << 26).unwrap();

@@ -11,7 +11,9 @@
 //!   `2ℓ(log log n)²` steps via geometric clusters.
 //! * [`aagw`] — the \[8\]-style finisher for the stragglers.
 //! * [`traits`] — Corollaries 7 and 9 as [`phase::Chain`]
-//!   compositions, plus the uniform [`RenamingAlgorithm`] interface.
+//!   compositions, plus the interface: each protocol implements
+//!   [`RenamingProtocol`] (one typed `build`) and is thereby a
+//!   [`RenamingAlgorithm`], the object-safe face the registry serves.
 //! * [`params`] — every parameterization (Definition 2, schedules, spare
 //!   sizes) as pure, unit-tested arithmetic.
 //! * [`registry`] — string-keyed [`AlgorithmRegistry`] so experiment
@@ -58,4 +60,6 @@ pub use params::{spare, FinisherPlan, Lemma6Schedule, Lemma8Schedule, TightPlan,
 pub use phase::{AlmostTight, Chain, PhaseOutcome, PhaseProcess};
 pub use registry::{AlgorithmRegistry, BoxedAlgorithm};
 pub use tight::{TightProcess, TightRenaming, TightShared};
-pub use traits::{AagwLoose, Cor7, Cor9, Instance, LooseL6, LooseL8, RenamingAlgorithm};
+pub use traits::{
+    AagwLoose, Cor7, Cor9, Instance, LooseL6, LooseL8, RenamingAlgorithm, RenamingProtocol,
+};

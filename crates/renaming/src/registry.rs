@@ -11,8 +11,8 @@
 //! protocols; `rr-baselines` contributes the comparison algorithms via
 //! its own `register_baselines` so crate layering stays acyclic. Adding
 //! an algorithm is a one-registration change: implement
-//! [`RenamingAlgorithm`], then [`AlgorithmRegistry::register`] a factory
-//! that validates the key's parameters.
+//! [`crate::RenamingProtocol`], then [`AlgorithmRegistry::register`] a
+//! factory that validates the key's parameters.
 
 use crate::adaptive::AdaptiveRenaming;
 use crate::params::{Lemma6Schedule, Lemma8Schedule, TightPlan};

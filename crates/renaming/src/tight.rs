@@ -346,8 +346,10 @@ impl Process for TightProcess {
 /// use rr_renaming::TightRenaming;
 /// use rr_sched::adversary::FairAdversary;
 /// use rr_sched::process::Process;
+/// use rr_shmem::rng::RngMode;
 ///
-/// let (shared, procs) = TightRenaming::calibrated(4).instantiate_shared(64, 7);
+/// let (shared, procs) =
+///     TightRenaming::calibrated(4).instantiate_shared_rng(64, 7, RngMode::default());
 /// let boxed: Vec<Box<dyn Process>> =
 ///     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
 /// let out = rr_sched::virtual_exec::run(boxed, &mut FairAdversary::default(), 1 << 20).unwrap();
@@ -381,13 +383,8 @@ impl TightRenaming {
         self
     }
 
-    /// Builds the shared memory and the `n` processes for one run.
-    pub fn instantiate_shared(&self, n: usize, seed: u64) -> (Arc<TightShared>, Vec<TightProcess>) {
-        self.instantiate_shared_rng(n, seed, RngMode::default())
-    }
-
-    /// Like [`TightRenaming::instantiate_shared`] with an explicit RNG
-    /// backend (the default mode is bit-identical to it).
+    /// Builds the shared memory and the `n` processes for one run,
+    /// drawing coins in `rng` mode.
     pub fn instantiate_shared_rng(
         &self,
         n: usize,
@@ -418,7 +415,8 @@ mod tests {
 
     #[test]
     fn small_run_names_everyone_distinctly() {
-        let (_shared, procs) = TightRenaming::calibrated(4).instantiate_shared(64, 7);
+        let (_shared, procs) =
+            TightRenaming::calibrated(4).instantiate_shared_rng(64, 7, RngMode::default());
         let out = run(boxed(procs), &mut FairAdversary::default(), 1_000_000).unwrap();
         out.verify_renaming(64).unwrap();
         assert_eq!(out.gave_up_count(), 0);
@@ -427,7 +425,8 @@ mod tests {
 
     #[test]
     fn names_are_exactly_zero_to_n_minus_one() {
-        let (_shared, procs) = TightRenaming::calibrated(4).instantiate_shared(100, 3);
+        let (_shared, procs) =
+            TightRenaming::calibrated(4).instantiate_shared_rng(100, 3, RngMode::default());
         let out = run(boxed(procs), &mut RandomAdversary::new(3), 1_000_000).unwrap();
         let mut names: Vec<usize> = out.names.iter().map(|n| n.unwrap()).collect();
         names.sort_unstable();
@@ -439,7 +438,8 @@ mod tests {
         // Ratio max_steps / log2 n should stay bounded as n quadruples.
         let mut ratios = Vec::new();
         for n in [1usize << 8, 1 << 10, 1 << 12] {
-            let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(n, 11);
+            let (_s, procs) =
+                TightRenaming::calibrated(4).instantiate_shared_rng(n, 11, RngMode::default());
             let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 28).unwrap();
             out.verify_renaming(n).unwrap();
             ratios.push(out.step_complexity() as f64 / (n as f64).log2());
@@ -453,7 +453,8 @@ mod tests {
 
     #[test]
     fn paper_exact_terminates_via_fallback() {
-        let (_s, procs) = TightRenaming::paper_exact(4).instantiate_shared(256, 5);
+        let (_s, procs) =
+            TightRenaming::paper_exact(4).instantiate_shared_rng(256, 5, RngMode::default());
         let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 26).unwrap();
         out.verify_renaming(256).unwrap();
         assert_eq!(out.gave_up_count(), 0);
@@ -462,7 +463,7 @@ mod tests {
     #[test]
     fn recorder_sees_all_first_round_requests() {
         let algo = TightRenaming::calibrated(4).with_recorder();
-        let (shared, procs) = algo.instantiate_shared(512, 9);
+        let (shared, procs) = algo.instantiate_shared_rng(512, 9, RngMode::default());
         let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 26).unwrap();
         out.verify_renaming(512).unwrap();
         let rec = shared.recorder.as_ref().unwrap();
@@ -474,14 +475,16 @@ mod tests {
 
     #[test]
     fn safety_under_collision_maximizer() {
-        let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(128, 13);
+        let (_s, procs) =
+            TightRenaming::calibrated(4).instantiate_shared_rng(128, 13, RngMode::default());
         let out = run(boxed(procs), &mut CollisionMaximizer::default(), 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
     }
 
     #[test]
     fn crashes_only_lose_the_crashed() {
-        let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(128, 17);
+        let (_s, procs) =
+            TightRenaming::calibrated(4).instantiate_shared_rng(128, 17, RngMode::default());
         let mut adv = CrashAdversary::new(FairAdversary::default(), 0.02, 20, 23);
         let out = run(boxed(procs), &mut adv, 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
@@ -492,7 +495,8 @@ mod tests {
 
     #[test]
     fn shared_accounting_matches_outcome() {
-        let (shared, procs) = TightRenaming::calibrated(4).instantiate_shared(64, 29);
+        let (shared, procs) =
+            TightRenaming::calibrated(4).instantiate_shared_rng(64, 29, RngMode::default());
         let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 24).unwrap();
         // Confirmed device winners ≥ named processes (crashed winners
         // would inflate; none here).
@@ -502,7 +506,8 @@ mod tests {
 
     #[test]
     fn thread_mode_matches_model_semantics() {
-        let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared(64, 31);
+        let (_s, procs) =
+            TightRenaming::calibrated(4).instantiate_shared_rng(64, 31, RngMode::default());
         let boxed: Vec<Box<dyn Process + Send>> =
             procs.into_iter().map(|p| Box::new(p) as Box<dyn Process + Send>).collect();
         let out = rr_sched::thread_exec::run_threads(boxed, 1 << 22);
@@ -517,7 +522,7 @@ mod tests {
     #[test]
     fn batched_tau_cas_is_bit_identical_to_per_bit_requests() {
         use rr_sched::adversary::{Adversary, Decision, RunView};
-        use rr_sched::dense::Arena;
+        use rr_sched::shard::Arena;
 
         /// Inherits the default one-decision `decide_batch`, so the
         /// arena never sees a contiguous run to claim as a block.
@@ -539,13 +544,13 @@ mod tests {
                     procs.iter().map(|p| p.rng_words().unwrap()).sum()
                 };
 
-                let (_s, mut procs) = algo.instantiate_shared(n, seed);
+                let (_s, mut procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
                 let mut arena = Arena::new();
                 let batched = arena.run(&mut procs, &mut FairAdversary::default(), budget).unwrap();
                 claims += arena.block_stats().0;
                 let batched_draws = draws(&procs);
 
-                let (_s, mut procs) = algo.instantiate_shared(n, seed);
+                let (_s, mut procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
                 let single = Arena::new()
                     .run(&mut procs, &mut SingleStep(FairAdversary::default()), budget)
                     .unwrap();
@@ -553,7 +558,7 @@ mod tests {
                 assert_eq!(batched.steps, single.steps, "{} n {n}", algo.name());
                 assert_eq!(batched_draws, draws(&procs), "{} n {n}", algo.name());
 
-                let (_s, procs) = algo.instantiate_shared(n, seed);
+                let (_s, procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
                 let virt = run(boxed(procs), &mut FairAdversary::default(), budget).unwrap();
                 assert_eq!(batched.names, virt.names, "{} n {n}", algo.name());
                 assert_eq!(batched.steps, virt.steps, "{} n {n}", algo.name());
@@ -581,7 +586,8 @@ mod tests {
     #[test]
     fn tiny_n() {
         for n in [2usize, 3, 5, 8] {
-            let (_s, procs) = TightRenaming::calibrated(2).instantiate_shared(n, 1);
+            let (_s, procs) =
+                TightRenaming::calibrated(2).instantiate_shared_rng(n, 1, RngMode::default());
             let out = run(boxed(procs), &mut FairAdversary::default(), 100_000).unwrap();
             out.verify_renaming(n).unwrap();
             assert_eq!(out.names.iter().filter(|x| x.is_some()).count(), n);

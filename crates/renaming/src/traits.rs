@@ -1,30 +1,25 @@
 //! The uniform algorithm interface the experiment harness drives.
 //!
 //! Every renaming protocol (the paper's and the baselines) implements
-//! [`RenamingAlgorithm`]: given `n` and a seed it produces an
-//! [`Instance`] — the boxed process state machines plus the name-space
-//! size `m` — which either executor can run and every experiment can
-//! audit the same way.
+//! [`RenamingProtocol`]: given `n`, a seed and an RNG mode it builds the
+//! `n` typed process state machines. The blanket impl turns each one
+//! into a [`RenamingAlgorithm`] — the object-safe face the registry and
+//! the runner use — whose boxed [`Instance`] feeds the virtual and
+//! threads executors and whose dense entry point runs the typed vector
+//! in an [`Arena`].
 
 use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
 use crate::loose_l8::L8Process;
 use crate::params::{spare, FinisherPlan, Lemma6Schedule, Lemma8Schedule};
 use crate::phase::{AlmostTight, Chain};
-use crate::tight::TightRenaming;
+use crate::tight::{TightProcess, TightRenaming};
 use rr_sched::adversary::Adversary;
-use rr_sched::dense::Arena;
 use rr_sched::process::Process;
+use rr_sched::shard::Arena;
 use rr_sched::virtual_exec::{ExecError, RunOutcome};
 use rr_shmem::rng::RngMode;
 use std::sync::Arc;
-
-/// Boxes a homogeneous process vector — the compatibility shim between
-/// the typed builders the dense backend runs and the boxed
-/// [`Instance`] the historical executors consume.
-pub fn boxed<P: Process + 'static>(procs: Vec<P>) -> Vec<Box<dyn Process + Send>> {
-    procs.into_iter().map(|p| Box::new(p) as Box<dyn Process + Send>).collect()
-}
 
 /// A ready-to-run renaming workload.
 pub struct Instance {
@@ -36,8 +31,14 @@ pub struct Instance {
     pub n: usize,
 }
 
-/// A renaming protocol as a workload factory.
-pub trait RenamingAlgorithm {
+/// A renaming protocol as a typed process factory — the one trait an
+/// algorithm implements. Every [`RenamingProtocol`] is a
+/// [`RenamingAlgorithm`] through the blanket impl below, so the boxed,
+/// dense and sharded entry points are written once for all of them.
+pub trait RenamingProtocol {
+    /// The per-process state machine [`RenamingProtocol::build`] emits.
+    type Proc: Process + 'static;
+
     /// Display name for tables.
     fn name(&self) -> String;
 
@@ -51,30 +52,8 @@ pub trait RenamingAlgorithm {
         false
     }
 
-    /// Builds one run's processes and memory.
-    fn instantiate(&self, n: usize, seed: u64) -> Instance;
-
-    /// [`RenamingAlgorithm::instantiate`] with an explicit per-process
-    /// RNG backend — the flagged modelling switch (`rng:mode=counter`)
-    /// described in `rr_shmem::rng`. The default mode must be
-    /// bit-identical to `instantiate`.
-    ///
-    /// The default implementation refuses any non-default mode *loudly*
-    /// (panic, never a silent fallback): every randomized algorithm in
-    /// this workspace overrides it, and a new algorithm that forgets to
-    /// fails the counter-mode test matrix instead of fabricating
-    /// default-mode numbers under a counter-mode label.
-    ///
-    /// # Panics
-    /// Panics if `rng` is non-default and this algorithm has not opted
-    /// in.
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        assert_eq!(rng, RngMode::default(), "{} does not implement rng mode `{rng}`", self.name());
-        self.instantiate(n, seed)
-    }
-
-    /// A generous per-run total-step budget for the virtual executor's
-    /// livelock guard.
+    /// A generous per-run total-step budget for the executors' livelock
+    /// guard.
     fn step_budget(&self, n: usize) -> u64 {
         // 200·n·(⌈log₂ n⌉ + 16) dwarfs every protocol here w.h.p. while
         // still catching real livelock quickly. The log is rounded *up*:
@@ -83,23 +62,58 @@ pub trait RenamingAlgorithm {
         200 * (n as u64) * ((n.max(2) as f64).log2().ceil() as u64 + 16)
     }
 
-    /// Runs one seed of this algorithm inside `arena` under `adversary`
-    /// — the **dense backend**'s entry point.
-    ///
-    /// The default implementation is the boxed compatibility shim: it
-    /// calls [`RenamingAlgorithm::instantiate`] and drives the boxed
-    /// processes through the arena loop, so every algorithm works under
-    /// the dense backend unchanged. Concrete algorithms override it to
-    /// build their state machines as a plain `Vec<ConcreteProcess>`
-    /// instead — one contiguous allocation, announce/step monomorphized
-    /// and inlined, no per-pid `Box` — which is where the backend's
-    /// speedup comes from. Either way the arena presents the identical
-    /// scheduling semantics, so outcomes are bit-identical to the
-    /// virtual executor's for the same `(n, seed, adversary)`.
+    /// Builds one run's shared memory and its `n` processes, pids
+    /// `0..n`, drawing coins from per-process streams of `seed` in `rng`
+    /// mode (see `rr_shmem::rng`).
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc>;
+}
+
+/// The object-safe face of a [`RenamingProtocol`]: what the registry's
+/// [`crate::BoxedAlgorithm`], the batch runner and the executors call.
+/// Implemented once, for every protocol, by the blanket impl below.
+pub trait RenamingAlgorithm {
+    /// Display name for tables.
+    fn name(&self) -> String;
+
+    /// Name-space size used for `n` processes.
+    fn m(&self, n: usize) -> usize;
+
+    /// See [`RenamingProtocol::almost_tight`].
+    fn almost_tight(&self) -> bool;
+
+    /// See [`RenamingProtocol::step_budget`].
+    fn step_budget(&self, n: usize) -> u64;
+
+    /// Builds one run's processes, boxed, under `rng` mode.
+    fn instantiate_with(&self, n: usize, seed: u64, rng: RngMode) -> Instance;
+
+    /// Runs one seed inside `arena` under `adversary` and `rng` mode —
+    /// the dense backend's entry point. The processes stay a typed
+    /// `Vec<Proc>` (one allocation, announce/step monomorphized), and
+    /// the arena presents the same scheduling semantics as the virtual
+    /// executor, so outcomes are bit-identical to it.
     ///
     /// # Errors
     /// Propagates the executor's [`ExecError`]s (step-budget livelock
     /// guard, illegal adversary decisions).
+    fn run_dense_with(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+        adversary: &mut dyn Adversary,
+        arena: &mut Arena,
+    ) -> Result<RunOutcome, ExecError>;
+
+    /// [`RenamingAlgorithm::instantiate_with`] in the default RNG mode.
+    fn instantiate(&self, n: usize, seed: u64) -> Instance {
+        self.instantiate_with(n, seed, RngMode::default())
+    }
+
+    /// [`RenamingAlgorithm::run_dense_with`] in the default RNG mode.
+    ///
+    /// # Errors
+    /// Propagates the executor's [`ExecError`]s.
     fn run_dense(
         &self,
         n: usize,
@@ -107,19 +121,40 @@ pub trait RenamingAlgorithm {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        let mut processes = self.instantiate(n, seed).processes;
-        arena.run(&mut processes, adversary, self.step_budget(n))
+        self.run_dense_with(n, seed, RngMode::default(), adversary, arena)
+    }
+}
+
+impl<A: RenamingProtocol> RenamingAlgorithm for A {
+    fn name(&self) -> String {
+        RenamingProtocol::name(self)
     }
 
-    /// [`RenamingAlgorithm::run_dense`] with an explicit per-process RNG
-    /// backend. Same loud-refusal contract as
-    /// [`RenamingAlgorithm::instantiate_rng`]: the boxed fallback here
-    /// builds through `instantiate_rng`, whose default panics on a
-    /// non-default mode unless the algorithm opted in.
-    ///
-    /// # Errors
-    /// Propagates the executor's [`ExecError`]s.
-    fn run_dense_rng(
+    fn m(&self, n: usize) -> usize {
+        RenamingProtocol::m(self, n)
+    }
+
+    fn almost_tight(&self) -> bool {
+        RenamingProtocol::almost_tight(self)
+    }
+
+    fn step_budget(&self, n: usize) -> u64 {
+        RenamingProtocol::step_budget(self, n)
+    }
+
+    fn instantiate_with(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
+        let processes = self.build(n, seed, rng);
+        Instance {
+            processes: processes
+                .into_iter()
+                .map(|p| Box::new(p) as Box<dyn Process + Send>)
+                .collect(),
+            m: RenamingProtocol::m(self, n),
+            n,
+        }
+    }
+
+    fn run_dense_with(
         &self,
         n: usize,
         seed: u64,
@@ -127,13 +162,14 @@ pub trait RenamingAlgorithm {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        let mut processes = self.instantiate_rng(n, seed, rng).processes;
-        arena.run(&mut processes, adversary, self.step_budget(n))
+        arena.run(&mut self.build(n, seed, rng), adversary, RenamingProtocol::step_budget(self, n))
     }
 }
 
 /// §III tight renaming (Theorem 5). `m = n`.
-impl RenamingAlgorithm for TightRenaming {
+impl RenamingProtocol for TightRenaming {
+    type Proc = TightProcess;
+
     fn name(&self) -> String {
         match self.variant {
             crate::params::TightVariant::Calibrated => format!("tight-tau(c={})", self.c),
@@ -145,35 +181,8 @@ impl RenamingAlgorithm for TightRenaming {
         n
     }
 
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        let (_shared, procs) = self.instantiate_shared_rng(n, seed, rng);
-        Instance { processes: boxed(procs), m: n, n }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        let (_shared, mut procs) = self.instantiate_shared_rng(n, seed, rng);
-        arena.run(&mut procs, adversary, self.step_budget(n))
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<TightProcess> {
+        self.instantiate_shared_rng(n, seed, rng).1
     }
 }
 
@@ -184,8 +193,22 @@ pub struct LooseL6 {
     pub ell: u32,
 }
 
-impl LooseL6 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AlmostTight<L6Process>> {
+impl RenamingProtocol for LooseL6 {
+    type Proc = AlmostTight<L6Process>;
+
+    fn name(&self) -> String {
+        format!("loose-L6(l={})", self.ell)
+    }
+
+    fn m(&self, n: usize) -> usize {
+        n
+    }
+
+    fn almost_tight(&self) -> bool {
+        true
+    }
+
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma6Schedule::new(n, self.ell);
         (0..n)
@@ -202,9 +225,18 @@ impl LooseL6 {
     }
 }
 
-impl RenamingAlgorithm for LooseL6 {
+/// Lemma 8 as a standalone almost-tight protocol. `m = n`.
+#[derive(Debug, Clone, Copy)]
+pub struct LooseL8 {
+    /// The exponent ℓ.
+    pub ell: u32,
+}
+
+impl RenamingProtocol for LooseL8 {
+    type Proc = AlmostTight<L8Process>;
+
     fn name(&self) -> String {
-        format!("loose-L6(l={})", self.ell)
+        format!("loose-L8(l={})", self.ell)
     }
 
     fn m(&self, n: usize) -> usize {
@@ -215,45 +247,7 @@ impl RenamingAlgorithm for LooseL6 {
         true
     }
 
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        Instance { processes: boxed(self.build(n, seed, rng)), m: n, n }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
-    }
-}
-
-/// Lemma 8 as a standalone almost-tight protocol. `m = n`.
-#[derive(Debug, Clone, Copy)]
-pub struct LooseL8 {
-    /// The exponent ℓ.
-    pub ell: u32,
-}
-
-impl LooseL8 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AlmostTight<L8Process>> {
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma8Schedule::new(n, self.ell);
         (0..n)
@@ -270,49 +264,6 @@ impl LooseL8 {
     }
 }
 
-impl RenamingAlgorithm for LooseL8 {
-    fn name(&self) -> String {
-        format!("loose-L8(l={})", self.ell)
-    }
-
-    fn m(&self, n: usize) -> usize {
-        n
-    }
-
-    fn almost_tight(&self) -> bool {
-        true
-    }
-
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        Instance { processes: boxed(self.build(n, seed, rng)), m: n, n }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
-    }
-}
-
 /// Corollary 7: Lemma 6 then the finisher on `[n, n + 2n/(loglog n)^ℓ)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cor7 {
@@ -320,8 +271,18 @@ pub struct Cor7 {
     pub ell: u32,
 }
 
-impl Cor7 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Chain<L6Process, AagwProcess>> {
+impl RenamingProtocol for Cor7 {
+    type Proc = Chain<L6Process, AagwProcess>;
+
+    fn name(&self) -> String {
+        format!("cor7(l={})", self.ell)
+    }
+
+    fn m(&self, n: usize) -> usize {
+        n + spare::cor7(n, self.ell)
+    }
+
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
         let primary = Arc::new(LooseShared::new(n));
         let spare_size = spare::cor7(n, self.ell);
         let spare_mem = Arc::new(SpareShared::new(n, spare_size));
@@ -343,45 +304,6 @@ impl Cor7 {
     }
 }
 
-impl RenamingAlgorithm for Cor7 {
-    fn name(&self) -> String {
-        format!("cor7(l={})", self.ell)
-    }
-
-    fn m(&self, n: usize) -> usize {
-        n + spare::cor7(n, self.ell)
-    }
-
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        Instance { processes: boxed(self.build(n, seed, rng)), m: self.m(n), n }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
-    }
-}
-
 /// Corollary 9: Lemma 8 then the finisher on `[n, n + 2n/(log n)^ℓ)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cor9 {
@@ -389,8 +311,18 @@ pub struct Cor9 {
     pub ell: u32,
 }
 
-impl Cor9 {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Chain<L8Process, AagwProcess>> {
+impl RenamingProtocol for Cor9 {
+    type Proc = Chain<L8Process, AagwProcess>;
+
+    fn name(&self) -> String {
+        format!("cor9(l={})", self.ell)
+    }
+
+    fn m(&self, n: usize) -> usize {
+        n + spare::cor9(n, self.ell)
+    }
+
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
         let primary = Arc::new(LooseShared::new(n));
         let spare_size = spare::cor9(n, self.ell);
         let spare_mem = Arc::new(SpareShared::new(n, spare_size));
@@ -412,52 +344,23 @@ impl Cor9 {
     }
 }
 
-impl RenamingAlgorithm for Cor9 {
-    fn name(&self) -> String {
-        format!("cor9(l={})", self.ell)
-    }
-
-    fn m(&self, n: usize) -> usize {
-        n + spare::cor9(n, self.ell)
-    }
-
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        Instance { processes: boxed(self.build(n, seed, rng)), m: self.m(n), n }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
-    }
-}
-
 /// The finisher run standalone as a loose renaming algorithm with
 /// `m = 2n` (ε = 1): the \[8\]-style comparator for E8.
 #[derive(Debug, Clone, Copy)]
 pub struct AagwLoose;
 
-impl AagwLoose {
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AlmostTight<AagwProcess>> {
+impl RenamingProtocol for AagwLoose {
+    type Proc = AlmostTight<AagwProcess>;
+
+    fn name(&self) -> String {
+        "aagw-style(m=2n)".into()
+    }
+
+    fn m(&self, n: usize) -> usize {
+        2 * n
+    }
+
+    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
         let shared = Arc::new(SpareShared::new(0, 2 * n));
         let plan = FinisherPlan::new(2 * n);
         (0..n)
@@ -474,48 +377,11 @@ impl AagwLoose {
     }
 }
 
-impl RenamingAlgorithm for AagwLoose {
-    fn name(&self) -> String {
-        "aagw-style(m=2n)".into()
-    }
-
-    fn m(&self, n: usize) -> usize {
-        2 * n
-    }
-
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_rng(n, seed, RngMode::default())
-    }
-
-    fn instantiate_rng(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        Instance { processes: boxed(self.build(n, seed, rng)), m: 2 * n, n }
-    }
-
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_rng(n, seed, RngMode::default(), adversary, arena)
-    }
-
-    fn run_dense_rng(
-        &self,
-        n: usize,
-        seed: u64,
-        rng: RngMode,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, self.step_budget(n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{
+        AagwLoose, Cor7, Cor9, LooseL6, LooseL8, Process, RenamingAlgorithm, TightRenaming,
+    };
     use rr_sched::adversary::FairAdversary;
     use rr_sched::virtual_exec::run;
 

@@ -11,8 +11,7 @@
 //!   scratch buffers reused across seeds, monomorphized announce/step
 //!   dispatch for typed process slices) plus the sharded engine that
 //!   runs one logical execution as S coupled per-shard arenas. Every
-//!   adversary-scheduled run in the workspace executes this loop;
-//!   [`dense`] remains as a re-export shim for the arena's old path.
+//!   adversary-scheduled run in the workspace executes this loop.
 //!   All pid-indexed tables are typed [`ids::EntityVec`]s keyed by
 //!   [`ids::Pid`]; per-process lifecycle state is word-packed in
 //!   [`bits`] ([`bits::StatusBitmap`]) so the runnable set is scanned
@@ -50,7 +49,6 @@
 
 pub mod adversary;
 pub mod bits;
-pub mod dense;
 pub mod explore;
 pub mod ids;
 pub mod model;

@@ -101,7 +101,7 @@ pub trait Process: Send {
 }
 
 /// Boxed processes delegate — the compatibility shim that lets the flat
-/// arena core ([`crate::dense::Arena`]) drive `Vec<Box<dyn Process>>`
+/// arena core ([`crate::shard::Arena`]) drive `Vec<Box<dyn Process>>`
 /// workloads with the same loop that runs monomorphized slices.
 impl<P: Process + ?Sized> Process for Box<P> {
     fn announce(&mut self) -> Access {

@@ -2,10 +2,9 @@
 //!
 //! Two layers live here:
 //!
-//! 1. [`Arena`] — the flat struct-of-arrays execution loop (moved from
-//!    `crate::dense`, which remains as a re-export shim). All per-process
-//!    tables are [`EntityVec`]s keyed by typed [`Pid`]s; raw `usize`
-//!    indexing into pid space no longer type-checks.
+//! 1. [`Arena`] — the flat struct-of-arrays execution loop. All
+//!    per-process tables are [`EntityVec`]s keyed by typed [`Pid`]s;
+//!    raw `usize` indexing into pid space no longer type-checks.
 //! 2. [`run_sharded`] — the multi-arena engine: the pid space is
 //!    partitioned round-robin by a [`ShardMap`] into `S` shards, each
 //!    shard drives its own sub-instance in its own [`Arena`] on its own

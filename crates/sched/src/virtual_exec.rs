@@ -147,7 +147,7 @@ pub fn run<A: Adversary + ?Sized>(
     // The boxed compatibility shim: `Box<dyn Process>` is itself a
     // `Process`, so the flat arena core drives the boxed slice with the
     // exact historical semantics (see `crate::shard` for the fast,
-    // monomorphized path algorithms opt into).
+    // monomorphized path typed process vectors take).
     crate::shard::Arena::new().run(&mut processes, adversary, step_budget)
 }
 

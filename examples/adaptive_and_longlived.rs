@@ -11,13 +11,15 @@ use randomized_renaming::renaming::traits::RenamingAlgorithm;
 use randomized_renaming::sched::adversary::FairAdversary;
 use randomized_renaming::sched::process::Process;
 use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::shmem::rng::RngMode;
 
 fn adaptive_demo() {
     println!("adaptive: the ladder is provisioned for ≤ 4096 participants,");
     println!("but the processes never learn k — names used stay O(k):\n");
     println!("{:>8} {:>15} {:>9} {:>11}", "k", "max name used", "used/k", "steps max");
     for k in [8usize, 64, 512, 4096] {
-        let (shared, procs) = AdaptiveRenaming.instantiate_participants(k, 4096, 7);
+        let (shared, procs) =
+            AdaptiveRenaming.instantiate_participants_rng(k, 4096, 7, RngMode::default());
         let boxed: Vec<Box<dyn Process>> =
             procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
         let out = run(

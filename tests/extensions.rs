@@ -7,11 +7,13 @@ use randomized_renaming::renaming::traits::RenamingAlgorithm;
 use randomized_renaming::sched::adversary::{CrashAdversary, FairAdversary, RandomAdversary};
 use randomized_renaming::sched::process::Process;
 use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::shmem::rng::RngMode;
 use std::collections::HashSet;
 
 #[test]
 fn adaptive_under_crashes_names_all_survivors() {
-    let (shared, procs) = AdaptiveRenaming.instantiate_participants(256, 1024, 3);
+    let (shared, procs) =
+        AdaptiveRenaming.instantiate_participants_rng(256, 1024, 3, RngMode::default());
     let boxed: Vec<Box<dyn Process>> =
         procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
     let mut adv = CrashAdversary::new(FairAdversary::default(), 0.05, 50, 9);
@@ -26,7 +28,8 @@ fn adaptive_under_crashes_names_all_survivors() {
 fn adaptive_name_usage_is_linear_in_k_across_seeds() {
     for seed in 0..5 {
         for k in [16usize, 128] {
-            let (shared, procs) = AdaptiveRenaming.instantiate_participants(k, 4096, seed);
+            let (shared, procs) =
+                AdaptiveRenaming.instantiate_participants_rng(k, 4096, seed, RngMode::default());
             let boxed: Vec<Box<dyn Process>> =
                 procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
             let out = run(boxed, &mut RandomAdversary::new(seed), 1 << 28).unwrap();
