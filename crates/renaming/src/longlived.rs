@@ -56,13 +56,13 @@ impl ReleasableTasArray {
     /// Owner-only release of `index`.
     ///
     /// # Panics
-    /// Panics (in debug) if the register was not held — releasing a free
-    /// name is always a caller bug.
+    /// Panics if the register was not held — releasing a free name is
+    /// always a caller bug, so it is caught in every build profile.
     #[inline]
     pub fn release(&self, index: usize) {
         let (w, bit) = self.locate(index);
         let prev = self.words[w].fetch_and(!bit, Ordering::AcqRel);
-        debug_assert!(prev & bit != 0, "released a free register {index}");
+        assert!(prev & bit != 0, "released a free register {index}");
     }
 
     /// Registers currently held.
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "released a free register")]
-    fn double_release_caught_in_debug() {
+    fn double_release_is_caught() {
         let arr = ReleasableTasArray::new(4);
         arr.tas(1);
         arr.release(1);

@@ -74,7 +74,15 @@ pub struct TightShared {
 
 impl TightShared {
     /// Builds the registers for `plan`.
+    ///
+    /// # Panics
+    /// Panics if the register count does not fit the `u32` register
+    /// index a [`TightProcess`] keeps. Rounds and slots are bounded by
+    /// the register count and by `2·log n` respectively, so they fit too.
     pub fn new(plan: TightPlan, record: bool) -> Self {
+        let count = plan.register_tau.len();
+        u32::try_from(count)
+            .unwrap_or_else(|_| panic!("{count} τ-registers do not fit the u32 register index"));
         let recorder = record.then(|| RequestRecorder::new(&plan));
         let width = 2 * plan.l;
         let registers = plan
@@ -101,6 +109,9 @@ impl TauBatchHost for TightShared {
     }
 }
 
+/// The operation a process performs next. Derived from [`State`] on
+/// demand, never stored: only a probing round's random draw has to be
+/// remembered between `announce` and `step`, and it lives in the state.
 #[derive(Debug, Clone, Copy)]
 enum Planned {
     Request {
@@ -118,34 +129,34 @@ enum Planned {
     },
 }
 
+/// Per-process protocol state. Register indices, slots and rounds are
+/// `u32` ([`TightShared::new`] checks the register count fits), which
+/// keeps the whole enum at 24 bytes.
 #[derive(Debug, Clone, Copy)]
 enum State {
-    /// Probing cluster `round`.
-    Round { round: usize },
+    /// Probing cluster `round`. `drawn` caches the `(register, bit)`
+    /// request once it has been drawn (by `announce`, or by `step` when
+    /// no announcement came first), so the draw is made exactly once.
+    Round { round: u32, drawn: Option<(u32, u32)> },
     /// Admitted at `reg`; scanning its name slots from `slot`.
-    Slots { reg: usize, slot: usize },
+    Slots { reg: u32, slot: u32 },
     /// Final-round sweep, register granularity: read `reg`'s confirmed
     /// map; if quota remains, drop into `SweepBits`.
-    Sweep { reg: usize, attempts: u64 },
+    Sweep { reg: u32, attempts: u64 },
     /// Requesting the lowest unset bit of `reg` recorded in `free` (a
     /// snapshot). Any lost attempt returns to `Sweep` on the *same*
     /// register for a fresh read: a loss means another process won
     /// meanwhile (stale snapshot), so re-reading is both correct and
     /// globally bounded — at most n losses can ever occur system-wide.
-    SweepBits { reg: usize, free: u64, attempts: u64 },
+    SweepBits { reg: u32, free: u64, attempts: u64 },
 }
 
-/// One §III process.
+/// One §III process: its random stream (which also holds its pid), the
+/// shared memory and its protocol state — 128 bytes, two cache lines.
 pub struct TightProcess {
-    pid: usize,
     rng: ProcessRng,
     shared: Arc<TightShared>,
     state: State,
-    pending: Option<Planned>,
-    /// Fallback gives up after this many probes (≫ one full sweep; only
-    /// reachable if the w.h.p. guarantee failed *and* scheduling starved
-    /// the sweep repeatedly).
-    fallback_budget: u64,
 }
 
 impl TightProcess {
@@ -158,7 +169,6 @@ impl TightProcess {
     /// default mode is bit-identical to [`TightProcess::new`]; counter
     /// mode is the flagged modelling change (see `rr_shmem::rng`).
     pub fn with_rng(pid: usize, seed: u64, rng: RngMode, shared: Arc<TightShared>) -> Self {
-        let fallback_budget = 8 * shared.plan.total_bits() as u64;
         // The last cluster is the paper's "final round": processes
         // access its TAS bits systematically instead of randomly
         // ("the processes will access each of the TAS bits and
@@ -167,16 +177,9 @@ impl TightProcess {
         let state = if shared.plan.probing_rounds() == 0 {
             Self::final_round_state(&shared)
         } else {
-            State::Round { round: 0 }
+            State::Round { round: 0, drawn: None }
         };
-        Self {
-            pid,
-            rng: ProcessRng::with_mode(rng, seed, pid),
-            shared,
-            state,
-            pending: None,
-            fallback_budget,
-        }
+        Self { rng: ProcessRng::with_mode(rng, seed, pid), shared, state }
     }
 
     /// Entry state for the systematic final round: sweep backward from
@@ -184,34 +187,47 @@ impl TightProcess {
     /// concentrate at the end of the array — wrapping over the whole
     /// array only in the (w.h.p. never) case of earlier shortfalls.
     fn final_round_state(shared: &TightShared) -> State {
-        State::Sweep { reg: shared.registers.len() - 1, attempts: 0 }
+        State::Sweep { reg: shared.registers.len() as u32 - 1, attempts: 0 }
+    }
+
+    /// The sweep gives up after this many probes (≫ one full sweep; only
+    /// reachable if the w.h.p. guarantee failed *and* scheduling starved
+    /// the sweep repeatedly). Derived, not stored: only the sweep reads it.
+    fn fallback_budget(&self) -> u64 {
+        8 * self.shared.plan.total_bits() as u64
     }
 
     /// Advances the sweep cursor (backward, wrapping), respecting the
     /// attempt budget.
-    fn advance_sweep(&self, reg: usize, attempts: u64) -> Option<State> {
-        if attempts >= self.fallback_budget {
+    fn advance_sweep(&self, reg: u32, attempts: u64) -> Option<State> {
+        if attempts >= self.fallback_budget() {
             return None;
         }
-        let next = if reg == 0 { self.shared.registers.len() - 1 } else { reg - 1 };
+        let next = if reg == 0 { self.shared.registers.len() as u32 - 1 } else { reg - 1 };
         Some(State::Sweep { reg: next, attempts })
     }
 
-    fn plan_next(&mut self) -> Planned {
-        let l2 = 2 * self.shared.plan.l as usize;
+    /// The next operation. In a probing round this draws the request on
+    /// first call and caches it in the state; every other operation is a
+    /// pure function of the state.
+    fn next_op(&mut self) -> Planned {
         match self.state {
-            State::Round { round, .. } => {
-                let cluster = self.shared.plan.clusters[round];
-                let idx = self.rng.index(cluster.registers * l2);
-                let reg = cluster.first_register + idx / l2;
-                let bit = idx % l2;
-                Planned::Request { reg, bit }
+            State::Round { round, drawn } => {
+                let (reg, bit) = drawn.unwrap_or_else(|| {
+                    let l2 = 2 * self.shared.plan.l as usize;
+                    let cluster = self.shared.plan.clusters[round as usize];
+                    let idx = self.rng.index(cluster.registers * l2);
+                    let draw = ((cluster.first_register + idx / l2) as u32, (idx % l2) as u32);
+                    self.state = State::Round { round, drawn: Some(draw) };
+                    draw
+                });
+                Planned::Request { reg: reg as usize, bit: bit as usize }
             }
-            State::Slots { reg, slot } => Planned::Slot { reg, slot },
-            State::Sweep { reg, .. } => Planned::Inspect { reg },
+            State::Slots { reg, slot } => Planned::Slot { reg: reg as usize, slot: slot as usize },
+            State::Sweep { reg, .. } => Planned::Inspect { reg: reg as usize },
             State::SweepBits { reg, free, .. } => {
                 debug_assert!(free != 0, "SweepBits requires a candidate bit");
-                Planned::Request { reg, bit: free.trailing_zeros() as usize }
+                Planned::Request { reg: reg as usize, bit: free.trailing_zeros() as usize }
             }
         }
     }
@@ -222,18 +238,18 @@ impl TightProcess {
     /// [`Process::step_claimed`] (whose outcome the executor claimed
     /// through a batched [`TauBatchHost::request_block`]).
     fn finish_request(&mut self, reg: usize, won: bool) -> StepOutcome {
-        if let (State::Round { round, .. }, Some(rec)) = (&self.state, &self.shared.recorder) {
-            let cluster = self.shared.plan.clusters[*round];
-            rec.record(*round, reg - cluster.first_register);
+        if let (State::Round { round, .. }, Some(rec)) = (self.state, &self.shared.recorder) {
+            let cluster = self.shared.plan.clusters[round as usize];
+            rec.record(round as usize, reg - cluster.first_register);
         }
         if won {
-            self.state = State::Slots { reg, slot: 0 };
+            self.state = State::Slots { reg: reg as u32, slot: 0 };
             return StepOutcome::Continue;
         }
         self.state = match self.state {
-            State::Round { round } => {
-                if round + 1 < self.shared.plan.probing_rounds() {
-                    State::Round { round: round + 1 }
+            State::Round { round, .. } => {
+                if round as usize + 1 < self.shared.plan.probing_rounds() {
+                    State::Round { round: round + 1, drawn: None }
                 } else {
                     // Probing rounds exhausted: systematic final-round
                     // sweep.
@@ -246,7 +262,7 @@ impl TightProcess {
                 // register; if its quota is gone the sweep moves on,
                 // otherwise we get a fresh bit map.
                 let attempts = attempts + 1;
-                if attempts >= self.fallback_budget {
+                if attempts >= self.fallback_budget() {
                     return StepOutcome::GaveUp;
                 }
                 State::Sweep { reg, attempts }
@@ -261,11 +277,7 @@ impl TightProcess {
 
 impl Process for TightProcess {
     fn announce(&mut self) -> Access {
-        if self.pending.is_none() {
-            let planned = self.plan_next();
-            self.pending = Some(planned);
-        }
-        match self.pending.unwrap() {
+        match self.next_op() {
             Planned::Request { reg, bit } => Access::TauRequest { register: reg, bit },
             Planned::Slot { reg, slot } => {
                 Access::Tas { array: 1, index: self.shared.plan.base_name(reg) + slot }
@@ -275,11 +287,7 @@ impl Process for TightProcess {
     }
 
     fn step(&mut self) -> StepOutcome {
-        let planned = match self.pending.take() {
-            Some(p) => p,
-            None => self.plan_next(),
-        };
-        match planned {
+        match self.next_op() {
             Planned::Request { reg, bit } => {
                 let won = self.shared.registers[reg].request_bit(bit);
                 self.finish_request(reg, won)
@@ -287,7 +295,7 @@ impl Process for TightProcess {
             Planned::Inspect { reg } => {
                 let register = &self.shared.registers[reg];
                 let (attempts, cur) = match self.state {
-                    State::Sweep { attempts, .. } => (attempts + 1, reg),
+                    State::Sweep { reg, attempts } => (attempts + 1, reg),
                     _ => unreachable!("inspections are planned only in Sweep state"),
                 };
                 let (free_quota, confirmed) = register.quota_and_bits();
@@ -312,16 +320,16 @@ impl Process for TightProcess {
                 assert!(
                     next < tau,
                     "admitted process {} found register {reg} full: τ-invariant broken",
-                    self.pid
+                    self.rng.pid()
                 );
-                self.state = State::Slots { reg, slot: next };
+                self.state = State::Slots { reg: reg as u32, slot: next as u32 };
                 StepOutcome::Continue
             }
         }
     }
 
     fn pid(&self) -> Pid {
-        Pid::new(self.pid)
+        Pid::new(self.rng.pid())
     }
 
     fn tau_host(&self) -> Option<&dyn TauBatchHost> {
@@ -329,10 +337,11 @@ impl Process for TightProcess {
     }
 
     fn step_claimed(&mut self, won: bool) -> StepOutcome {
-        match self.pending.take() {
-            Some(Planned::Request { reg, .. }) => self.finish_request(reg, won),
+        let reg = match self.state {
+            State::Round { drawn: Some((reg, _)), .. } | State::SweepBits { reg, .. } => reg,
             other => unreachable!("step_claimed without an announced request: {other:?}"),
-        }
+        };
+        self.finish_request(reg as usize, won)
     }
 
     fn rng_words(&self) -> Option<u64> {
@@ -580,6 +589,28 @@ mod tests {
             let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 24).unwrap();
             out.verify_renaming(n).unwrap();
             assert_eq!(out.names.iter().filter(|x| x.is_some()).count(), n);
+        }
+    }
+
+    /// Layout guard: a fair round streams every process once, so the
+    /// per-process state stays within two cache lines.
+    #[test]
+    fn process_fits_two_cache_lines() {
+        assert!(
+            std::mem::size_of::<TightProcess>() <= 128,
+            "{}",
+            std::mem::size_of::<TightProcess>()
+        );
+        assert!(std::mem::size_of::<State>() <= 24, "{}", std::mem::size_of::<State>());
+    }
+
+    #[test]
+    fn pid_is_read_from_the_stream() {
+        for rng in RngMode::ALL {
+            let (_s, procs) = TightRenaming::calibrated(4).instantiate_shared_rng(64, 7, rng);
+            for (i, p) in procs.iter().enumerate() {
+                assert_eq!(p.pid(), Pid::new(i), "{rng}");
+            }
         }
     }
 

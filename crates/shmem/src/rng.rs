@@ -90,14 +90,17 @@ struct CounterRng {
     /// Cached coin bits served LSB-first; refilled one mix per 64 flips.
     coin_block: u64,
     coin_left: u32,
+    /// The owning pid, kept in what would otherwise be padding (the
+    /// ChaCha backend holds it as its stream id instead).
+    pid: u32,
 }
 
 impl CounterRng {
-    fn new(seed: u64, pid: usize) -> Self {
+    fn new(seed: u64, pid: u32) -> Self {
         // Finalize pid before folding it in so that (seed, pid) pairs
         // along either axis land in decorrelated counter ranges.
-        let base = mix64(seed ^ mix64((pid as u64).wrapping_mul(GOLDEN) ^ 0x6A09_E667_F3BC_C909));
-        Self { base, ctr: 0, coin_block: 0, coin_left: 0 }
+        let base = mix64(seed ^ mix64(u64::from(pid).wrapping_mul(GOLDEN) ^ 0x6A09_E667_F3BC_C909));
+        Self { base, ctr: 0, coin_block: 0, coin_left: 0, pid }
     }
 
     #[inline]
@@ -137,10 +140,13 @@ impl RngCore for CounterRng {
 /// log exactly the values drawn. [`ProcessRng::new`] always builds the
 /// default [`RngMode::ChaCha8`] backend; [`ProcessRng::with_mode`] is
 /// the only way to opt into another mode.
+///
+/// The pid is stored once, inside the backend: as the ChaCha8 stream id,
+/// or next to the counter. A stream is 96 bytes and owns no heap memory,
+/// so a run's processes can hold theirs inline.
 #[derive(Debug)]
 pub struct ProcessRng {
     backend: Backend,
-    pid: usize,
 }
 
 #[derive(Debug)]
@@ -158,21 +164,30 @@ impl ProcessRng {
 
     /// Stream for process `pid` under experiment `seed` in an explicit
     /// [`RngMode`].
+    ///
+    /// # Panics
+    /// Panics if `pid` does not fit in 32 bits (the ChaCha8 stream word).
     pub fn with_mode(mode: RngMode, seed: u64, pid: usize) -> Self {
+        let pid = u32::try_from(pid)
+            .unwrap_or_else(|_| panic!("pid {pid} does not fit in the 32-bit stream id"));
         let backend = match mode {
             RngMode::ChaCha8 => {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                rng.set_stream(pid as u64);
+                rng.set_stream(u64::from(pid));
                 Backend::ChaCha8(rng)
             }
             RngMode::Counter => Backend::Counter(CounterRng::new(seed, pid)),
         };
-        Self { backend, pid }
+        Self { backend }
     }
 
     /// The owning process id.
+    #[inline]
     pub fn pid(&self) -> usize {
-        self.pid
+        match &self.backend {
+            Backend::ChaCha8(rng) => rng.get_stream() as usize,
+            Backend::Counter(rng) => rng.pid as usize,
+        }
     }
 
     /// The backend this stream draws from.
@@ -281,7 +296,26 @@ mod tests {
 
     #[test]
     fn pid_accessor() {
-        assert_eq!(ProcessRng::new(0, 9).pid(), 9);
+        for mode in RngMode::ALL {
+            for pid in [0, 9, u32::MAX as usize] {
+                assert_eq!(ProcessRng::with_mode(mode, 0, pid).pid(), pid, "{mode}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pid 4294967296 does not fit in the 32-bit stream id")]
+    fn pid_beyond_u32_is_rejected() {
+        ProcessRng::with_mode(RngMode::ChaCha8, 0, u32::MAX as usize + 1);
+    }
+
+    /// Layout guard: one stream per process is streamed through the cache
+    /// every fair round, so it stays within 96 bytes (an 88-byte ChaCha8
+    /// generator plus the backend tag) and owns no heap memory.
+    #[test]
+    fn stream_is_compact_and_owns_no_heap() {
+        assert!(std::mem::size_of::<ProcessRng>() <= 96, "{}", std::mem::size_of::<ProcessRng>());
+        assert!(!std::mem::needs_drop::<ProcessRng>());
     }
 
     #[test]
