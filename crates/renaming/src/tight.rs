@@ -415,7 +415,10 @@ impl TightRenaming {
 mod tests {
     use super::*;
     use crate::traits::RenamingAlgorithm;
-    use rr_sched::adversary::{CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary};
+    use rr_sched::adversary::{
+        Adversary, CollisionMaximizer, CrashAdversary, Decision, FairAdversary, RandomAdversary,
+        RunView,
+    };
     use rr_sched::virtual_exec::run;
 
     fn boxed(procs: Vec<TightProcess>) -> Vec<Box<dyn Process + 'static>> {
@@ -524,26 +527,26 @@ mod tests {
         assert_eq!(out.gave_up_count(), 0);
     }
 
+    /// Inherits the default one-decision `decide_batch`, so the arena
+    /// never sees a contiguous run to claim as a block.
+    struct SingleStep<A>(A);
+
+    impl<A: Adversary> Adversary for SingleStep<A> {
+        fn decide(&mut self, view: &RunView<'_>) -> Decision {
+            self.0.decide(view)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
     /// The arena's batched τ-CAS dispatch (`TauBatchHost` +
     /// `step_claimed`) must be bit-identical to per-bit requests: same
     /// names, steps, and RNG draws under the batching `FairAdversary`,
     /// a one-decision-at-a-time wrapper of it, and the virtual executor.
     #[test]
     fn batched_tau_cas_is_bit_identical_to_per_bit_requests() {
-        use rr_sched::adversary::{Adversary, Decision, RunView};
         use rr_sched::shard::Arena;
-
-        /// Inherits the default one-decision `decide_batch`, so the
-        /// arena never sees a contiguous run to claim as a block.
-        struct SingleStep<A>(A);
-        impl<A: Adversary> Adversary for SingleStep<A> {
-            fn decide(&mut self, view: &RunView<'_>) -> Decision {
-                self.0.decide(view)
-            }
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-        }
 
         let mut claims = 0u64;
         for algo in [TightRenaming::calibrated(4), TightRenaming::paper_exact(4)] {
@@ -576,6 +579,45 @@ mod tests {
         // The equivalence must not be vacuous: the fair batches have to
         // contain claimable same-register runs somewhere in this matrix.
         assert!(claims > 0, "batched τ-CAS path never fired");
+    }
+
+    /// The batched `random` schedule on the headline protocol is the
+    /// single-stepped one: same outcome, process draws and adversary
+    /// words, across the roster recaptures (every size here crosses at
+    /// least five) and through the τ-CAS block claims its same-register
+    /// runs trigger.
+    #[test]
+    fn batched_random_is_bit_identical_to_single_stepped_random() {
+        use rr_sched::shard::Arena;
+
+        let draws =
+            |procs: &[TightProcess]| -> u64 { procs.iter().map(|p| p.rng_words().unwrap()).sum() };
+        let mut claims = 0u64;
+        for n in [64usize, 130, 1000, 4096] {
+            for seed in 0..2u64 {
+                let algo = TightRenaming::calibrated(4);
+                let budget = algo.step_budget(n);
+                let (_s, mut procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
+                let mut arena = Arena::new();
+                let mut batched = RandomAdversary::new(seed);
+                let out = arena.run(&mut procs, &mut batched, budget).unwrap();
+                claims += arena.block_stats().0;
+                let batched_draws = draws(&procs);
+
+                let (_s, mut procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
+                let mut single = SingleStep(RandomAdversary::new(seed));
+                let single_out = Arena::new().run(&mut procs, &mut single, budget).unwrap();
+                let ctx = format!("n {n} seed {seed}");
+                assert_eq!(out.names, single_out.names, "{ctx}");
+                assert_eq!(out.steps, single_out.steps, "{ctx}");
+                assert_eq!(out.crashed, single_out.crashed, "{ctx}");
+                assert_eq!(out.gave_up, single_out.gave_up, "{ctx}");
+                assert_eq!(out.decisions, single_out.decisions, "{ctx}");
+                assert_eq!(batched_draws, draws(&procs), "{ctx}");
+                assert_eq!(batched.words_consumed(), single.0.words_consumed(), "{ctx}");
+            }
+        }
+        assert!(claims > 0, "random batches never held a claimable same-register run");
     }
 
     /// Counter mode renames correctly (distinct full coverage) even

@@ -20,7 +20,7 @@
 use crate::bits::{SlotSnapshot, StatusBitmap};
 use crate::ids::{EntityVec, Pid, ShardMap};
 use rand::rngs::ChaCha8Rng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng, UniformBelow};
 use rr_shmem::Access;
 
 /// What the adversary sees before each decision — one context struct
@@ -130,10 +130,15 @@ pub trait Adversary {
     /// (possibly fewer, never zero), accounting for the fact that the
     /// view is not refreshed mid-batch: each granted pid is granted at
     /// most once per batch, since a grantee may halt on its step.
-    /// Strategies whose next decision depends on mid-batch state (e.g.
-    /// rejection samplers, whose RNG stream depends on each draw's
-    /// runnability at decision time) must keep this default, which
-    /// batches nothing.
+    /// A grant can change only its own pid's runnability, so the batch
+    /// may rely on every other pid keeping its status. The roster
+    /// ([`RunView::slots`]) is the other mid-batch hazard: the executor
+    /// recaptures it once more than half its slots are stale (`slots >
+    /// 2 · live`). A rejection sampler, whose RNG stream depends on each
+    /// draw's slot and runnability, may batch only as many decisions as
+    /// leave no recapture inside the batch (see [`RandomAdversary`]).
+    /// Strategies whose next decision depends on other mid-batch state
+    /// keep this default, which batches nothing.
     fn decide_batch(&mut self, view: &RunView<'_>, out: &mut Vec<Decision>, max: usize) {
         let _ = max;
         out.push(self.decide(view));
@@ -215,36 +220,79 @@ impl Adversary for FairAdversary {
     }
 }
 
-/// Uniformly random schedule.
+/// Uniformly random schedule: each decision rejection-samples roster
+/// slots until one holds a runnable pid.
 ///
-/// Keeps the default single-decision [`Adversary::decide_batch`] on
-/// purpose: each RNG draw's accept/reject depends on the sampled pid's
-/// runnability *at that decision*, so batching draws against a stale view
-/// would change the consumed RNG stream whenever a grantee halts
-/// mid-batch — breaking bit-identity with the recorded baselines. The
-/// view does not permit batching this strategy.
+/// Batches ([`Adversary::decide_batch`]) are the sequential decisions
+/// exactly, by three facts. A grant can halt only its own pid, so every
+/// later draw sees the same roster and the same runnability for every
+/// pid not granted earlier in the batch; a draw that hits an earlier
+/// grantee (whose status the frozen view may misreport) ends the batch
+/// and is retracted by rewinding the generator. And the executor's
+/// recapture trigger `slots > 2 · live` stays false before decision `j`
+/// while `slots ≤ 2 · (live − j)`, so a batch holds at most
+/// `live + 1 − ⌈slots / 2⌉` decisions.
 #[derive(Debug)]
 pub struct RandomAdversary {
     rng: ChaCha8Rng,
+    /// The draw for the current roster length; rebuilt when a recapture
+    /// changes it.
+    slots: UniformBelow,
 }
 
 impl RandomAdversary {
     /// Seeded random schedule.
     pub fn new(seed: u64) -> Self {
-        Self { rng: ChaCha8Rng::seed_from_u64(seed) }
+        Self { rng: ChaCha8Rng::seed_from_u64(seed), slots: UniformBelow::new(1) }
+    }
+
+    /// 32-bit words drawn from the schedule's generator so far.
+    pub fn words_consumed(&self) -> u64 {
+        self.rng.words_consumed()
+    }
+
+    /// One decision against `view`: uniform slots until a runnable pid
+    /// (< 50 % of the roster is stale by the executor's recapture
+    /// policy, so ≤ 2 tries expected). Draws what
+    /// `random_range(0..view.slot_count())` would.
+    #[inline]
+    fn draw(&mut self, view: &RunView<'_>) -> Pid {
+        let count = view.slot_count() as u64;
+        if self.slots.span() != count {
+            self.slots = UniformBelow::new(count);
+        }
+        loop {
+            let pid = view.slot(self.slots.sample(&mut self.rng) as usize);
+            if view.is_runnable(pid) {
+                return pid;
+            }
+        }
     }
 }
 
 impl Adversary for RandomAdversary {
     fn decide(&mut self, view: &RunView<'_>) -> Decision {
-        // Rejection-sample past stale slots (< 50% of the roster by the
-        // executor's compaction policy, so ≤ 2 tries expected).
-        loop {
-            let i = self.rng.random_range(0..view.slot_count());
-            let pid = view.slot(i);
-            if view.is_runnable(pid) {
-                return Decision::Grant(pid);
+        Decision::Grant(self.draw(view))
+    }
+
+    fn decide_batch(&mut self, view: &RunView<'_>, out: &mut Vec<Decision>, max: usize) {
+        let headroom = (view.runnable_count() + 1).saturating_sub(view.slot_count().div_ceil(2));
+        let len = max.min(headroom).max(1);
+        let start = out.len();
+        // Bit `pid % 64` of every grant so far: a clear bit rules out a
+        // repeat without scanning the batch.
+        let mut seen = 0u64;
+        while out.len() - start < len {
+            let before = self.rng.words_consumed();
+            let pid = self.draw(view);
+            let bit = 1u64 << (pid.index() % 64);
+            if seen & bit != 0 && out[start..].contains(&Decision::Grant(pid)) {
+                // The grantee may have halted: decide afresh next batch.
+                self.rng.set_words_consumed(before);
+                return;
             }
+            seen |= bit;
+            out.push(Decision::Grant(pid));
         }
     }
 
@@ -584,9 +632,9 @@ impl Adversary for BurstyAdversary {
 /// purpose: the eligible prefix is indexed into the *live* runnable
 /// set, which shrinks whenever a mid-batch grantee halts — batching
 /// against a stale view would grant outside the window sequential
-/// decisions would have used. (The opt-out mirrors `random`, whose
-/// per-decision RNG is the schedule; here the per-decision runnable
-/// census is.)
+/// decisions would have used. Unlike `random`, which can stop at the
+/// first draw a halt could have changed, every decision here reads the
+/// whole census.
 #[derive(Debug)]
 pub struct DiurnalAdversary {
     period: u64,
@@ -697,8 +745,10 @@ impl Adversary for VictimAdversary {
 ///
 /// Built from the announcement table alone: pids with an announced
 /// access are runnable, the rest are marked halted, and the slot roster
-/// is captured *after* marking (so `slot_count() == runnable_count()`;
-/// tests that need stale slots build the pieces by hand).
+/// is captured *after* marking (so `slot_count() == runnable_count()`).
+/// [`ViewFixture::with_stale`] halts further pids after the capture,
+/// leaving stale slots as the executor's roster does between
+/// recaptures.
 #[derive(Debug)]
 pub struct ViewFixture {
     status: StatusBitmap,
@@ -723,6 +773,18 @@ impl ViewFixture {
         let mut slots = SlotSnapshot::new();
         slots.capture(&status);
         Self { status, slots, announced, steps: vec![0u64; n].into(), named: 0 }
+    }
+
+    /// A fixture whose roster was captured before the `halted` pids
+    /// halted: the `Some` entries of `announced` are runnable except
+    /// `halted`, whose slots are stale.
+    pub fn with_stale(announced: EntityVec<Pid, Option<Access>>, halted: &[Pid]) -> Self {
+        let mut fx = Self::new(announced);
+        for &pid in halted {
+            fx.status.set(pid, crate::bits::Status::GaveUp);
+            fx.announced[pid] = None;
+        }
+        fx
     }
 
     /// A borrowed view over the fixture's state.
@@ -807,24 +869,35 @@ mod tests {
     fn random_rejects_stale_slots() {
         // Roster captured while all 4 pids ran; pid 1 has since halted.
         // Sampling must reject slot 1 and re-draw, never granting it.
-        let mut status = StatusBitmap::new();
-        status.reset(4);
-        let mut slots = SlotSnapshot::new();
-        slots.capture(&status);
-        status.set(Pid::new(1), Status::Named);
-        let announced: EntityVec<Pid, Option<Access>> = crate::entity_vec![
-            Some(Access::Local),
-            None,
-            Some(Access::Local),
-            Some(Access::Local),
-        ];
-        let steps: EntityVec<Pid, u64> = crate::entity_vec![0; 4];
-        let view = RunView::new(&status, &slots, &announced, &steps, 0);
+        let fx =
+            ViewFixture::with_stale(crate::entity_vec![Some(Access::Local); 4], &[Pid::new(1)]);
+        let view = fx.view();
         assert_eq!(view.slot_count(), 4);
         assert_eq!(view.runnable_count(), 3);
         let mut adv = RandomAdversary::new(3);
         for _ in 0..50 {
             assert_ne!(grant(adv.decide(&view)), 1);
+        }
+    }
+
+    #[test]
+    fn random_batch_stops_before_a_repeat_and_rewinds_the_draw() {
+        // Three runnable pids on three slots and room for 32: the
+        // headroom rule allows 3 + 1 − ⌈3/2⌉ = 2 grants, a repeat draw
+        // cuts the batch to 1, and the rewound generator keeps both
+        // twins in step.
+        let fx = ViewFixture::new(crate::entity_vec![Some(Access::Local); 3]);
+        for seed in 0..20 {
+            let mut batched = RandomAdversary::new(seed);
+            let mut sequential = RandomAdversary::new(seed);
+            for _ in 0..10 {
+                let mut out = Vec::new();
+                batched.decide_batch(&fx.view(), &mut out, 32);
+                assert!((1..=2).contains(&out.len()), "{out:?}");
+                let expect: Vec<_> = out.iter().map(|_| sequential.decide(&fx.view())).collect();
+                assert_eq!(out, expect, "seed {seed}");
+                assert_eq!(batched.words_consumed(), sequential.words_consumed(), "seed {seed}");
+            }
         }
     }
 

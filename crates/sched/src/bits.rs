@@ -20,16 +20,17 @@
 //!   [`Pid`]s like an [`EntityVec`](crate::ids::EntityVec). Alongside
 //!   the 2-bit lanes it maintains a coherent 1-bit *runnable* companion
 //!   (64 pids per word, bit set ⟺ `Running`), so "next runnable pid ≥
-//!   `from`" is a masked load + count-trailing-zeros per word and
-//!   "runnable population" is a popcount sweep.
+//!   `from`" is a masked load + count-trailing-zeros per word, and a
+//!   running count makes "runnable population" one load.
 //! * [`SlotSnapshot`] — a rank-indexed copy of the runnable words at a
-//!   capture point. This reproduces, observationally, the historical
-//!   executor's tombstoned `active` vector: `len()` is the tombstoned
-//!   length, `select(i)` is `active[i]`, and the executor recaptures
-//!   under exactly the old lazy-compaction trigger. Adversaries that
-//!   index slots by number (rejection sampling) therefore consume RNG
-//!   identically to every previous snapshot of this repo — the
-//!   bit-identity contract the equivalence suites pin.
+//!   capture point, with a sampled hint so `select` searches only the
+//!   few words that can hold a slot. This reproduces, observationally,
+//!   the historical executor's tombstoned `active` vector: `len()` is
+//!   the tombstoned length, `select(i)` is `active[i]`, and the executor
+//!   recaptures under exactly the old lazy-compaction trigger.
+//!   Adversaries that index slots by number (rejection sampling)
+//!   therefore consume RNG identically to every previous snapshot of
+//!   this repo — the bit-identity contract the equivalence suites pin.
 
 use crate::ids::Pid;
 
@@ -144,14 +145,17 @@ const RUN_BITS: usize = u64::BITS as usize;
 ///
 /// The companion is what makes the hot-loop queries word-wide:
 /// [`StatusBitmap::next_runnable`] is a masked load +
-/// `trailing_zeros` per word, [`StatusBitmap::runnable_count`] a
-/// popcount sweep, and [`SlotSnapshot::capture`] a word copy.
+/// `trailing_zeros` per word, [`StatusBitmap::runnable_count`] one
+/// load of a count `set` keeps, and [`SlotSnapshot::capture`] a word
+/// copy.
 #[derive(Debug, Default, Clone)]
 pub struct StatusBitmap {
     /// 2-bit status lanes, [`Status::LANES`] pids per word.
     lanes: Vec<u64>,
     /// 1-bit runnable words, kept coherent with `lanes` by `set`.
     run: Vec<u64>,
+    /// Set bits in `run`, kept coherent by `reset` and `set`.
+    running: usize,
     len: usize,
 }
 
@@ -166,6 +170,7 @@ impl StatusBitmap {
     /// ≥ `n`).
     pub fn reset(&mut self, n: usize) {
         self.len = n;
+        self.running = n;
         self.lanes.clear();
         self.lanes.resize(n.div_ceil(Status::LANES), 0);
         self.run.clear();
@@ -207,10 +212,13 @@ impl StatusBitmap {
         *lane = (*lane & !(Status::MASK << shift)) | (status.bits() << shift);
         let bit = 1u64 << (i % RUN_BITS);
         let word = &mut self.run[i / RUN_BITS];
+        let was_running = *word & bit != 0;
         if status == Status::Running {
             *word |= bit;
+            self.running += usize::from(!was_running);
         } else {
             *word &= !bit;
+            self.running -= usize::from(was_running);
         }
     }
 
@@ -223,9 +231,10 @@ impl StatusBitmap {
         self.run[i / RUN_BITS] >> (i % RUN_BITS) & 1 != 0
     }
 
-    /// Number of running pids (popcount sweep).
+    /// Number of running pids.
+    #[inline]
     pub fn runnable_count(&self) -> usize {
-        self.run.iter().map(|w| w.count_ones() as usize).sum()
+        self.running
     }
 
     /// The first running pid with index ≥ `from`, scanning
@@ -304,7 +313,7 @@ impl Iterator for RunnableIter<'_> {
 ///
 /// * [`SlotSnapshot::len`] ≡ the tombstoned `active.len()`,
 /// * [`SlotSnapshot::select`]`(i)` ≡ `active[i]` (rank search over the
-///   captured words),
+///   captured words, narrowed by a hint sampled every 64 slots),
 ///
 /// and the executor recaptures under the old compaction trigger
 /// (`len() > 2 · live`). Adversaries that rejection-sample slot indices
@@ -315,6 +324,10 @@ pub struct SlotSnapshot {
     bits: Vec<u64>,
     /// `ranks[w]` = set bits in `bits[..w]`; `ranks.len() == bits.len() + 1`.
     ranks: Vec<u32>,
+    /// `hint[k]` = the word holding slot `64·k`, for every slot `64·k <
+    /// len`, then one last entry: the last word. A word holds at most 64
+    /// slots, so slot `i` lies in `hint[i / 64] ..= hint[i / 64 + 1]`.
+    hint: Vec<u32>,
     len: usize,
 }
 
@@ -324,19 +337,26 @@ impl SlotSnapshot {
         Self::default()
     }
 
-    /// Copies `status`'s runnable words and rebuilds the rank index —
-    /// O(n / 64), versus the old O(n) `retain` compaction.
+    /// Copies `status`'s runnable words and rebuilds the rank index and
+    /// its hint — O(n / 64), versus the old O(n) `retain` compaction.
     pub fn capture(&mut self, status: &StatusBitmap) {
         self.bits.clear();
         self.bits.extend_from_slice(status.run_words());
         self.ranks.clear();
         self.ranks.reserve(self.bits.len() + 1);
+        self.hint.clear();
         let mut total = 0u32;
         self.ranks.push(0);
-        for &w in &self.bits {
-            total += w.count_ones();
+        for (w, &word) in self.bits.iter().enumerate() {
+            total += word.count_ones();
             self.ranks.push(total);
+            // Every slot 64·k below the new total and not yet hinted lies
+            // in this word.
+            while self.hint.len() * RUN_BITS < total as usize {
+                self.hint.push(w as u32);
+            }
         }
+        self.hint.push(self.bits.len().saturating_sub(1) as u32);
         self.len = total as usize;
     }
 
@@ -352,16 +372,19 @@ impl SlotSnapshot {
     }
 
     /// The pid in slot `i` (what the old `active[i]` returned): rank
-    /// binary search to the word, then an in-word popcount-halving
-    /// select.
+    /// binary search to the word over the hinted range, then an in-word
+    /// popcount-halving select.
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     #[inline]
     pub fn select(&self, i: usize) -> Pid {
         assert!(i < self.len, "slot {i} out of range {}", self.len);
-        // Last word whose prefix rank is ≤ i.
-        let w = self.ranks.partition_point(|&r| r as usize <= i) - 1;
+        let lo = self.hint[i / RUN_BITS] as usize;
+        let hi = self.hint[i / RUN_BITS + 1] as usize;
+        // Last word whose prefix rank is ≤ i: ranks after slot i's word
+        // exceed i, and `ranks[lo] ≤ i`.
+        let w = lo + self.ranks[lo..=hi].partition_point(|&r| r as usize <= i) - 1;
         let rank_in = i - self.ranks[w] as usize;
         Pid::new(w * RUN_BITS + select_in_word(self.bits[w], rank_in))
     }
@@ -536,6 +559,12 @@ mod tests {
                     };
                     bm.set(pid, status);
                     oracle[pid.index()] = status;
+                    // The kept count tracks every transition, including
+                    // Running -> Running and halted -> halted.
+                    prop_assert_eq!(
+                        bm.runnable_count(),
+                        oracle.iter().filter(|&&s| s == Status::Running).count()
+                    );
                 }
 
                 // Identical per-pid state.
@@ -565,6 +594,41 @@ mod tests {
                 snap.capture(&bm);
                 prop_assert_eq!(snap.len(), oracle_scan.len());
                 for (slot, &pid) in oracle_scan.iter().enumerate() {
+                    prop_assert_eq!(snap.select(slot).index(), pid);
+                }
+            }
+
+            /// The hinted `select` equals a naive scan of the captured
+            /// runnable set, over dense (1 in 20 halted), sparse (1 in
+            /// 30 running), full (every ragged tail exposed) and
+            /// long-empty-run (1 000-pid gaps) bitmaps.
+            #[test]
+            fn hinted_select_matches_naive_scan(
+                n in 1usize..4000,
+                shape in 0u8..4,
+                seed in any::<u64>(),
+            ) {
+                use rand::rngs::ChaCha8Rng;
+                use rand::{RngExt, SeedableRng};
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut bm = StatusBitmap::new();
+                bm.reset(n);
+                for i in 0..n {
+                    let running = match shape {
+                        0 => rng.random_range(0..20u32) != 0,
+                        1 => rng.random_range(0..30u32) == 0,
+                        2 => true,
+                        _ => (i / 1000) % 2 == 1 && rng.random_range(0..2u32) == 0,
+                    };
+                    if !running {
+                        bm.set(Pid::new(i), Status::GaveUp);
+                    }
+                }
+                let naive: Vec<usize> = (0..n).filter(|&i| bm.is_runnable(Pid::new(i))).collect();
+                let mut snap = SlotSnapshot::new();
+                snap.capture(&bm);
+                prop_assert_eq!(snap.len(), naive.len());
+                for (slot, &pid) in naive.iter().enumerate() {
                     prop_assert_eq!(snap.select(slot).index(), pid);
                 }
             }

@@ -38,8 +38,9 @@
 //! runnable scans enumerate the same sorted runnable set the old
 //! tombstone-filtering walks did. Adversary decisions are applied in
 //! *macro-step batches* ([`Adversary::decide_batch`]): strategies that
-//! can commit to several grants from one view (fair) hand the executor
-//! a straight-line run of process segments to execute without
+//! can commit to several grants from one view (fair and the ascending
+//! zoo strategies, and random up to the recapture headroom) hand the
+//! executor a straight-line run of process segments to execute without
 //! re-entering the dispatch loop, and every other strategy defaults to
 //! one decision per view. An adversary cannot tell which backend is
 //! driving it, so step counts, crash patterns and RNG consumption all
@@ -175,8 +176,11 @@ impl Arena {
         // (RandomAdversary rejection-samples over the roster), so it
         // must never drift from the historical executor's tombstone
         // compaction policy. The trigger is checked per *batch*, which
-        // matches the historical per-decision check because every
-        // strategy that reads the roster batches one decision per view.
+        // matches the historical per-decision check because a strategy
+        // that reads the roster batches only within the headroom where
+        // the check stays false: before decision j of a batch at most j
+        // grantees have halted, so `slots ≤ 2 · (live − j)` rules the
+        // recapture out (see `RandomAdversary`).
         //
         // Each batch is a macro-step: the adversary commits to up to
         // `DECISION_BATCH` decisions from one view, and the straight-line
@@ -673,6 +677,7 @@ mod tests {
     use super::*;
     use crate::adversary::{CrashAdversary, FairAdversary, RandomAdversary};
     use crate::process::testutil::ScanProcess;
+    use crate::replay::RecordingAdversary;
     use crate::virtual_exec;
     use rr_shmem::tas::AtomicTasArray;
     use std::sync::Arc;
@@ -767,6 +772,27 @@ mod tests {
         }
     }
 
+    /// Every field of a [`RunOutcome`]: names, steps, crashed, gave up,
+    /// decisions.
+    type Fields = (
+        EntityVec<Pid, Option<usize>>,
+        EntityVec<Pid, u64>,
+        EntityVec<Pid, bool>,
+        EntityVec<Pid, bool>,
+        u64,
+    );
+
+    /// Every field of an outcome, for whole-run equality.
+    fn fields(out: &RunOutcome) -> Fields {
+        (
+            out.names.clone(),
+            out.steps.clone(),
+            out.crashed.clone(),
+            out.gave_up.clone(),
+            out.decisions,
+        )
+    }
+
     #[test]
     fn batched_fair_is_bit_identical_to_single_stepped_fair() {
         // Sizes straddling the 32-lane and 64-bit word boundaries, so
@@ -781,11 +807,68 @@ mod tests {
                 .run(&mut procs, &mut SingleStep(FairAdversary::default()), 1 << 20)
                 .unwrap();
 
-            assert_eq!(batched.names, single.names, "n {n}");
-            assert_eq!(batched.steps, single.steps, "n {n}");
-            assert_eq!(batched.crashed, single.crashed, "n {n}");
-            assert_eq!(batched.gave_up, single.gave_up, "n {n}");
-            assert_eq!(batched.decisions, single.decisions, "n {n}");
+            assert_eq!(fields(&batched), fields(&single), "n {n}");
+        }
+    }
+
+    #[test]
+    fn batched_random_is_bit_identical_to_single_stepped_random() {
+        // Every process halts, and the roster is recaptured each time
+        // more than half of it has, so n ≥ 64 crosses at least five
+        // recaptures; the batches' headroom cut must keep each one at
+        // the decision where single steps meet it.
+        for n in [64usize, 130, 1000] {
+            for seed in 0..3u64 {
+                let (mut procs, _m) = scan_processes(n, n);
+                let mut batched = RandomAdversary::new(seed);
+                let out = Arena::new().run(&mut procs, &mut batched, 1 << 24).unwrap();
+
+                let (mut procs, _m) = scan_processes(n, n);
+                let mut single = SingleStep(RandomAdversary::new(seed));
+                let single_out = Arena::new().run(&mut procs, &mut single, 1 << 24).unwrap();
+                assert_eq!(fields(&out), fields(&single_out), "n {n} seed {seed}");
+                assert_eq!(
+                    batched.words_consumed(),
+                    single.0.words_consumed(),
+                    "n {n} seed {seed}"
+                );
+
+                // Recording sees the batches and must tape the same
+                // schedule.
+                let tape = |adv: Box<dyn Adversary>| {
+                    let mut rec = RecordingAdversary::new(adv);
+                    let (mut procs, _m) = scan_processes(n, n);
+                    let out = Arena::new().run(&mut procs, &mut rec, 1 << 24).unwrap();
+                    (fields(&out), rec.into_tape())
+                };
+                assert_eq!(
+                    tape(Box::new(RandomAdversary::new(seed))),
+                    tape(Box::new(SingleStep(RandomAdversary::new(seed)))),
+                    "recorded, n {n} seed {seed}"
+                );
+
+                // Two coupled shards, each batching up to its coupling
+                // boundary.
+                let sharded = |batching: bool| {
+                    let (out, _m) = run_sharded(n, 2, 64, |s, n_s, ctx| {
+                        let (mut procs, _mem) = scan_processes(n_s, n_s);
+                        let adv = RandomAdversary::new(shard_seed(seed, s));
+                        let outcome = if batching {
+                            Arena::new().run(&mut procs, &mut ctx.couple(adv), 1 << 24)?
+                        } else {
+                            Arena::new().run(
+                                &mut procs,
+                                &mut ctx.couple(SingleStep(adv)),
+                                1 << 24,
+                            )?
+                        };
+                        Ok(ShardRun { outcome, m: n_s })
+                    })
+                    .unwrap();
+                    fields(&out)
+                };
+                assert_eq!(sharded(true), sharded(false), "sharded, n {n} seed {seed}");
+            }
         }
     }
 

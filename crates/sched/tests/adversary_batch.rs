@@ -12,7 +12,9 @@
 //! `decide_batch` and the other through sequential `decide` calls over
 //! a seeded stream of randomized fixtures, and require the streams to
 //! stay identical round after round (so batching can also never skew
-//! the strategy's *future* state).
+//! the strategy's *future* state). Half the fixtures leave stale roster
+//! slots, as the executor's roster has between recaptures, so `random`
+//! also rejects stale draws and cuts batches at its recapture headroom.
 
 use rand::rngs::ChaCha8Rng;
 use rand::{RngExt, SeedableRng};
@@ -21,7 +23,9 @@ use rr_sched::registry::standard;
 use rr_sched::{entity_vec, EntityVec, Pid};
 use rr_shmem::intent::Access;
 
-/// A randomized announcement table with at least one runnable process.
+/// A randomized announcement table with at least one runnable process;
+/// in half the fixtures some of the runnable pids then halt, leaving
+/// their roster slots stale.
 fn random_fixture(rng: &mut ChaCha8Rng, n: usize) -> ViewFixture {
     let mut announced: EntityVec<Pid, Option<Access>> = entity_vec![None; n];
     loop {
@@ -45,8 +49,14 @@ fn random_fixture(rng: &mut ChaCha8Rng, n: usize) -> ViewFixture {
             };
             announced[Pid::from(pid)] = ann;
         }
-        if announced.iter().any(Option::is_some) {
-            return ViewFixture::new(announced);
+        let runnable: Vec<Pid> =
+            announced.iter_enumerated().filter_map(|(p, a)| a.map(|_| p)).collect();
+        if let Some((_last, rest)) = runnable.split_last() {
+            // The last runnable pid always stays runnable.
+            let stale = rng.random_bool(0.5);
+            let halted: Vec<Pid> =
+                rest.iter().copied().filter(|_| stale && rng.random_bool(0.6)).collect();
+            return ViewFixture::with_stale(announced, &halted);
         }
     }
 }
@@ -66,6 +76,9 @@ fn decide_batch_matches_sequential_decide_for_every_registry_key() {
     let registry = standard();
     let keys = registry.keys();
     assert!(keys.len() >= 7, "expected the full standard registry, got {keys:?}");
+    // `random` batches cut short over stale slots: the rejection and
+    // headroom paths must both have run.
+    let mut random_stale_cuts = 0;
     for key in keys {
         for seed in 0..8u64 {
             for n in [1usize, 2, 3, 5, 9, 17] {
@@ -92,6 +105,9 @@ fn decide_batch_matches_sequential_decide_for_every_registry_key() {
                         grants.len(),
                         "{key}: a pid was granted twice in one batch (seed {seed}, n {n})"
                     );
+                    if key == "random" && view.slot_count() > view.runnable_count() {
+                        random_stale_cuts += usize::from(batch.len() < max);
+                    }
                     let expected: Vec<Decision> =
                         batch.iter().map(|_| oracle.decide(&view)).collect();
                     assert_eq!(
@@ -102,4 +118,5 @@ fn decide_batch_matches_sequential_decide_for_every_registry_key() {
             }
         }
     }
+    assert!(random_stale_cuts > 0, "no `random` batch was cut short over stale slots");
 }
