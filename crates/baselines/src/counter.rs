@@ -67,14 +67,13 @@ mod tests {
     use super::*;
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::FairAdversary;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     #[test]
     fn one_step_tight_renaming() {
-        let inst = FetchAddRenaming.instantiate(64, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), 1000).unwrap();
+        let out = FetchAddRenaming
+            .run_dense(64, 0, &mut FairAdversary::default(), &mut Arena::new())
+            .unwrap();
         out.verify_renaming(64).unwrap();
         assert_eq!(out.step_complexity(), 1);
         let mut names: Vec<_> = out.names.iter().map(|x| x.unwrap()).collect();

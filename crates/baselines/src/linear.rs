@@ -110,18 +110,13 @@ mod tests {
     use super::*;
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     #[test]
     fn zero_start_is_theta_n() {
         let n = 128;
         let algo = LinearScan { start: ScanStart::Zero };
-        let inst = algo.instantiate(n, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out =
-            run(procs, &mut FairAdversary::default(), RenamingAlgorithm::step_budget(&algo, n))
-                .unwrap();
+        let out = algo.run_dense(n, 0, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
         out.verify_renaming(n).unwrap();
         // The last winner scanned the whole space.
         assert_eq!(out.step_complexity(), n as u64);
@@ -132,12 +127,7 @@ mod tests {
     fn pid_start_is_fast_when_uncontended() {
         let n = 128;
         let algo = LinearScan { start: ScanStart::OwnPid };
-        let inst = algo.instantiate(n, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out =
-            run(procs, &mut FairAdversary::default(), RenamingAlgorithm::step_budget(&algo, n))
-                .unwrap();
+        let out = algo.run_dense(n, 0, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
         out.verify_renaming(n).unwrap();
         // Distinct starting points: everyone wins the first probe.
         assert_eq!(out.step_complexity(), 1);
@@ -146,12 +136,7 @@ mod tests {
     #[test]
     fn safety_under_random_adversary() {
         let algo = LinearScan { start: ScanStart::Zero };
-        let inst = algo.instantiate(64, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out =
-            run(procs, &mut RandomAdversary::new(7), RenamingAlgorithm::step_budget(&algo, 64))
-                .unwrap();
+        let out = algo.run_dense(64, 0, &mut RandomAdversary::new(7), &mut Arena::new()).unwrap();
         out.verify_renaming(64).unwrap();
     }
 

@@ -239,7 +239,7 @@ mod tests {
     use super::*;
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{CollisionMaximizer, FairAdversary, RandomAdversary};
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     #[test]
     fn bitonic_structure() {
@@ -275,10 +275,9 @@ mod tests {
     #[test]
     fn full_network_run_is_tight_renaming() {
         let n = 16;
-        let inst = BitonicRenaming.instantiate(n, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), 1 << 20).unwrap();
+        let out = BitonicRenaming
+            .run_dense(n, 0, &mut FairAdversary::default(), &mut Arena::new())
+            .unwrap();
         out.verify_renaming(16).unwrap();
         let mut names: Vec<_> = out.names.iter().map(|x| x.unwrap()).collect();
         names.sort_unstable();
@@ -291,10 +290,9 @@ mod tests {
         // every layer: steps = depth exactly.
         let n = 32;
         let net_depth = ComparatorNetwork::bitonic(32).depth() as u64;
-        let inst = BitonicRenaming.instantiate(n, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut RandomAdversary::new(4), 1 << 20).unwrap();
+        let out = BitonicRenaming
+            .run_dense(n, 0, &mut RandomAdversary::new(4), &mut Arena::new())
+            .unwrap();
         assert_eq!(out.step_complexity(), net_depth);
         assert!(out.steps.iter().all(|&s| s == net_depth));
     }
@@ -302,11 +300,10 @@ mod tests {
     #[test]
     fn partial_occupancy_names_distinct() {
         // 10 processes in a width-16 network: distinct names < 16.
-        let inst = BitonicRenaming.instantiate(10, 0);
-        assert_eq!(inst.m, 16);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut CollisionMaximizer::default(), 1 << 20).unwrap();
+        assert_eq!(RenamingAlgorithm::m(&BitonicRenaming, 10), 16);
+        let out = BitonicRenaming
+            .run_dense(10, 0, &mut CollisionMaximizer::default(), &mut Arena::new())
+            .unwrap();
         out.verify_renaming(16).unwrap();
     }
 
@@ -335,7 +332,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use rr_sched::adversary::RandomAdversary;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
@@ -351,12 +348,9 @@ mod proptests {
             let width = 1usize << width_log;
             let n = (width * occupancy_frac / 100).max(1).min(width);
             let shared = Arc::new(NetworkShared::new(ComparatorNetwork::bitonic(width)));
-            let procs: Vec<Box<dyn Process>> = (0..n)
-                .map(|pid| {
-                    Box::new(NetworkProcess::new(pid, Arc::clone(&shared))) as Box<dyn Process>
-                })
-                .collect();
-            let out = run(procs, &mut RandomAdversary::new(seed), 1 << 22).unwrap();
+            let mut procs: Vec<NetworkProcess> =
+                (0..n).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect();
+            let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(seed), 1 << 22).unwrap();
             prop_assert!(out.verify_renaming(width).is_ok());
             // Steps never exceed the depth.
             let depth = shared.network.depth() as u64;
@@ -396,12 +390,9 @@ mod proptests {
                 .collect();
             let net = ComparatorNetwork::new(width, layers);
             let shared = Arc::new(NetworkShared::new(net));
-            let procs: Vec<Box<dyn Process>> = (0..width)
-                .map(|pid| {
-                    Box::new(NetworkProcess::new(pid, Arc::clone(&shared))) as Box<dyn Process>
-                })
-                .collect();
-            let out = run(procs, &mut RandomAdversary::new(seed), 1 << 22).unwrap();
+            let mut procs: Vec<NetworkProcess> =
+                (0..width).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect();
+            let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(seed), 1 << 22).unwrap();
             prop_assert!(out.verify_renaming(width).is_ok());
         }
     }

@@ -205,7 +205,7 @@ mod tests {
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{CollisionMaximizer, FairAdversary, RandomAdversary};
     use rr_sched::process::Process;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     #[test]
     fn closed_form_depths() {
@@ -266,10 +266,8 @@ mod tests {
         for topo in [RouteTopology::Benes, RouteTopology::Butterfly, RouteTopology::Variant] {
             let n = 16;
             let algo = RouteRenaming { topology: topo, stages: None };
-            let inst = algo.instantiate(n, 0);
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out = run(procs, &mut RandomAdversary::new(7), 1 << 20).unwrap();
+            let out =
+                algo.run_dense(n, 0, &mut RandomAdversary::new(7), &mut Arena::new()).unwrap();
             out.verify_renaming(n).unwrap_or_else(|e| panic!("{}: {e}", topo.label()));
             let mut names: Vec<_> = out.names.iter().map(|x| x.unwrap()).collect();
             names.sort_unstable();
@@ -284,11 +282,9 @@ mod tests {
         // 11 processes in a width-16 variant network under the
         // collision maximizer: distinct names < 16.
         let algo = RouteRenaming { topology: RouteTopology::Variant, stages: None };
-        let inst = algo.instantiate(11, 0);
-        assert_eq!(inst.m, 16);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut CollisionMaximizer::default(), 1 << 20).unwrap();
+        assert_eq!(RenamingAlgorithm::m(&algo, 11), 16);
+        let out =
+            algo.run_dense(11, 0, &mut CollisionMaximizer::default(), &mut Arena::new()).unwrap();
         out.verify_renaming(16).unwrap();
     }
 
@@ -338,10 +334,7 @@ mod tests {
     #[test]
     fn total_under_fair() {
         let algo = RouteRenaming { topology: RouteTopology::Variant, stages: None };
-        let inst = algo.instantiate(24, 0);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), 1 << 20).unwrap();
+        let out = algo.run_dense(24, 0, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
         assert_eq!(out.gave_up_count(), 0);
         out.verify_renaming(32).unwrap();
     }

@@ -244,7 +244,7 @@ mod tests {
     use super::*;
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{CollisionMaximizer, FairAdversary, RandomAdversary};
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     #[test]
     fn solo_process_stops_at_origin() {
@@ -268,16 +268,10 @@ mod tests {
     #[test]
     fn full_grid_renames_distinctly() {
         for n in [1usize, 2, 5, 16, 64] {
-            let inst = SplitterGrid.instantiate(n, 0);
-            let m = inst.m;
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out = run(
-                procs,
-                &mut FairAdversary::default(),
-                RenamingAlgorithm::step_budget(&SplitterGrid, n),
-            )
-            .unwrap();
+            let m = RenamingAlgorithm::m(&SplitterGrid, n);
+            let out = SplitterGrid
+                .run_dense(n, 0, &mut FairAdversary::default(), &mut Arena::new())
+                .unwrap();
             out.verify_renaming(m).unwrap();
             assert_eq!(out.gave_up_count(), 0);
         }
@@ -290,11 +284,7 @@ mod tests {
             Box::new(RandomAdversary::new(3)) as Box<dyn rr_sched::Adversary>,
             Box::new(CollisionMaximizer::default()),
         ] {
-            let inst = SplitterGrid.instantiate(n, 0);
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out =
-                run(procs, adv.as_mut(), RenamingAlgorithm::step_budget(&SplitterGrid, n)).unwrap();
+            let out = SplitterGrid.run_dense(n, 0, adv.as_mut(), &mut Arena::new()).unwrap();
             out.verify_renaming(n * (n + 1) / 2).unwrap();
             // ≤ n−1 moves of 4 accesses each, plus the final stop visit.
             assert!(out.step_complexity() <= 4 * n as u64);
@@ -307,15 +297,9 @@ mod tests {
         // linearly in n under the worst (fair, all-enter) schedule.
         let mut prev = 0;
         for n in [8usize, 32, 128] {
-            let inst = SplitterGrid.instantiate(n, 0);
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out = run(
-                procs,
-                &mut FairAdversary::default(),
-                RenamingAlgorithm::step_budget(&SplitterGrid, n),
-            )
-            .unwrap();
+            let out = SplitterGrid
+                .run_dense(n, 0, &mut FairAdversary::default(), &mut Arena::new())
+                .unwrap();
             let steps = out.step_complexity();
             assert!(steps > prev, "steps must grow with n");
             assert!(steps as usize >= n / 2, "Θ(n) regime expected, got {steps} at n={n}");
@@ -344,7 +328,7 @@ mod proptests {
     use proptest::prelude::*;
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::RandomAdversary;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -352,13 +336,10 @@ mod proptests {
         /// Distinct names for every n and schedule seed.
         #[test]
         fn names_always_distinct(n in 1usize..80, seed in 0u64..500) {
-            let inst = SplitterGrid.instantiate(n, 0);
-            let m = inst.m;
-            let procs: Vec<Box<dyn rr_sched::Process>> =
-                inst.processes.into_iter().map(|p| p as _).collect();
-            let out = run(procs, &mut RandomAdversary::new(seed),
-                rr_renaming::traits::RenamingAlgorithm::step_budget(&SplitterGrid, n)).unwrap();
-            prop_assert!(out.verify_renaming(m).is_ok());
+            let out = SplitterGrid
+                .run_dense(n, 0, &mut RandomAdversary::new(seed), &mut Arena::new())
+                .unwrap();
+            prop_assert!(out.verify_renaming(RenamingAlgorithm::m(&SplitterGrid, n)).is_ok());
             prop_assert_eq!(out.gave_up_count(), 0);
         }
 

@@ -115,15 +115,13 @@ mod tests {
     use super::*;
     use rr_renaming::traits::RenamingAlgorithm;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     fn run_uniform(n: usize, eps: f64, seed: u64) -> rr_sched::virtual_exec::RunOutcome {
         let algo = UniformProbing { epsilon: eps };
-        let inst = algo.instantiate(n, seed);
-        let m = inst.m;
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), 1 << 26).unwrap();
+        let m = RenamingAlgorithm::m(&algo, n);
+        let out =
+            algo.run_dense(n, seed, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
         out.verify_renaming(m).unwrap();
         out
     }
@@ -157,10 +155,7 @@ mod tests {
     #[test]
     fn safety_under_random_adversary() {
         let algo = UniformProbing::double();
-        let inst = algo.instantiate(256, 9);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut RandomAdversary::new(4), 1 << 24).unwrap();
+        let out = algo.run_dense(256, 9, &mut RandomAdversary::new(4), &mut Arena::new()).unwrap();
         out.verify_renaming(512).unwrap();
     }
 

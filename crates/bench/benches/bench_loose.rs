@@ -1,5 +1,5 @@
 //! Wall-clock benchmark of the loose-renaming protocols (Lemma 6,
-//! Lemma 8, Corollary 9) against uniform probing, in the virtual
+//! Lemma 8, Corollary 9) against uniform probing, in the arena
 //! executor and on threads. The loose protocols do a constant number of
 //! probes per process, so total time should scale ~linearly in n with a
 //! tiny constant.
@@ -8,21 +8,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rr_baselines::UniformProbing;
 use rr_renaming::traits::{Cor9, LooseL6, LooseL8, RenamingAlgorithm};
 use rr_sched::adversary::FairAdversary;
-use rr_sched::process::Process;
-use rr_sched::virtual_exec;
+use rr_sched::shard::Arena;
 use std::hint::black_box;
 
 fn run_algo(algo: &dyn RenamingAlgorithm, n: usize) -> u64 {
-    let inst = algo.instantiate(n, 1);
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    virtual_exec::run(procs, &mut FairAdversary::default(), algo.step_budget(n))
-        .unwrap()
-        .total_steps()
+    algo.run_dense(n, 1, &mut FairAdversary::default(), &mut Arena::new()).unwrap().total_steps()
 }
 
-fn bench_loose_virtual(c: &mut Criterion) {
-    let mut g = c.benchmark_group("loose_virtual");
+fn bench_loose_dense(c: &mut Criterion) {
+    let mut g = c.benchmark_group("loose_dense");
     g.sample_size(10);
     let n = 1usize << 12;
     let algos: Vec<Box<dyn RenamingAlgorithm>> = vec![
@@ -48,5 +42,5 @@ fn bench_loose_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_loose_virtual, bench_loose_scaling);
+criterion_group!(benches, bench_loose_dense, bench_loose_scaling);
 criterion_main!(benches);

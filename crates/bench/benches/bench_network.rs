@@ -8,8 +8,7 @@ use rr_baselines::BitonicRenaming;
 use rr_renaming::traits::RenamingAlgorithm;
 use rr_renaming::TightRenaming;
 use rr_sched::adversary::FairAdversary;
-use rr_sched::process::Process;
-use rr_sched::virtual_exec;
+use rr_sched::shard::Arena;
 use std::hint::black_box;
 
 fn bench_construction(c: &mut Criterion) {
@@ -23,12 +22,7 @@ fn bench_construction(c: &mut Criterion) {
 }
 
 fn run_algo(algo: &dyn RenamingAlgorithm, n: usize) -> u64 {
-    let inst = algo.instantiate(n, 1);
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    virtual_exec::run(procs, &mut FairAdversary::default(), algo.step_budget(n))
-        .unwrap()
-        .total_steps()
+    algo.run_dense(n, 1, &mut FairAdversary::default(), &mut Arena::new()).unwrap().total_steps()
 }
 
 fn bench_network_vs_tau(c: &mut Criterion) {

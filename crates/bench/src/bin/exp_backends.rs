@@ -1,5 +1,5 @@
-//! The execution-backend shoot-out: the same batch on the boxed virtual
-//! executor and the flat dense arena, bit-checked and wall-clocked.
+//! The execution-backend shoot-out: the same batch on the flat dense
+//! arena and the sharded arenas, bit-checked and wall-clocked.
 //!
 //! ```text
 //! exp_backends [--quick] [--json PATH]

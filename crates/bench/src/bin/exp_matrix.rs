@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! exp_matrix [--quick] [--json PATH] [--list] [--help]
-//!            [--backend virtual|dense|threads:t=N]
+//!            [--backend dense|threads:t=N|shard:s=N]
 //!            [--algos k1,k2,…] [--adversaries k1,k2,…]
 //!            [--sizes n1,n2,…] [--seeds N]
 //! ```
@@ -13,11 +13,12 @@
 //! the fair schedule (the CI smoke configuration), the full mode crosses
 //! every adversary too. `--list` prints both registries and exits.
 //!
-//! `--backend` selects the execution core: `virtual` (the boxed
-//! reference executor), `dense` (flat arena, bit-identical tables ~an
-//! order of magnitude sooner at large n), or `threads:t=N` (free-running
-//! OS threads — wall-clock data; ignores the adversary key and is not
-//! seed-reproducible). JSON records carry the backend key plus one
+//! `--backend` selects the execution core: `dense` (the default flat
+//! arena), `threads:t=N` (free-running OS threads — wall-clock data;
+//! ignores the adversary key and is not seed-reproducible), or
+//! `shard:s=N` (N coupled per-shard arenas; a pure function of the seed
+//! and N, `shard:s=1` bit-identical to `dense`). JSON records carry the
+//! backend key plus one
 //! `kind:"throughput"` record per row (runs/sec, steps/sec).
 
 use rr_bench::runner::RunConfig;
@@ -28,18 +29,18 @@ const USAGE: &str = "\
 exp_matrix — any registered algorithm × adversary × n, on any backend
 
 usage: exp_matrix [--quick] [--json PATH] [--list] [--help]
-                  [--backend virtual|dense|threads:t=N]
+                  [--backend dense|threads:t=N|shard:s=N]
                   [--algos k1,k2,…] [--adversaries k1,k2,…]
                   [--sizes n1,n2,…] [--seeds N]
 
   --quick        CI-sized sweep (each algorithm once, fair schedule)
   --json PATH    also write structured records (deterministic rows plus
                  kind:\"throughput\" speed rows) to PATH
-  --backend KEY  execution core: `virtual` (boxed reference executor),
-                 `dense` (flat arena core; bit-identical results, fastest
-                 at large n), `threads:t=N` (free-running OS threads,
-                 wall-clock truth — ignores the adversary key, not
-                 seed-reproducible)
+  --backend KEY  execution core: `dense` (default; flat arena core),
+                 `threads:t=N` (free-running OS threads, wall-clock
+                 truth — ignores the adversary key, not
+                 seed-reproducible), `shard:s=N` (N coupled per-shard
+                 arenas; `shard:s=1` bit-identical to `dense`)
   --algos        comma-separated algorithm registry keys
   --adversaries  comma-separated adversary registry keys
   --sizes        comma-separated process counts (each algorithm's

@@ -40,7 +40,7 @@ usage: exp_report [--quick] [--json PATH] [--out PATH] [--backend KEY]
   --quick        CI-sized claim tiers (the committed BENCH_report.json shape)
   --json PATH    also write the freshly measured records to PATH
   --out PATH     where to write the report (default REPRODUCTION.md)
-  --backend KEY  execution core for the re-run (virtual | dense | threads:t=N)
+  --backend KEY  execution core for the re-run (dense | threads:t=N | shard:s=N)
   --from LIST    comma-separated record files to merge (e.g. the committed
                  BENCH_scenarios.json,BENCH_explore.json,BENCH_route.json for
                  the cross-checks)

@@ -14,14 +14,9 @@ use std::fmt::Write as _;
 pub fn backend_rows() -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
         (
-            "virtual",
-            "boxed reference executor (shim over the arena loop)",
-            "exact, adversary-scheduled, seed-reproducible",
-        ),
-        (
             "dense",
-            "flat arena core: typed process storage, scratch reuse",
-            "bit-identical to `virtual`, fastest at large n",
+            "flat arena core: typed process storage, scratch reuse (default)",
+            "exact, adversary-scheduled, seed-reproducible",
         ),
         (
             "threads:t=N",

@@ -91,19 +91,15 @@ impl BatchStats {
 ///
 /// | key | core | determinism |
 /// |---|---|---|
-/// | `virtual` | boxed shim over the arena loop | exact, adversary-scheduled |
-/// | `dense` | flat arena, typed processes, scratch reuse | bit-identical to `virtual` |
+/// | `dense` | flat arena, typed processes, scratch reuse | exact, adversary-scheduled, seed-reproducible |
 /// | `threads:t=N` | free-running OS threads (≤ N concurrent) | wall-clock only; safety audited, steps not reproducible; ignores the adversary key |
 /// | `shard:s=N` | S coupled per-shard arenas, one thread each | pure function of `(seed, S)` regardless of thread timing; `s=1` bit-identical to `dense` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// The historical boxed executor: the boxed processes of
-    /// [`RenamingAlgorithm::instantiate_with`] on the arena loop, as
-    /// [`rr_sched::virtual_exec::run`] drives them.
-    #[default]
-    Virtual,
     /// The flat arena core with monomorphized process storage and
-    /// cross-seed scratch reuse ([`rr_sched::shard::Arena`]).
+    /// cross-seed scratch reuse ([`RenamingAlgorithm::run_dense_with`]
+    /// in an [`rr_sched::shard::Arena`]). The default.
+    #[default]
     Dense,
     /// Free-running OS threads, at most `t` concurrent
     /// ([`rr_sched::thread_exec::run_threads_bounded`]). No adversary:
@@ -127,7 +123,7 @@ pub enum ExecBackend {
 }
 
 impl ExecBackend {
-    /// Parses a backend key: `virtual`, `dense`, `threads` /
+    /// Parses a backend key: `dense`, `threads` /
     /// `threads:t=N` (default `t = 8`), or `shard` / `shard:s=N`
     /// (default `s` = the machine's available parallelism), following
     /// the registry key grammar.
@@ -138,10 +134,6 @@ impl ExecBackend {
     pub fn parse(key: &str) -> Result<Self, String> {
         let parsed = ParsedKey::parse(key)?;
         match parsed.name.as_str() {
-            "virtual" => {
-                parsed.check_known(&[])?;
-                Ok(ExecBackend::Virtual)
-            }
             "dense" => {
                 parsed.check_known(&[])?;
                 Ok(ExecBackend::Dense)
@@ -163,16 +155,15 @@ impl ExecBackend {
                 }
                 Ok(ExecBackend::Shard { s })
             }
-            other => Err(format!(
-                "unknown backend `{other}` (known: virtual, dense, threads:t=N, shard:s=N)"
-            )),
+            other => {
+                Err(format!("unknown backend `{other}` (known: dense, threads:t=N, shard:s=N)"))
+            }
         }
     }
 
     /// The canonical key this backend parses back from.
     pub fn key(&self) -> String {
         match self {
-            ExecBackend::Virtual => "virtual".into(),
             ExecBackend::Dense => "dense".into(),
             ExecBackend::Threads { t } => format!("threads:t={t}"),
             ExecBackend::Shard { s } => format!("shard:s={s}"),
@@ -216,7 +207,7 @@ impl BatchTiming {
 /// Runs `algo` at size `n` once with `seed` on `backend`, every
 /// process drawing coins in `rng` mode.
 ///
-/// `adversary` schedules the `virtual` and `dense` backends; the
+/// `adversary` schedules the `dense` backend; the
 /// `threads` backend is free-running (the machine schedules) and ignores
 /// it. `arena` is the executor's reusable scratch — pass the same one
 /// across seeds to amortize its buffers. The shard backend builds one
@@ -235,10 +226,6 @@ pub fn run_once(
     arena: &mut Arena,
 ) -> RunOutcome {
     let out = match backend {
-        ExecBackend::Virtual => {
-            let mut processes = algo.instantiate_with(n, seed, rng).processes;
-            arena.run(&mut processes, adversary, algo.step_budget(n))
-        }
         ExecBackend::Dense => algo.run_dense_with(n, seed, rng, adversary, arena),
         ExecBackend::Threads { t } => {
             let processes = algo.instantiate_with(n, seed, rng).processes;
@@ -374,7 +361,7 @@ pub struct BatchRun<'a> {
 
 impl<'a> BatchRun<'a> {
     /// A batch of `algo` at size `n`. Defaults: 1 seed, the `fair`
-    /// adversary, the `virtual` backend, and `RR_RUNNER_THREADS` (else
+    /// adversary, the `dense` backend, and `RR_RUNNER_THREADS` (else
     /// available parallelism) workers.
     pub fn new(algo: &'a (dyn RenamingAlgorithm + Sync), n: usize) -> Self {
         Self {
@@ -401,7 +388,7 @@ impl<'a> BatchRun<'a> {
         self
     }
 
-    /// Execution backend (default [`ExecBackend::Virtual`]).
+    /// Execution backend (default [`ExecBackend::Dense`]).
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self
@@ -429,8 +416,8 @@ impl<'a> BatchRun<'a> {
     /// wall-clock [`BatchTiming`].
     ///
     /// The `dense` backend gives each worker one [`Arena`] reused
-    /// across all of its seeds; `virtual`, `dense` and `shard:s=1`
-    /// produce bit-identical [`BatchStats`]; `shard:s=K` is a pure
+    /// across all of its seeds; `dense` and `shard:s=1` produce
+    /// bit-identical [`BatchStats`]; `shard:s=K` is a pure
     /// function of `(seed, K)`; `threads` ignores the adversary
     /// (free-running) and its step counts are wall-clock truths, not
     /// seed-reproducible data.
@@ -551,7 +538,7 @@ fn parse_threads(raw: Option<&str>) -> usize {
 /// | `quick` | `--quick` CLI flag | shrink sweeps so CI finishes in seconds |
 /// | `threads` | `RR_RUNNER_THREADS` env (else available parallelism) | [`BatchRun`] worker count |
 /// | `json_path` | `--json <path>` CLI flag | also write structured records (see `scenario::sink`) |
-/// | `backend` | `--backend <key>` CLI flag | execution core (`virtual` \| `dense` \| `threads:t=N`) |
+/// | `backend` | `--backend <key>` CLI flag | execution core (`dense` (default) \| `threads:t=N` \| `shard:s=N`) |
 /// | `rng` | `--rng <mode>` CLI flag | per-process RNG backend (`chacha8` \| `counter`) |
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -574,7 +561,7 @@ impl Default for RunConfig {
             quick: false,
             threads: parse_threads(None),
             json_path: None,
-            backend: ExecBackend::Virtual,
+            backend: ExecBackend::default(),
             rng: RngMode::default(),
         }
     }
@@ -597,7 +584,7 @@ impl RunConfig {
             quick: false,
             threads: parse_threads(threads_env.as_deref()),
             json_path: None,
-            backend: ExecBackend::Virtual,
+            backend: ExecBackend::default(),
             rng: RngMode::default(),
         };
         let mut args = args.into_iter().peekable();
@@ -726,7 +713,6 @@ mod tests {
     #[test]
     fn backend_keys_round_trip_and_validate() {
         for (key, backend) in [
-            ("virtual", ExecBackend::Virtual),
             ("dense", ExecBackend::Dense),
             ("threads", ExecBackend::Threads { t: 8 }),
             ("threads:t=4", ExecBackend::Threads { t: 4 }),
@@ -742,7 +728,7 @@ mod tests {
             panic!("bare `shard` must parse to the shard backend");
         };
         assert!(s >= 1);
-        assert_eq!(ExecBackend::default(), ExecBackend::Virtual);
+        assert_eq!(ExecBackend::default(), ExecBackend::Dense);
         assert!(ExecBackend::parse("gpu").is_err());
         assert!(ExecBackend::parse("dense:t=2").is_err());
         assert!(ExecBackend::parse("threads:t=0").is_err());
@@ -752,22 +738,33 @@ mod tests {
     }
 
     /// The dense backend reuses one arena across every seed of a worker
-    /// and must still be bit-identical to the virtual backend, per field.
+    /// and must still be bit-identical, per field, to the virtual path:
+    /// each seed's boxed processes run alone on a fresh arena.
     #[test]
     fn dense_backend_bit_identical_to_virtual() {
         let algo = TightRenaming::calibrated(4);
         for key in ["fair", "random", "collisions", "stall", "crash:p=200,cap=25"] {
-            let run = |backend| {
-                BatchRun::new(&algo, 96)
-                    .seeds(6)
-                    .adversary(key)
-                    .backend(backend)
-                    .workers(2)
-                    .stats()
-                    .unwrap()
-            };
-            let virt = run(ExecBackend::Virtual);
-            let dense = run(ExecBackend::Dense);
+            let outs: Vec<RunOutcome> = (0..6)
+                .map(|seed| {
+                    let mut adv = standard().build(key, 96, seed).unwrap();
+                    let mut processes = algo.instantiate(96, seed).processes;
+                    Arena::new()
+                        .run(
+                            &mut processes,
+                            adv.as_mut(),
+                            RenamingAlgorithm::step_budget(&algo, 96),
+                        )
+                        .unwrap()
+                })
+                .collect();
+            let virt = BatchStats::from_outcomes(&outs, 96);
+            let dense = BatchRun::new(&algo, 96)
+                .seeds(6)
+                .adversary(key)
+                .backend(ExecBackend::Dense)
+                .workers(2)
+                .stats()
+                .unwrap();
             assert_eq!(virt.step_complexity, dense.step_complexity, "{key}");
             assert_eq!(virt.total_steps, dense.total_steps, "{key}");
             assert_eq!(virt.unnamed, dense.unnamed, "{key}");
@@ -886,8 +883,8 @@ mod tests {
         assert!(cfg.json_path.is_none());
         assert!(cfg.quick);
 
-        // `--backend` selects the execution core; default is virtual.
-        assert_eq!(cfg.backend, ExecBackend::Virtual);
+        // `--backend` selects the execution core; default is dense.
+        assert_eq!(cfg.backend, ExecBackend::Dense);
         let cfg = RunConfig::from_args(["--backend", "dense"].map(String::from), None);
         assert_eq!(cfg.backend, ExecBackend::Dense);
         let cfg = RunConfig::from_args(["--backend", "threads:t=3"].map(String::from), None);
@@ -896,7 +893,7 @@ mod tests {
         assert_eq!(cfg.backend, ExecBackend::Shard { s: 2 });
         // `--backend` with no value (next is a flag) leaves the default.
         let cfg = RunConfig::from_args(["--backend", "--quick"].map(String::from), None);
-        assert_eq!(cfg.backend, ExecBackend::Virtual);
+        assert_eq!(cfg.backend, ExecBackend::Dense);
         assert!(cfg.quick);
 
         // `--rng` selects the per-process RNG backend; default chacha8.
@@ -917,7 +914,7 @@ mod tests {
     #[test]
     fn default_rng_mode_is_bit_identical_to_unset() {
         let algo = TightRenaming::calibrated(4);
-        for backend in [ExecBackend::Virtual, ExecBackend::Dense, ExecBackend::Shard { s: 2 }] {
+        for backend in [ExecBackend::Dense, ExecBackend::Shard { s: 2 }] {
             let plain =
                 BatchRun::new(&algo, 96).seeds(3).backend(backend).workers(1).stats().unwrap();
             let explicit = BatchRun::new(&algo, 96)
@@ -933,7 +930,7 @@ mod tests {
         }
     }
 
-    /// Counter mode runs safely on every backend, and virtual / dense /
+    /// Counter mode runs safely on every backend, and dense and
     /// shard:s=1 agree bit for bit under it (same determinism contract
     /// as the default stream).
     #[test]
@@ -948,16 +945,13 @@ mod tests {
                 .stats()
                 .unwrap()
         };
-        let virt = run(ExecBackend::Virtual);
         let dense = run(ExecBackend::Dense);
         let shard = run(ExecBackend::Shard { s: 1 });
-        assert_eq!(virt.violations, 0);
-        assert_eq!(virt.max_unnamed(), 0);
-        for other in [&dense, &shard] {
-            assert_eq!(virt.step_complexity, other.step_complexity);
-            assert_eq!(virt.total_steps, other.total_steps);
-            assert_eq!(virt.unnamed, other.unnamed);
-        }
+        assert_eq!(dense.violations, 0);
+        assert_eq!(dense.max_unnamed(), 0);
+        assert_eq!(dense.step_complexity, shard.step_complexity);
+        assert_eq!(dense.total_steps, shard.total_steps);
+        assert_eq!(dense.unnamed, shard.unnamed);
     }
 
     #[test]
@@ -981,7 +975,7 @@ mod tests {
                     64,
                     seed,
                     RngMode::default(),
-                    ExecBackend::Virtual,
+                    ExecBackend::Dense,
                     fair.as_mut(),
                     &mut arena,
                 )

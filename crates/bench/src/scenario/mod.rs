@@ -250,27 +250,30 @@ mod tests {
         assert!(body.contains("\"section\":\"demo\""));
         assert!(body.contains("\"algorithm\":\"tight-tau:c=4\""));
         assert!(body.contains("\"adversary\":\"random\""));
-        assert!(body.contains("\"backend\":\"virtual\""));
+        assert!(body.contains("\"backend\":\"dense\""));
         assert!(body.contains("\"steps_p50\":"));
         assert!(body.contains("\"violations\":0"));
         assert!(body.contains("\"runs_per_sec\":"));
         assert!(body.contains("\"steps_per_sec\":"));
     }
 
-    /// The same spec run on the dense backend renders the identical
-    /// table and identical deterministic records — only the backend tag
-    /// and the timing records differ.
+    /// The same spec run on the default dense backend and on
+    /// `shard:s=1` renders the identical table and identical
+    /// deterministic records — only the backend tag and the timing
+    /// records differ.
     #[test]
     fn dense_backend_renders_identically() {
-        let virt = render_to_string(tiny_spec());
+        let dense = render_to_string(tiny_spec());
         let mut buf = Vec::new();
         {
-            let cfg =
-                RunConfig { backend: crate::runner::ExecBackend::Dense, ..Default::default() };
+            let cfg = RunConfig {
+                backend: crate::runner::ExecBackend::Shard { s: 1 },
+                ..Default::default()
+            };
             let mut sinks: Vec<Box<dyn Sink + '_>> = vec![Box::new(TableSink::new(&mut buf))];
             run_spec(tiny_spec(), &cfg, &mut sinks);
         }
-        assert_eq!(virt, String::from_utf8(buf).unwrap());
+        assert_eq!(dense, String::from_utf8(buf).unwrap());
     }
 
     /// Default-mode records never mention the RNG (snapshots stay

@@ -39,11 +39,10 @@ impl BackendsOptions {
     }
 }
 
-/// The shoot-out scenario: `virtual`, `dense`, `shard:s=1` and
-/// `shard:s=4` over the identical batch, wall-clocked, with the
-/// speedup-over-virtual in the last column. `dense` and `shard:s=1`
-/// promise bit-identity to `virtual` and the race asserts it (not
-/// assumes it); `shard:s=4` runs a genuinely different — but still
+/// The shoot-out scenario: `dense`, `shard:s=1` and `shard:s=4` over
+/// the identical batch, wall-clocked, with the speedup over `dense` in
+/// the last column. `shard:s=1` promises bit-identity to `dense` and
+/// the race asserts it (not assumes it); `shard:s=4` runs a genuinely different — but still
 /// (seed, S)-deterministic — partitioned schedule, so only its
 /// aggregate run count is checked. The shard counts are pinned, not
 /// core-count-derived, so the table is byte-stable across machines.
@@ -56,8 +55,8 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
     let opts = opts.clone();
     ScenarioSpec {
         id: "BACKENDS",
-        claim: "one execution loop, three execution cores — dense and shard:s=1 must match \
-                virtual bit-for-bit, and sharding must scale with cores",
+        claim: "one execution loop, two deterministic execution cores — shard:s=1 must match \
+                dense bit-for-bit, and sharding must scale with cores",
         sections: vec![Section::custom(move |emitter| {
             let reg = registry();
             let algo =
@@ -83,12 +82,9 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
                 "speedup",
             ]);
             let mut reference: Option<(BatchStats, f64)> = None;
-            for backend in [
-                ExecBackend::Virtual,
-                ExecBackend::Dense,
-                ExecBackend::Shard { s: 1 },
-                ExecBackend::Shard { s: 4 },
-            ] {
+            for backend in
+                [ExecBackend::Dense, ExecBackend::Shard { s: 1 }, ExecBackend::Shard { s: 4 }]
+            {
                 let (stats, timing) = BatchRun::new(algo.as_ref(), opts.n)
                     .seeds(opts.seeds)
                     .adversary(&opts.adversary)
@@ -97,31 +93,29 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
                     .workers(threads)
                     .run()
                     .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"));
-                // Only the backends that promise it are held to
-                // bit-identity with the virtual reference; shard:s=4
-                // runs a different (deterministic) partitioned schedule.
-                let bit_identical =
-                    matches!(backend, ExecBackend::Dense | ExecBackend::Shard { s: 1 });
+                // Only shard:s=1 promises bit-identity with the dense
+                // reference; shard:s=4 runs a different (deterministic)
+                // partitioned schedule.
                 let speedup = match &reference {
                     None => "1.00x (baseline)".to_string(),
-                    Some((virt, virt_wall)) => {
-                        if bit_identical {
+                    Some((dense, dense_wall)) => {
+                        if backend == (ExecBackend::Shard { s: 1 }) {
                             assert_eq!(
-                                virt.step_complexity,
+                                dense.step_complexity,
                                 stats.step_complexity,
-                                "{} diverged from virtual on step complexity",
+                                "{} diverged from dense on step complexity",
                                 backend.key()
                             );
                             assert_eq!(
-                                virt.total_steps,
+                                dense.total_steps,
                                 stats.total_steps,
-                                "{} diverged from virtual on total steps",
+                                "{} diverged from dense on total steps",
                                 backend.key()
                             );
                         } else {
-                            assert_eq!(virt.runs, stats.runs, "{} dropped runs", backend.key());
+                            assert_eq!(dense.runs, stats.runs, "{} dropped runs", backend.key());
                         }
-                        format!("{}x", fnum(virt_wall / timing.wall_secs, 2))
+                        format!("{}x", fnum(dense_wall / timing.wall_secs, 2))
                     }
                 };
                 table.row(vec![
@@ -169,7 +163,7 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
                 ));
                 return;
             }
-            let (_, virtual_wall) = reference.expect("virtual baseline ran first");
+            let (_, chacha_wall) = reference.expect("dense baseline ran first");
 
             // --- counter-RNG leg -----------------------------------
             // The flagged per-step cost floor: the same batch with the
@@ -177,20 +171,11 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
             // records carry "rng":"counter"; the default rows above are
             // untouched, bit for bit). The dense row runs through an
             // explicit arena so the batched request_block macro-step
-            // stats are visible; virtual and dense must still agree
-            // bit-for-bit under the new coin stream.
+            // stats are visible.
             emitter.text(
                 "\n-- counter RNG mode (modelling change: different coin stream, \
                  records tagged \"rng\":\"counter\") --",
             );
-            let virt_counter = BatchRun::new(algo.as_ref(), opts.n)
-                .seeds(opts.seeds)
-                .adversary(&opts.adversary)
-                .backend(ExecBackend::Virtual)
-                .rng_mode(RngMode::Counter)
-                .workers(threads)
-                .run()
-                .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"));
             let build = standard()
                 .prepare(&opts.adversary)
                 .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"));
@@ -210,14 +195,6 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
             }
             let dense_counter = BatchStats::from_outcomes(&outs, opts.n);
             let (block_claims, block_steps) = arena.block_stats();
-            assert_eq!(
-                virt_counter.0.step_complexity, dense_counter.step_complexity,
-                "dense diverged from virtual on step complexity under counter mode"
-            );
-            assert_eq!(
-                virt_counter.0.total_steps, dense_counter.total_steps,
-                "dense diverged from virtual on total steps under counter mode"
-            );
             let mut ctable = Table::new(vec![
                 "backend",
                 "steps p50",
@@ -225,31 +202,35 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
                 "wall s",
                 "runs/s",
                 "Msteps/s",
-                "speedup vs virtual/chacha8",
+                "speedup vs dense/chacha8",
             ]);
-            let dense_timing = BatchTiming {
+            let timing = BatchTiming {
                 wall_secs: dense_wall,
                 runs: opts.seeds,
                 steps: dense_counter.total_work(),
             };
-            for (backend, stats, timing) in [
-                (ExecBackend::Virtual, &virt_counter.0, &virt_counter.1),
-                (ExecBackend::Dense, &dense_counter, &dense_timing),
-            ] {
-                ctable.row(vec![
-                    backend.key(),
-                    upper_median(&stats.step_complexity).to_string(),
-                    stats.total_work().to_string(),
-                    fnum(timing.wall_secs, 3),
-                    fnum(timing.runs_per_sec(), 2),
-                    fnum(timing.steps_per_sec() / 1e6, 2),
-                    format!("{}x", fnum(virtual_wall / timing.wall_secs, 2)),
-                ]);
-                let mut fields = vec![
+            ctable.row(vec![
+                ExecBackend::Dense.key(),
+                upper_median(&dense_counter.step_complexity).to_string(),
+                dense_counter.total_work().to_string(),
+                fnum(timing.wall_secs, 3),
+                fnum(timing.runs_per_sec(), 2),
+                fnum(timing.steps_per_sec() / 1e6, 2),
+                format!("{}x", fnum(chacha_wall / timing.wall_secs, 2)),
+            ]);
+            // The batched τ-CAS macro-step: how many request_block
+            // claims fired and how many decisions they covered.
+            // Deterministic (the dense schedule is a pure function of
+            // the seeds), so the snapshot pins them — a silent change
+            // to the batching heuristic moves these counts.
+            emitter.record(&Record {
+                scenario: "BACKENDS".into(),
+                section: String::new(),
+                fields: vec![
                     ("kind".into(), Value::Str("throughput".into())),
                     ("algorithm".into(), Value::Str(opts.algorithm.clone())),
                     ("adversary".into(), Value::Str(opts.adversary.clone())),
-                    ("backend".into(), Value::Str(backend.key())),
+                    ("backend".into(), Value::Str(ExecBackend::Dense.key())),
                     ("n".into(), Value::U64(opts.n as u64)),
                     ("runs".into(), Value::U64(timing.runs)),
                     ("steps_total".into(), Value::U64(timing.steps)),
@@ -257,23 +238,10 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
                     ("runs_per_sec".into(), Value::F64(timing.runs_per_sec())),
                     ("steps_per_sec".into(), Value::F64(timing.steps_per_sec())),
                     ("rng".into(), Value::Str(RngMode::Counter.key().into())),
-                ];
-                if backend == ExecBackend::Dense {
-                    // The batched τ-CAS macro-step: how many
-                    // request_block claims fired and how many decisions
-                    // they covered. Deterministic (the dense schedule is
-                    // a pure function of the seeds), so the snapshot
-                    // pins them — a silent change to the batching
-                    // heuristic moves these counts.
-                    fields.push(("block_claims".into(), Value::U64(block_claims)));
-                    fields.push(("block_steps".into(), Value::U64(block_steps)));
-                }
-                emitter.record(&Record {
-                    scenario: "BACKENDS".into(),
-                    section: String::new(),
-                    fields,
-                });
-            }
+                    ("block_claims".into(), Value::U64(block_claims)),
+                    ("block_steps".into(), Value::U64(block_steps)),
+                ],
+            });
             emitter.text(ctable.to_string());
             emitter.text(format!(
                 "batched request_block (dense): {block_claims} block claims covering \
@@ -281,13 +249,11 @@ pub fn backends(cfg: &RunConfig, opts: &BackendsOptions) -> ScenarioSpec {
             ));
         })],
         claim_check: "claim check: the speedup column is each backend's wall-clock over the \
-                      boxed virtual executor on the identical batch (bit-checked for dense \
-                      and shard:s=1); the tentpole target is ≥ 5x for dense at n = 2^20, \
-                      and shard:s=K adds multi-core scaling on top when cores allow. The \
-                      counter-RNG rows are a flagged modelling change (records carry \
-                      \"rng\":\"counter\"; every default-mode number is untouched): the \
-                      per-step cost-floor target is ≥ 5x over the virtual/chacha8 baseline \
-                      for dense+counter at n = 2^20, reported honestly either way."
+                      dense executor on the identical batch (shard:s=1 bit-checked against \
+                      dense); shard:s=K adds multi-core scaling on top when cores allow. The \
+                      counter-RNG row is a flagged modelling change (its record carries \
+                      \"rng\":\"counter\"; every default-mode number is untouched), timed \
+                      against the dense/chacha8 row and reported as measured."
             .into(),
         reproduces: vec![],
     }

@@ -11,9 +11,8 @@ use rr_baselines::{LinearScan, ScanStart, SplitterGrid};
 use rr_renaming::traits::{Cor9, RenamingAlgorithm};
 use rr_renaming::TightRenaming;
 use rr_sched::adversary::{Adversary, Decision, FairAdversary, RunView};
-use rr_sched::process::Process;
 use rr_sched::registry::ParsedKey;
-use rr_sched::virtual_exec::run;
+use rr_sched::shard::Arena;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -269,12 +268,9 @@ impl Adversary for ProgressProbe {
 }
 
 fn series_for(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) -> Vec<f64> {
-    let inst = algo.instantiate(n, seed);
-    let m = inst.m;
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
+    let m = algo.m(n);
     let mut probe = ProgressProbe::new(n);
-    let out = run(procs, &mut probe, algo.step_budget(n)).unwrap();
+    let out = algo.run_dense(n, seed, &mut probe, &mut Arena::new()).unwrap();
     out.verify_renaming(m).unwrap();
     probe.series.push(1.0);
     probe.series

@@ -18,8 +18,7 @@ use rr_renaming::phase::AlmostTight;
 use rr_renaming::tight::TightRenaming;
 use rr_renaming::traits::RenamingAlgorithm;
 use rr_sched::adversary::FairAdversary;
-use rr_sched::process::Process;
-use rr_sched::virtual_exec::run;
+use rr_sched::shard::Arena;
 use rr_shmem::rng::RngMode;
 use rr_tau::{ConcurrentTauRegister, CountingDevice};
 use std::collections::HashSet;
@@ -108,13 +107,11 @@ fn lemma4_report(
     max_rounds: usize,
 ) {
     let algo = algo.with_recorder();
-    let (shared, procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
-    let boxed: Vec<Box<dyn Process>> =
-        procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
+    let (shared, mut procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
     // The recorder's extra bookkeeping doubles the guard over the
     // trait's 200·n·(⌈log₂ n⌉ + 16) default.
     let budget = 2 * RenamingAlgorithm::step_budget(&algo, n);
-    let out = run(boxed, &mut FairAdversary::default(), budget).unwrap();
+    let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), budget).unwrap();
     out.verify_renaming(n).unwrap();
 
     let plan = &shared.plan;
@@ -326,20 +323,19 @@ pub fn adaptive(cfg: &RunConfig) -> ScenarioSpec {
             let mut worst_steps = 0u64;
             let mut unnamed = 0usize;
             for seed in 0..seeds {
-                let (shared, procs) = AdaptiveRenaming.instantiate_participants_rng(
+                let (shared, mut procs) = AdaptiveRenaming.instantiate_participants_rng(
                     k,
                     max_n,
                     seed,
                     RngMode::default(),
                 );
-                let boxed: Vec<Box<dyn Process>> =
-                    procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-                let out = run(
-                    boxed,
-                    &mut FairAdversary::default(),
-                    RenamingAlgorithm::step_budget(&AdaptiveRenaming, max_n),
-                )
-                .unwrap();
+                let out = Arena::new()
+                    .run(
+                        &mut procs,
+                        &mut FairAdversary::default(),
+                        RenamingAlgorithm::step_budget(&AdaptiveRenaming, max_n),
+                    )
+                    .unwrap();
                 out.verify_renaming(shared.layout().total).unwrap();
                 unnamed += out.gave_up_count();
                 worst_name = worst_name.max(out.names.iter().flatten().copied().max().unwrap_or(0));
@@ -512,17 +508,12 @@ fn ablate_finisher(em: &mut Emitter<'_, '_>, k: usize, spare: usize, seeds: u64)
             }
             let random_budget = plan.max_random_probes();
             let shared = Arc::new(SpareShared::new(0, spare));
-            let procs: Vec<Box<dyn Process>> = (0..k)
+            let mut procs: Vec<_> = (0..k)
                 .map(|pid| {
-                    Box::new(AlmostTight(AagwProcess::new(
-                        pid,
-                        seed,
-                        Arc::clone(&shared),
-                        plan.clone(),
-                    ))) as Box<dyn Process>
+                    AlmostTight(AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone()))
                 })
                 .collect();
-            let out = run(procs, &mut FairAdversary::default(), 1 << 30).unwrap();
+            let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 30).unwrap();
             out.verify_renaming(spare).unwrap();
             max_steps = max_steps.max(out.step_complexity());
             total_steps += out.total_steps();

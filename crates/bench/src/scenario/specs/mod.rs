@@ -19,7 +19,7 @@
 //! | [`ablation`] | `exp_ablation` | E14 — design-constant ablations |
 //! | [`progress`] | `exp_progress` | E15 — named-fraction curves |
 //! | [`matrix`] | `exp_matrix` | algorithm × adversary × n cross-product |
-//! | [`backends`] | `exp_backends` | execution-backend shoot-out (virtual vs dense, timed) |
+//! | [`backends`] | `exp_backends` | execution-backend shoot-out (dense vs shard, timed) |
 //! | [`explore`] | `exp_explore` | schedule-space search: exhaustive DFS + fuzz, tape shrinking |
 //! | [`route`] | `exp_route` | topology-routed renaming: steps vs switching-network depth |
 //!

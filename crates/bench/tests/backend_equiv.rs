@@ -1,16 +1,17 @@
 //! Cross-backend equivalence: the contract that makes `--backend` a
 //! free choice rather than a different experiment.
 //!
-//! * `dense` must reproduce the `virtual` backend's [`BatchStats`]
-//!   **bit for bit** for every registry algorithm under every adversary
-//!   family the engine schedules deterministically — same announce
-//!   cadence, same observable slot roster (the packed bitmap's snapshot
-//!   reproduces the old tombstoned vector exactly), same RNG
-//!   consumption.
+//! * Boxed processes (`Box<dyn Process>`, what the `threads` backend
+//!   and heterogeneous workloads run) must reproduce the typed dense
+//!   run **bit for bit** for every registry algorithm under every
+//!   adversary family the engine schedules deterministically, in every
+//!   RNG mode — same outcome, same RNG draws, same batched τ-CAS
+//!   claims. This pins the `Box<P>` forwarding of `tau_host`,
+//!   `step_claimed` and `rng_words` against typed dispatch.
 //! * `shard:s=1` is the degenerate partition (one shard, identity
-//!   sub-seed, zero cross-shard traffic) and must likewise be
-//!   bit-identical to `dense` — and therefore to `virtual`.
-//! * Both identities hold in every RNG mode: under `rng:mode=counter`
+//!   sub-seed, zero cross-shard traffic) and must be bit-identical to
+//!   `dense`.
+//! * That identity holds in every RNG mode: under `rng:mode=counter`
 //!   the deterministic baselines (which draw no coins) and the
 //!   randomized protocols alike build their typed processes through the
 //!   same `build`, so no backend can fall back to a different path.
@@ -32,7 +33,9 @@
 use rr_bench::runner::{BatchRun, BatchStats, ExecBackend};
 use rr_bench::scenario::registry;
 use rr_renaming::registry::BoxedAlgorithm;
+use rr_sched::process::Process;
 use rr_sched::registry::standard;
+use rr_sched::shard::Arena;
 use rr_shmem::rng::RngMode;
 
 /// Sizes small enough that the full registry × adversary sweep stays in
@@ -100,15 +103,49 @@ fn assert_bit_identical(a: &BatchStats, b: &BatchStats, ctx: &str) {
     assert_eq!(ab, bb, "{ctx}");
 }
 
+/// The virtual path — the boxed [`Instance`](rr_renaming::traits::Instance)
+/// processes on an arena — against the typed dense `run_dense_with`
+/// path, seed by seed: the full outcome, the summed RNG words and the
+/// arena's batched-claim counters must all agree.
 #[test]
 fn dense_matches_virtual_bit_for_bit_for_every_algorithm_and_adversary() {
     let reg = registry();
     for algo_key in reg.keys() {
         let algo = reg.build(algo_key).unwrap();
         for adv_key in swept_adversary_keys() {
-            let virt = batch(&algo, N, SEEDS, adv_key, ExecBackend::Virtual, 2);
-            let dense = batch(&algo, N, SEEDS, adv_key, ExecBackend::Dense, 2);
-            assert_bit_identical(&virt, &dense, &format!("{algo_key} under {adv_key}"));
+            for rng in RngMode::ALL {
+                for seed in 0..SEEDS {
+                    let ctx = format!("{algo_key} under {adv_key}, rng {rng}, seed {seed}");
+                    let mut adv = standard().build(adv_key, N, seed).unwrap();
+                    let mut boxed_arena = Arena::new();
+                    let mut processes = algo.instantiate_with(N, seed, rng).processes;
+                    let boxed = boxed_arena
+                        .run(&mut processes, adv.as_mut(), algo.step_budget(N))
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    // `Process::rng_words` with `Self = Box<_>`: method
+                    // syntax on a box would call the trait object
+                    // directly and skip the forwarding under test.
+                    let boxed_words: u64 = processes.iter().filter_map(Process::rng_words).sum();
+
+                    let mut adv = standard().build(adv_key, N, seed).unwrap();
+                    let mut typed_arena = Arena::new();
+                    let (typed, typed_words) = algo
+                        .run_dense_with_draws(N, seed, rng, adv.as_mut(), &mut typed_arena)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+
+                    assert_eq!(boxed.names, typed.names, "{ctx}: names");
+                    assert_eq!(boxed.steps, typed.steps, "{ctx}: steps");
+                    assert_eq!(boxed.crashed, typed.crashed, "{ctx}: crashed");
+                    assert_eq!(boxed.gave_up, typed.gave_up, "{ctx}: gave_up");
+                    assert_eq!(boxed.decisions, typed.decisions, "{ctx}: decisions");
+                    assert_eq!(boxed_words, typed_words, "{ctx}: rng words");
+                    assert_eq!(
+                        boxed_arena.block_stats(),
+                        typed_arena.block_stats(),
+                        "{ctx}: block stats"
+                    );
+                }
+            }
         }
     }
 }
@@ -131,9 +168,9 @@ fn shard_with_one_shard_matches_dense_bit_for_bit_for_every_algorithm_and_advers
     }
 }
 
-/// The same two identities under the counter RNG stream: `virtual`,
-/// `dense` and `shard:s=1` agree bit for bit for every registry cell,
-/// deterministic baselines included.
+/// The same identity under the counter RNG stream: `dense` and
+/// `shard:s=1` agree bit for bit for every registry cell, deterministic
+/// baselines included.
 #[test]
 fn counter_mode_backends_match_bit_for_bit_for_every_algorithm_and_adversary() {
     let reg = registry();
@@ -141,11 +178,9 @@ fn counter_mode_backends_match_bit_for_bit_for_every_algorithm_and_adversary() {
         let algo = reg.build(algo_key).unwrap();
         for adv_key in swept_adversary_keys() {
             let run = |backend| batch_rng(&algo, N, SEEDS, adv_key, backend, RngMode::Counter, 1);
-            let virt = run(ExecBackend::Virtual);
             let ctx = format!("{algo_key} under {adv_key}, rng counter");
-            assert_bit_identical(&virt, &run(ExecBackend::Dense), &format!("{ctx}: dense"));
             assert_bit_identical(
-                &virt,
+                &run(ExecBackend::Dense),
                 &run(ExecBackend::Shard { s: 1 }),
                 &format!("{ctx}: shard"),
             );
@@ -171,7 +206,7 @@ fn shard_with_many_shards_is_deterministic_for_every_algorithm() {
 /// Every registry algorithm must pass the renaming audit on the threads
 /// backend, with every process accounted for: named, gave up, or (for
 /// pids absent from the sparse slot range — none here) crash-equivalent.
-/// For the full protocols the name count must equal the virtual
+/// For the full protocols the name count must equal the dense
 /// backend's (= n); the almost-tight protocols may split differently
 /// between named and gave-up under free-running schedules, but the
 /// partition must still be total.

@@ -67,7 +67,7 @@ proptest! {
             n,
             seed,
             RngMode::Counter,
-            ExecBackend::Virtual,
+            ExecBackend::Dense,
             adv.as_mut(),
             &mut Arena::new(),
         );
@@ -121,7 +121,7 @@ proptest! {
                 n,
                 seed,
                 rng,
-                ExecBackend::Virtual,
+                ExecBackend::Dense,
                 adv.as_mut(),
                 &mut Arena::new(),
             )

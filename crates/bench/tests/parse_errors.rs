@@ -23,7 +23,11 @@ fn backend_rejects_zero_shards_with_a_named_bound() {
 fn backend_rejects_unknown_names_listing_the_alternatives() {
     assert_eq!(
         ExecBackend::parse("gpu").unwrap_err(),
-        "unknown backend `gpu` (known: virtual, dense, threads:t=N, shard:s=N)"
+        "unknown backend `gpu` (known: dense, threads:t=N, shard:s=N)"
+    );
+    assert_eq!(
+        ExecBackend::parse("virtual").unwrap_err(),
+        "unknown backend `virtual` (known: dense, threads:t=N, shard:s=N)"
     );
 }
 
@@ -35,7 +39,7 @@ fn backend_rejects_unknown_and_malformed_parameters() {
     );
     assert_eq!(
         ExecBackend::parse("virtual:x=1").unwrap_err(),
-        "unknown parameter `x` for `virtual` (allowed: none)"
+        "unknown backend `virtual` (known: dense, threads:t=N, shard:s=N)"
     );
     assert_eq!(
         ExecBackend::parse("threads:x=1").unwrap_err(),
@@ -253,6 +257,33 @@ fn experiment_binaries_exit_2_on_sizes_below_an_algorithm_minimum() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr.trim(), format!("{name}: {message}"), "{name} {args:?}");
     }
+}
+
+/// The `--help` text of every binary that takes `--backend` names each
+/// key of the backend table, so the usage string cannot drift from the
+/// parser; a removed key is rejected on the command line with exit 2.
+#[test]
+fn backend_taking_binaries_list_every_backend_key_in_their_help() {
+    for (exe, name) in [
+        (env!("CARGO_BIN_EXE_exp_matrix"), "exp_matrix"),
+        (env!("CARGO_BIN_EXE_exp_report"), "exp_report"),
+    ] {
+        let out = std::process::Command::new(exe).arg("--help").output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{name} --help");
+        let help = String::from_utf8_lossy(&out.stdout);
+        for (key, _, _) in rr_bench::listing::backend_rows() {
+            assert!(help.contains(key), "{name} --help omits backend `{key}`:\n{help}");
+        }
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_matrix"))
+        .args(["--backend", "virtual"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim(),
+        "--backend virtual: unknown backend `virtual` (known: dense, threads:t=N, shard:s=N)"
+    );
 }
 
 #[test]

@@ -11,11 +11,10 @@ use rr_bench::runner::{run_once, BatchStats, ExecBackend};
 use rr_renaming::traits::{LooseL6, RenamingAlgorithm};
 use rr_renaming::TightRenaming;
 use rr_sched::explore::{shrink_tape, TolerantReplay};
-use rr_sched::process::Process;
 use rr_sched::registry::standard;
 use rr_sched::replay::{RecordingAdversary, ReplayAdversary, Tape};
 use rr_sched::shard::Arena;
-use rr_sched::virtual_exec::{run, RunOutcome};
+use rr_sched::virtual_exec::RunOutcome;
 use rr_sched::Adversary;
 use rr_shmem::rng::RngMode;
 
@@ -46,26 +45,26 @@ fn assert_bit_identical(a: &BatchStats, b: &BatchStats, what: &str) {
     assert_eq!(ab, bb, "{what}: mean_steps bits");
 }
 
-/// One audited run of `algo` on the virtual backend in the default RNG
+/// One audited run of `algo` on the dense backend in the default RNG
 /// mode under `adversary`.
-fn run_virtual(
+fn audited_run(
     algo: &dyn RenamingAlgorithm,
     n: usize,
     seed: u64,
     adversary: &mut dyn Adversary,
 ) -> RunOutcome {
-    run_once(algo, n, seed, RngMode::default(), ExecBackend::Virtual, adversary, &mut Arena::new())
+    run_once(algo, n, seed, RngMode::default(), ExecBackend::Dense, adversary, &mut Arena::new())
 }
 
 fn record_then_replay(algo: &dyn RenamingAlgorithm, n: usize, seed: u64, key: &str) {
     let mut recorder =
         RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
-    let recorded_out = run_virtual(algo, n, seed, &mut recorder);
+    let recorded_out = audited_run(algo, n, seed, &mut recorder);
     let tape = recorder.into_tape();
     assert_eq!(tape.len() as u64, recorded_out.decisions, "{key}: tape covers every decision");
 
     let mut replayer = ReplayAdversary::new(tape);
-    let replayed_out = run_virtual(algo, n, seed, &mut replayer);
+    let replayed_out = audited_run(algo, n, seed, &mut replayer);
 
     let recorded = BatchStats::from_outcomes([&recorded_out], n);
     let replayed = BatchStats::from_outcomes([&replayed_out], n);
@@ -99,10 +98,7 @@ proptest! {
 
 /// Replays `tape` tolerantly against a fresh instance of `algo`.
 fn tolerant_replay(algo: &dyn RenamingAlgorithm, n: usize, seed: u64, tape: &Tape) -> RunOutcome {
-    let inst = algo.instantiate(n, seed);
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    run(procs, &mut TolerantReplay::new(tape.clone()), algo.step_budget(n))
+    algo.run_dense(n, seed, &mut TolerantReplay::new(tape.clone()), &mut Arena::new())
         .expect("tolerant replay within the default budget")
 }
 
@@ -127,7 +123,7 @@ proptest! {
         for key in ADVERSARIES {
             let mut recorder =
                 RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
-            let original_out = run_virtual(&algo, n, seed, &mut recorder);
+            let original_out = audited_run(&algo, n, seed, &mut recorder);
             let tape = recorder.into_tape();
             let worst = original_out.step_complexity();
             let fails = |t: &Tape| tolerant_replay(&algo, n, seed, t).step_complexity() >= worst;
@@ -155,14 +151,12 @@ proptest! {
         for key in ADVERSARIES {
             let mut recorder =
                 RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
-            let out = run_virtual(&algo, n, seed, &mut recorder);
+            let out = audited_run(&algo, n, seed, &mut recorder);
             let tape = recorder.into_tape();
             let budget = out.total_steps() / 2;
             let failing_run = |adv: &mut dyn Adversary| -> Result<RunOutcome, String> {
-                let inst = algo.instantiate(n, seed);
-                let procs: Vec<Box<dyn Process>> =
-                    inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-                run(procs, adv, budget).map_err(|e| e.to_string())
+                let mut processes = algo.instantiate(n, seed).processes;
+                Arena::new().run(&mut processes, adv, budget).map_err(|e| e.to_string())
             };
             let original_err = failing_run(&mut ReplayAdversary::new(tape.clone()))
                 .expect_err("half the work cannot fit the budget");

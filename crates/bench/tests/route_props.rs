@@ -53,7 +53,7 @@ proptest! {
             n,
             seed,
             RngMode::ChaCha8,
-            ExecBackend::Virtual,
+            ExecBackend::Dense,
             adv.as_mut(),
             &mut Arena::new(),
         );

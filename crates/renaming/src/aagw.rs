@@ -214,23 +214,15 @@ mod tests {
     use super::*;
     use crate::phase::AlmostTight;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
-    use rr_sched::process::Process;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     fn finish(k: usize, spare: usize, seed: u64) -> rr_sched::virtual_exec::RunOutcome {
         let shared = Arc::new(SpareShared::new(1000, spare));
         let plan = FinisherPlan::new(spare);
-        let procs: Vec<Box<dyn Process>> = (0..k)
-            .map(|pid| {
-                Box::new(AlmostTight(AagwProcess::new(
-                    pid,
-                    seed,
-                    Arc::clone(&shared),
-                    plan.clone(),
-                ))) as Box<dyn Process>
-            })
+        let mut procs: Vec<_> = (0..k)
+            .map(|pid| AlmostTight(AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone())))
             .collect();
-        run(procs, &mut FairAdversary::default(), 1 << 26).unwrap()
+        Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap()
     }
 
     #[test]
@@ -278,13 +270,10 @@ mod tests {
     fn safety_under_random_adversary() {
         let shared = Arc::new(SpareShared::new(0, 128));
         let plan = FinisherPlan::new(128);
-        let procs: Vec<Box<dyn Process>> = (0..64)
-            .map(|pid| {
-                Box::new(AlmostTight(AagwProcess::new(pid, 3, Arc::clone(&shared), plan.clone())))
-                    as Box<dyn Process>
-            })
+        let mut procs: Vec<_> = (0..64)
+            .map(|pid| AlmostTight(AagwProcess::new(pid, 3, Arc::clone(&shared), plan.clone())))
             .collect();
-        let out = run(procs, &mut RandomAdversary::new(8), 1 << 26).unwrap();
+        let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(8), 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
         assert_eq!(shared.claimed(), 64);
     }

@@ -331,19 +331,18 @@ mod tests {
     use super::*;
     use crate::traits::RenamingAlgorithm;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
     fn run_adaptive(k: usize, max_n: usize, seed: u64) -> (Vec<usize>, u64, usize) {
-        let (shared, procs) =
+        let (shared, mut procs) =
             AdaptiveRenaming.instantiate_participants_rng(k, max_n, seed, RngMode::default());
-        let boxed: Vec<Box<dyn Process>> =
-            procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-        let out = run(
-            boxed,
-            &mut FairAdversary::default(),
-            RenamingAlgorithm::step_budget(&AdaptiveRenaming, max_n),
-        )
-        .unwrap();
+        let out = Arena::new()
+            .run(
+                &mut procs,
+                &mut FairAdversary::default(),
+                RenamingAlgorithm::step_budget(&AdaptiveRenaming, max_n),
+            )
+            .unwrap();
         out.verify_renaming(shared.layout().total).unwrap();
         assert_eq!(out.gave_up_count(), 0, "adaptive renaming must name everyone");
         let names: Vec<usize> = out.names.iter().flatten().copied().collect();
@@ -395,11 +394,9 @@ mod tests {
 
     #[test]
     fn safety_under_random_adversary() {
-        let (shared, procs) =
+        let (shared, mut procs) =
             AdaptiveRenaming.instantiate_participants_rng(64, 256, 2, RngMode::default());
-        let boxed: Vec<Box<dyn Process>> =
-            procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-        let out = run(boxed, &mut RandomAdversary::new(11), 1 << 26).unwrap();
+        let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(11), 1 << 26).unwrap();
         out.verify_renaming(shared.layout().total).unwrap();
     }
 

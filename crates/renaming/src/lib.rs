@@ -23,8 +23,9 @@
 //! * [`longlived`] — long-lived acquire/release renaming (related work
 //!   \[13\] context), on TAS registers with owner release.
 //!
-//! All protocols are [`rr_sched::Process`] state machines: run them under
-//! the adversarial virtual executor or on free-running threads.
+//! All protocols are [`rr_sched::Process`] state machines: run them in
+//! the adversary-scheduled arena ([`rr_sched::shard::Arena`]) or on
+//! free-running threads.
 //!
 //! ```
 //! use rr_renaming::traits::RenamingAlgorithm;

@@ -133,20 +133,14 @@ mod tests {
     use super::*;
     use crate::phase::AlmostTight;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
-    use rr_sched::process::Process;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
-    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<Box<dyn Process>>) {
+    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<AlmostTight<L6Process>>) {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma6Schedule::new(n, ell);
         let procs = (0..n)
             .map(|pid| {
-                Box::new(AlmostTight(L6Process::new(
-                    pid,
-                    seed,
-                    Arc::clone(&shared),
-                    schedule.clone(),
-                ))) as Box<dyn Process>
+                AlmostTight(L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
             })
             .collect();
         (shared, procs)
@@ -156,8 +150,8 @@ mod tests {
     fn unnamed_within_lemma_bound() {
         let n = 1 << 12;
         let schedule = Lemma6Schedule::new(n, 1);
-        let (_shared, procs) = instance(n, 1, 42);
-        let out = run(procs, &mut FairAdversary::default(), 1 << 26).unwrap();
+        let (_shared, mut procs) = instance(n, 1, 42);
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
         out.verify_renaming(n).unwrap();
         let unnamed = out.gave_up_count();
         assert!(
@@ -173,8 +167,8 @@ mod tests {
     fn step_complexity_is_schedule_bound() {
         let n = 1 << 10;
         let schedule = Lemma6Schedule::new(n, 2);
-        let (_shared, procs) = instance(n, 2, 5);
-        let out = run(procs, &mut FairAdversary::default(), 1 << 26).unwrap();
+        let (_shared, mut procs) = instance(n, 2, 5);
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
         assert!(out.step_complexity() <= schedule.total_steps);
         // Someone must have worked (everyone probes at least once).
         assert!(out.steps.iter().all(|&s| s >= 1));
@@ -184,8 +178,11 @@ mod tests {
     fn larger_ell_names_more() {
         let n = 1 << 12;
         let run_ell = |ell| {
-            let (_s, procs) = instance(n, ell, 7);
-            run(procs, &mut FairAdversary::default(), 1 << 26).unwrap().gave_up_count()
+            let (_s, mut procs) = instance(n, ell, 7);
+            Arena::new()
+                .run(&mut procs, &mut FairAdversary::default(), 1 << 26)
+                .unwrap()
+                .gave_up_count()
         };
         let u1 = run_ell(1);
         let u3 = run_ell(3);
@@ -195,8 +192,8 @@ mod tests {
     #[test]
     fn named_set_matches_claimed_registers() {
         let n = 512;
-        let (shared, procs) = instance(n, 2, 9);
-        let out = run(procs, &mut RandomAdversary::new(1), 1 << 26).unwrap();
+        let (shared, mut procs) = instance(n, 2, 9);
+        let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(1), 1 << 26).unwrap();
         let named = out.names.iter().filter(|x| x.is_some()).count();
         assert_eq!(named, shared.claimed());
     }

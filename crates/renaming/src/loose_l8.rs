@@ -122,20 +122,14 @@ mod tests {
     use super::*;
     use crate::phase::AlmostTight;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
-    use rr_sched::process::Process;
-    use rr_sched::virtual_exec::run;
+    use rr_sched::shard::Arena;
 
-    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<Box<dyn Process>>) {
+    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<AlmostTight<L8Process>>) {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma8Schedule::new(n, ell);
         let procs = (0..n)
             .map(|pid| {
-                Box::new(AlmostTight(L8Process::new(
-                    pid,
-                    seed,
-                    Arc::clone(&shared),
-                    schedule.clone(),
-                ))) as Box<dyn Process>
+                AlmostTight(L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
             })
             .collect();
         (shared, procs)
@@ -146,8 +140,8 @@ mod tests {
         // The asymptotic bound n/(log n)^ℓ has constants the paper does
         // not optimize; at n = 2^12, ℓ = 1, ask for ≤ 4·n/log n.
         let n = 1 << 12;
-        let (_s, procs) = instance(n, 1, 21);
-        let out = run(procs, &mut FairAdversary::default(), 1 << 26).unwrap();
+        let (_s, mut procs) = instance(n, 1, 21);
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
         out.verify_renaming(n).unwrap();
         let unnamed = out.gave_up_count() as f64;
         let bound = n as f64 / (n as f64).log2();
@@ -158,8 +152,8 @@ mod tests {
     fn step_complexity_is_exactly_bounded() {
         let n = 1 << 10;
         let schedule = Lemma8Schedule::new(n, 2);
-        let (_s, procs) = instance(n, 2, 3);
-        let out = run(procs, &mut FairAdversary::default(), 1 << 26).unwrap();
+        let (_s, mut procs) = instance(n, 2, 3);
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
         assert!(out.step_complexity() <= schedule.total_steps());
     }
 
@@ -200,16 +194,19 @@ mod tests {
     fn larger_ell_names_more() {
         let n = 1 << 12;
         let run_ell = |ell| {
-            let (_s, procs) = instance(n, ell, 13);
-            run(procs, &mut FairAdversary::default(), 1 << 26).unwrap().gave_up_count()
+            let (_s, mut procs) = instance(n, ell, 13);
+            Arena::new()
+                .run(&mut procs, &mut FairAdversary::default(), 1 << 26)
+                .unwrap()
+                .gave_up_count()
         };
         assert!(run_ell(2) <= run_ell(1));
     }
 
     #[test]
     fn safety_under_random_adversary() {
-        let (_s, procs) = instance(1 << 10, 1, 17);
-        let out = run(procs, &mut RandomAdversary::new(2), 1 << 26).unwrap();
+        let (_s, mut procs) = instance(1 << 10, 1, 17);
+        let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(2), 1 << 26).unwrap();
         out.verify_renaming(1 << 10).unwrap();
     }
 }

@@ -354,14 +354,12 @@ impl Process for TightProcess {
 /// ```
 /// use rr_renaming::TightRenaming;
 /// use rr_sched::adversary::FairAdversary;
-/// use rr_sched::process::Process;
+/// use rr_sched::shard::Arena;
 /// use rr_shmem::rng::RngMode;
 ///
-/// let (shared, procs) =
+/// let (shared, mut procs) =
 ///     TightRenaming::calibrated(4).instantiate_shared_rng(64, 7, RngMode::default());
-/// let boxed: Vec<Box<dyn Process>> =
-///     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-/// let out = rr_sched::virtual_exec::run(boxed, &mut FairAdversary::default(), 1 << 20).unwrap();
+/// let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 20).unwrap();
 /// out.verify_renaming(64).unwrap();           // tight: names are exactly [0, 64)
 /// assert_eq!(shared.names_claimed(), 64);
 /// ```
@@ -419,17 +417,13 @@ mod tests {
         Adversary, CollisionMaximizer, CrashAdversary, Decision, FairAdversary, RandomAdversary,
         RunView,
     };
-    use rr_sched::virtual_exec::run;
-
-    fn boxed(procs: Vec<TightProcess>) -> Vec<Box<dyn Process + 'static>> {
-        procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect()
-    }
+    use rr_sched::shard::Arena;
 
     #[test]
     fn small_run_names_everyone_distinctly() {
-        let (_shared, procs) =
+        let (_shared, mut procs) =
             TightRenaming::calibrated(4).instantiate_shared_rng(64, 7, RngMode::default());
-        let out = run(boxed(procs), &mut FairAdversary::default(), 1_000_000).unwrap();
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1_000_000).unwrap();
         out.verify_renaming(64).unwrap();
         assert_eq!(out.gave_up_count(), 0);
         assert_eq!(out.names.iter().filter(|n| n.is_some()).count(), 64);
@@ -437,9 +431,9 @@ mod tests {
 
     #[test]
     fn names_are_exactly_zero_to_n_minus_one() {
-        let (_shared, procs) =
+        let (_shared, mut procs) =
             TightRenaming::calibrated(4).instantiate_shared_rng(100, 3, RngMode::default());
-        let out = run(boxed(procs), &mut RandomAdversary::new(3), 1_000_000).unwrap();
+        let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(3), 1_000_000).unwrap();
         let mut names: Vec<usize> = out.names.iter().map(|n| n.unwrap()).collect();
         names.sort_unstable();
         assert_eq!(names, (0..100).collect::<Vec<_>>(), "tight = full coverage of [0, n)");
@@ -450,9 +444,9 @@ mod tests {
         // Ratio max_steps / log2 n should stay bounded as n quadruples.
         let mut ratios = Vec::new();
         for n in [1usize << 8, 1 << 10, 1 << 12] {
-            let (_s, procs) =
+            let (_s, mut procs) =
                 TightRenaming::calibrated(4).instantiate_shared_rng(n, 11, RngMode::default());
-            let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 28).unwrap();
+            let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 28).unwrap();
             out.verify_renaming(n).unwrap();
             ratios.push(out.step_complexity() as f64 / (n as f64).log2());
         }
@@ -465,9 +459,9 @@ mod tests {
 
     #[test]
     fn paper_exact_terminates_via_fallback() {
-        let (_s, procs) =
+        let (_s, mut procs) =
             TightRenaming::paper_exact(4).instantiate_shared_rng(256, 5, RngMode::default());
-        let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 26).unwrap();
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
         out.verify_renaming(256).unwrap();
         assert_eq!(out.gave_up_count(), 0);
     }
@@ -475,8 +469,8 @@ mod tests {
     #[test]
     fn recorder_sees_all_first_round_requests() {
         let algo = TightRenaming::calibrated(4).with_recorder();
-        let (shared, procs) = algo.instantiate_shared_rng(512, 9, RngMode::default());
-        let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 26).unwrap();
+        let (shared, mut procs) = algo.instantiate_shared_rng(512, 9, RngMode::default());
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
         out.verify_renaming(512).unwrap();
         let rec = shared.recorder.as_ref().unwrap();
         let round0: u64 = rec.round_counts(0).iter().sum();
@@ -487,18 +481,19 @@ mod tests {
 
     #[test]
     fn safety_under_collision_maximizer() {
-        let (_s, procs) =
+        let (_s, mut procs) =
             TightRenaming::calibrated(4).instantiate_shared_rng(128, 13, RngMode::default());
-        let out = run(boxed(procs), &mut CollisionMaximizer::default(), 1 << 26).unwrap();
+        let out =
+            Arena::new().run(&mut procs, &mut CollisionMaximizer::default(), 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
     }
 
     #[test]
     fn crashes_only_lose_the_crashed() {
-        let (_s, procs) =
+        let (_s, mut procs) =
             TightRenaming::calibrated(4).instantiate_shared_rng(128, 17, RngMode::default());
         let mut adv = CrashAdversary::new(FairAdversary::default(), 0.02, 20, 23);
-        let out = run(boxed(procs), &mut adv, 1 << 26).unwrap();
+        let out = Arena::new().run(&mut procs, &mut adv, 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
         let crashed = out.crashed.iter().filter(|&&c| c).count();
         let named = out.names.iter().filter(|n| n.is_some()).count();
@@ -507,9 +502,9 @@ mod tests {
 
     #[test]
     fn shared_accounting_matches_outcome() {
-        let (shared, procs) =
+        let (shared, mut procs) =
             TightRenaming::calibrated(4).instantiate_shared_rng(64, 29, RngMode::default());
-        let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 24).unwrap();
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 24).unwrap();
         // Confirmed device winners ≥ named processes (crashed winners
         // would inflate; none here).
         assert_eq!(shared.names_claimed(), 64);
@@ -543,11 +538,9 @@ mod tests {
     /// The arena's batched τ-CAS dispatch (`TauBatchHost` +
     /// `step_claimed`) must be bit-identical to per-bit requests: same
     /// names, steps, and RNG draws under the batching `FairAdversary`,
-    /// a one-decision-at-a-time wrapper of it, and the virtual executor.
+    /// a one-decision-at-a-time wrapper of it, and the same processes boxed.
     #[test]
     fn batched_tau_cas_is_bit_identical_to_per_bit_requests() {
-        use rr_sched::shard::Arena;
-
         let mut claims = 0u64;
         for algo in [TightRenaming::calibrated(4), TightRenaming::paper_exact(4)] {
             for (n, seed) in [(64usize, 7u64), (100, 3), (256, 5), (130, 11)] {
@@ -571,9 +564,12 @@ mod tests {
                 assert_eq!(batched_draws, draws(&procs), "{} n {n}", algo.name());
 
                 let (_s, procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
-                let virt = run(boxed(procs), &mut FairAdversary::default(), budget).unwrap();
-                assert_eq!(batched.names, virt.names, "{} n {n}", algo.name());
-                assert_eq!(batched.steps, virt.steps, "{} n {n}", algo.name());
+                let mut boxed: Vec<Box<dyn Process>> =
+                    procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
+                let via_box =
+                    Arena::new().run(&mut boxed, &mut FairAdversary::default(), budget).unwrap();
+                assert_eq!(batched.names, via_box.names, "{} n {n}", algo.name());
+                assert_eq!(batched.steps, via_box.steps, "{} n {n}", algo.name());
             }
         }
         // The equivalence must not be vacuous: the fair batches have to
@@ -588,8 +584,6 @@ mod tests {
     /// runs trigger.
     #[test]
     fn batched_random_is_bit_identical_to_single_stepped_random() {
-        use rr_sched::shard::Arena;
-
         let draws =
             |procs: &[TightProcess]| -> u64 { procs.iter().map(|p| p.rng_words().unwrap()).sum() };
         let mut claims = 0u64;
@@ -626,9 +620,9 @@ mod tests {
     #[test]
     fn counter_mode_renames_correctly() {
         for (n, seed) in [(64usize, 7u64), (100, 3), (256, 5)] {
-            let (_s, procs) =
+            let (_s, mut procs) =
                 TightRenaming::calibrated(4).instantiate_shared_rng(n, seed, RngMode::Counter);
-            let out = run(boxed(procs), &mut FairAdversary::default(), 1 << 24).unwrap();
+            let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 24).unwrap();
             out.verify_renaming(n).unwrap();
             assert_eq!(out.names.iter().filter(|x| x.is_some()).count(), n);
         }
@@ -659,9 +653,9 @@ mod tests {
     #[test]
     fn tiny_n() {
         for n in [2usize, 3, 5, 8] {
-            let (_s, procs) =
+            let (_s, mut procs) =
                 TightRenaming::calibrated(2).instantiate_shared_rng(n, 1, RngMode::default());
-            let out = run(boxed(procs), &mut FairAdversary::default(), 100_000).unwrap();
+            let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 100_000).unwrap();
             out.verify_renaming(n).unwrap();
             assert_eq!(out.names.iter().filter(|x| x.is_some()).count(), n);
         }

@@ -4,9 +4,8 @@
 //! [`RenamingProtocol`]: given `n`, a seed and an RNG mode it builds the
 //! `n` typed process state machines. The blanket impl turns each one
 //! into a [`RenamingAlgorithm`] — the object-safe face the registry and
-//! the runner use — whose boxed [`Instance`] feeds the virtual and
-//! threads executors and whose dense entry point runs the typed vector
-//! in an [`Arena`].
+//! the runner use — whose dense entry point runs the typed vector in an
+//! [`Arena`] and whose boxed [`Instance`] feeds the threads executor.
 
 use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
@@ -89,9 +88,9 @@ pub trait RenamingAlgorithm {
 
     /// Runs one seed inside `arena` under `adversary` and `rng` mode —
     /// the dense backend's entry point. The processes stay a typed
-    /// `Vec<Proc>` (one allocation, announce/step monomorphized), and
-    /// the arena presents the same scheduling semantics as the virtual
-    /// executor, so outcomes are bit-identical to it.
+    /// `Vec<Proc>` (one allocation, announce/step monomorphized); the
+    /// outcome is bit-identical to running the boxed
+    /// [`Instance::processes`] of the same seed in an arena.
     ///
     /// # Errors
     /// Propagates the executor's [`ExecError`]s (step-budget livelock
@@ -104,6 +103,21 @@ pub trait RenamingAlgorithm {
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError>;
+
+    /// [`RenamingAlgorithm::run_dense_with`], also returning the RNG
+    /// words the typed processes drew (Σ [`Process::rng_words`]) — the
+    /// typed side of the boxed-dispatch equivalence check.
+    ///
+    /// # Errors
+    /// Propagates the executor's [`ExecError`]s.
+    fn run_dense_with_draws(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+        adversary: &mut dyn Adversary,
+        arena: &mut Arena,
+    ) -> Result<(RunOutcome, u64), ExecError>;
 
     /// [`RenamingAlgorithm::instantiate_with`] in the default RNG mode.
     fn instantiate(&self, n: usize, seed: u64) -> Instance {
@@ -163,6 +177,19 @@ impl<A: RenamingProtocol> RenamingAlgorithm for A {
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
         arena.run(&mut self.build(n, seed, rng), adversary, RenamingProtocol::step_budget(self, n))
+    }
+
+    fn run_dense_with_draws(
+        &self,
+        n: usize,
+        seed: u64,
+        rng: RngMode,
+        adversary: &mut dyn Adversary,
+        arena: &mut Arena,
+    ) -> Result<(RunOutcome, u64), ExecError> {
+        let mut processes = self.build(n, seed, rng);
+        let out = arena.run(&mut processes, adversary, RenamingProtocol::step_budget(self, n))?;
+        Ok((out, processes.iter().filter_map(Process::rng_words).sum()))
     }
 }
 
@@ -379,20 +406,13 @@ impl RenamingProtocol for AagwLoose {
 
 #[cfg(test)]
 mod tests {
-    use super::{
-        AagwLoose, Cor7, Cor9, LooseL6, LooseL8, Process, RenamingAlgorithm, TightRenaming,
-    };
+    use super::{AagwLoose, Arena, Cor7, Cor9, LooseL6, LooseL8, RenamingAlgorithm, TightRenaming};
     use rr_sched::adversary::FairAdversary;
-    use rr_sched::virtual_exec::run;
 
     fn check_full(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) {
-        let inst = algo.instantiate(n, seed);
-        assert_eq!(inst.n, n);
-        let m = inst.m;
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
-        out.verify_renaming(m).unwrap();
+        let out =
+            algo.run_dense(n, seed, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
+        out.verify_renaming(algo.m(n)).unwrap();
         if !algo.almost_tight() {
             assert_eq!(out.gave_up_count(), 0, "{} gave up", algo.name());
         }

@@ -1122,7 +1122,7 @@ mod tests {
 mod stall_integration {
     use super::*;
     use crate::process::Process;
-    use crate::virtual_exec::run;
+    use crate::shard::Arena;
     use rr_shmem::tas::{AtomicTasArray, TasMemory};
     use std::sync::Arc;
 
@@ -1155,15 +1155,12 @@ mod stall_integration {
     fn stall_winners_with_live_memory_probe_is_safe_and_slower() {
         let n = 32;
         let mem = Arc::new(AtomicTasArray::new(n));
-        let make = |mem: &Arc<AtomicTasArray>| -> Vec<Box<dyn Process>> {
-            (0..n)
-                .map(|pid| {
-                    Box::new(Prober { pid, mem: Arc::clone(mem), cursor: pid }) as Box<dyn Process>
-                })
-                .collect()
+        let make = |mem: &Arc<AtomicTasArray>| -> Vec<Prober> {
+            (0..n).map(|pid| Prober { pid, mem: Arc::clone(mem), cursor: pid }).collect()
         };
         // Baseline under fair scheduling.
-        let fair_out = run(make(&mem), &mut FairAdversary::default(), 1 << 20).unwrap();
+        let fair_out =
+            Arena::new().run(&mut make(&mem), &mut FairAdversary::default(), 1 << 20).unwrap();
         fair_out.verify_renaming(n).unwrap();
 
         // StallWinners wired to the *real* register state: an access
@@ -1173,7 +1170,7 @@ mod stall_integration {
         let mut adv = StallWinners::new(Box::new(move |a: &Access| {
             a.index().is_some_and(|i| !probe_mem.is_set(i))
         }));
-        let out = run(make(&mem2), &mut adv, 1 << 20).unwrap();
+        let out = Arena::new().run(&mut make(&mem2), &mut adv, 1 << 20).unwrap();
         out.verify_renaming(n).unwrap();
         // The staller wastes steps but cannot prevent completion.
         assert!(out.total_steps() >= fair_out.total_steps());

@@ -268,6 +268,7 @@ impl Odometer {
 /// use rr_sched::explore::ExhaustiveExplorer;
 /// use rr_sched::ids::Pid;
 /// use rr_sched::process::{Process, StepOutcome};
+/// use rr_sched::shard::Arena;
 /// use rr_shmem::Access;
 ///
 /// struct TwoStep { pid: usize, left: usize }
@@ -283,10 +284,8 @@ impl Odometer {
 /// // 2 processes × 2 steps each: 4!/(2!·2!) = 6 interleavings.
 /// let mut explorer = ExhaustiveExplorer::new(8, 0);
 /// let report = explorer.explore(1_000, |adv| {
-///     let procs: Vec<Box<dyn Process>> = (0..2)
-///         .map(|pid| Box::new(TwoStep { pid, left: 1 }) as Box<dyn Process>)
-///         .collect();
-///     rr_sched::virtual_exec::run(procs, adv, 100).map_err(|e| e.to_string())
+///     let mut procs: Vec<TwoStep> = (0..2).map(|pid| TwoStep { pid, left: 1 }).collect();
+///     Arena::new().run(&mut procs, adv, 100).map_err(|e| e.to_string())
 /// });
 /// assert_eq!(report.schedules, 6);
 /// assert!(report.exhausted);
@@ -969,7 +968,7 @@ mod tests {
     use super::*;
     use crate::process::{Process, StepOutcome};
     use crate::replay::ReplayAdversary;
-    use crate::virtual_exec::run;
+    use crate::shard::Arena;
     use rr_shmem::Access;
 
     /// A process that takes `extra` Continue steps, then claims its pid.
@@ -995,15 +994,15 @@ mod tests {
         }
     }
 
-    fn counters(n: usize, extra: usize) -> Vec<Box<dyn Process + 'static>> {
-        (0..n).map(|pid| Box::new(Count { pid, extra }) as Box<dyn Process>).collect()
+    fn counters(n: usize, extra: usize) -> Vec<Count> {
+        (0..n).map(|pid| Count { pid, extra }).collect()
     }
 
     fn run_counters(
         n: usize,
         extra: usize,
     ) -> impl FnMut(&mut dyn Adversary) -> Result<RunOutcome, String> {
-        move |adv| run(counters(n, extra), adv, 10_000).map_err(|e| e.to_string())
+        move |adv| Arena::new().run(&mut counters(n, extra), adv, 10_000).map_err(|e| e.to_string())
     }
 
     /// The acceptance pin: 3 processes × 2 decisions each have exactly
@@ -1013,7 +1012,8 @@ mod tests {
         let mut explorer = ExhaustiveExplorer::new(8, 0);
         let mut tapes = std::collections::HashSet::new();
         let report = explorer.explore(10_000, |adv| {
-            let out = run(counters(3, 1), adv, 10_000).map_err(|e| e.to_string())?;
+            let out =
+                Arena::new().run(&mut counters(3, 1), adv, 10_000).map_err(|e| e.to_string())?;
             Ok(out)
         });
         assert!(report.exhausted);
@@ -1022,7 +1022,7 @@ mod tests {
         // Re-run collecting tapes to pin uniqueness, not just the count.
         let mut explorer = ExhaustiveExplorer::new(8, 0);
         while let Some(mut adv) = explorer.next_adversary() {
-            run(counters(3, 1), &mut adv, 10_000).unwrap();
+            Arena::new().run(&mut counters(3, 1), &mut adv, 10_000).unwrap();
             assert!(tapes.insert(adv.tape().to_text()), "schedule revisited");
             explorer.record(&adv);
         }
@@ -1078,8 +1078,9 @@ mod tests {
         // fails, and the empty tape (tolerant fallback) still fails — the
         // minimal counterexample is empty.
         let mut explorer = ExhaustiveExplorer::new(8, 0);
-        let report =
-            explorer.explore(1_000, |adv| run(counters(2, 1), adv, 3).map_err(|e| e.to_string()));
+        let report = explorer.explore(1_000, |adv| {
+            Arena::new().run(&mut counters(2, 1), adv, 3).map_err(|e| e.to_string())
+        });
         let cx = report.counterexample.expect("budget violation found");
         assert!(cx.reason.contains("step budget"));
         assert!(cx.tape.is_empty(), "ddmin should reach the empty tape: {}", cx.tape.to_text());
@@ -1090,12 +1091,14 @@ mod tests {
     fn tolerant_replay_matches_exact_replay_on_valid_tapes() {
         let mut explorer = ExhaustiveExplorer::new(8, 1);
         while let Some(mut adv) = explorer.next_adversary() {
-            run(counters(3, 1), &mut adv, 10_000).unwrap();
+            Arena::new().run(&mut counters(3, 1), &mut adv, 10_000).unwrap();
             let tape = adv.tape();
-            let exact =
-                run(counters(3, 1), &mut ReplayAdversary::new(tape.clone()), 10_000).unwrap();
-            let tolerant =
-                run(counters(3, 1), &mut TolerantReplay::new(tape.clone()), 10_000).unwrap();
+            let exact = Arena::new()
+                .run(&mut counters(3, 1), &mut ReplayAdversary::new(tape.clone()), 10_000)
+                .unwrap();
+            let tolerant = Arena::new()
+                .run(&mut counters(3, 1), &mut TolerantReplay::new(tape.clone()), 10_000)
+                .unwrap();
             assert_eq!(exact.names, tolerant.names, "{}", tape.to_text());
             assert_eq!(exact.steps, tolerant.steps, "{}", tape.to_text());
             assert_eq!(exact.crashed, tolerant.crashed, "{}", tape.to_text());
@@ -1109,7 +1112,8 @@ mod tests {
         // A tape that names halted pids and is too short: every decision
         // still executes and the run completes.
         let tape = Tape::from_text("g1 g1 g1 g1").unwrap();
-        let out = run(counters(3, 1), &mut TolerantReplay::new(tape), 10_000).unwrap();
+        let out =
+            Arena::new().run(&mut counters(3, 1), &mut TolerantReplay::new(tape), 10_000).unwrap();
         out.verify_renaming(3).unwrap();
         assert_eq!(out.decisions, 6);
     }
@@ -1119,7 +1123,9 @@ mod tests {
         // Failure: "pid 2 crashed". The minimal schedule is one decision.
         let noisy = Tape::from_text("g0 g1 c2 g0 g1 g0").unwrap();
         let fails = |t: &Tape| {
-            let out = run(counters(3, 2), &mut TolerantReplay::new(t.clone()), 10_000).unwrap();
+            let out = Arena::new()
+                .run(&mut counters(3, 2), &mut TolerantReplay::new(t.clone()), 10_000)
+                .unwrap();
             out.crashed[Pid::new(2)]
         };
         assert!(fails(&noisy));
@@ -1148,7 +1154,9 @@ mod tests {
         // first, so the shrunk counterexample is the empty tape).
         let fail_g0_first = |adv: &mut dyn Adversary| {
             let mut probe = RecordingProbe { inner: adv, first: None };
-            let out = run(counters(2, 0), &mut probe, 100).map_err(|e| e.to_string())?;
+            let out = Arena::new()
+                .run(&mut counters(2, 0), &mut probe, 100)
+                .map_err(|e| e.to_string())?;
             if probe.first == Some(Decision::Grant(Pid::new(0))) {
                 return Err("schedule granted pid 0 first".into());
             }
@@ -1196,11 +1204,11 @@ mod tests {
     fn guided_prefix_addresses_schedules_deterministically() {
         // Empty prefix = canonical serial schedule (lowest pid first).
         let mut adv = GuidedAdversary::new(vec![], 8, 0, false);
-        run(counters(2, 1), &mut adv, 100).unwrap();
+        Arena::new().run(&mut counters(2, 1), &mut adv, 100).unwrap();
         assert_eq!(adv.tape().to_text(), "g0 g0 g1 g1");
         // Digit 1 at the root grants pid 1 first.
         let mut adv = GuidedAdversary::new(vec![1], 8, 0, false);
-        run(counters(2, 1), &mut adv, 100).unwrap();
+        Arena::new().run(&mut counters(2, 1), &mut adv, 100).unwrap();
         assert_eq!(adv.tape().to_text(), "g1 g0 g0 g1");
     }
 
@@ -1208,8 +1216,9 @@ mod tests {
     fn mutating_replay_at_strength_zero_is_tolerant_replay() {
         let base = Tape::from_text("g1 g0 g1 g0").unwrap();
         let mut mr = MutatingReplay::new(base.clone(), 0, 7);
-        let out_m = run(counters(2, 1), &mut mr, 100).unwrap();
-        let out_t = run(counters(2, 1), &mut TolerantReplay::new(base), 100).unwrap();
+        let out_m = Arena::new().run(&mut counters(2, 1), &mut mr, 100).unwrap();
+        let out_t =
+            Arena::new().run(&mut counters(2, 1), &mut TolerantReplay::new(base), 100).unwrap();
         assert_eq!(out_m.names, out_t.names);
         assert_eq!(out_m.steps, out_t.steps);
         assert_eq!(mr.tape().to_text(), "g1 g0 g1 g0");
@@ -1219,7 +1228,7 @@ mod tests {
     fn mutating_replay_is_deterministic_per_seed() {
         let go = |seed| {
             let mut mr = MutatingReplay::new(Tape::default(), 700, seed);
-            run(counters(4, 3), &mut mr, 1_000).unwrap();
+            Arena::new().run(&mut counters(4, 3), &mut mr, 1_000).unwrap();
             mr.tape().to_text()
         };
         assert_eq!(go(3), go(3));
@@ -1269,8 +1278,9 @@ mod tests {
     #[test]
     fn fuzzer_shrinks_failures() {
         let mut fuzzer = FuzzExplorer::new(2, 300, 8);
-        let report =
-            fuzzer.fuzz(2, 10, |adv| run(counters(2, 1), adv, 2).map_err(|e| e.to_string()));
+        let report = fuzzer.fuzz(2, 10, |adv| {
+            Arena::new().run(&mut counters(2, 1), adv, 2).map_err(|e| e.to_string())
+        });
         let cx = report.counterexample.expect("budget 2 must fail");
         assert!(cx.reason.contains("step budget"));
         assert!(cx.tape.is_empty());
@@ -1282,7 +1292,7 @@ mod tests {
         let mut tapes = std::collections::HashSet::new();
         while !shared.exhausted() {
             let mut adv = shared.adversary();
-            run(counters(3, 1), &mut adv, 10_000).unwrap();
+            Arena::new().run(&mut counters(3, 1), &mut adv, 10_000).unwrap();
             assert!(tapes.insert(adv.tape().to_text()), "schedule revisited");
         }
         assert_eq!(tapes.len(), 90);
@@ -1302,7 +1312,7 @@ mod tests {
         for round in 0..20 {
             let n = if round % 2 == 0 { 4 } else { 2 };
             let mut adv = shared.adversary();
-            let out = run(counters(n, 1), &mut adv, 1_000).unwrap();
+            let out = Arena::new().run(&mut counters(n, 1), &mut adv, 1_000).unwrap();
             out.verify_renaming(n).unwrap();
         }
         assert_eq!(shared.schedules(), 20);
@@ -1313,7 +1323,7 @@ mod tests {
         let shared = SharedExplorer::new(8, 0);
         for _ in 0..5 {
             let mut adv = shared.adversary();
-            run(counters(2, 0), &mut adv, 100).unwrap();
+            Arena::new().run(&mut counters(2, 0), &mut adv, 100).unwrap();
         }
         // 2 schedules, 5 runs: wrapped at least once.
         assert!(shared.restarts() >= 1);
@@ -1325,7 +1335,7 @@ mod tests {
         let shared = SharedFuzzer::new(600, 8);
         for seed in 0..6 {
             let mut adv = shared.adversary(4, seed);
-            run(counters(4, 2), &mut adv, 1_000).unwrap();
+            Arena::new().run(&mut counters(4, 2), &mut adv, 1_000).unwrap();
         }
         assert!(shared.novel() >= 1);
         assert!(shared.corpus_len() >= 1);

@@ -5,22 +5,22 @@
 //! that sees every process's state including coin flips.
 //!
 //! Algorithms are [`Process`] state machines (announce an access, then
-//! execute it). One execution core, three faces:
+//! execute it). Two executors:
 //!
-//! * [`shard`] — the flat arena core (struct-of-arrays process state,
-//!   scratch buffers reused across seeds, monomorphized announce/step
-//!   dispatch for typed process slices) plus the sharded engine that
-//!   runs one logical execution as S coupled per-shard arenas. Every
-//!   adversary-scheduled run in the workspace executes this loop.
-//!   All pid-indexed tables are typed [`ids::EntityVec`]s keyed by
-//!   [`ids::Pid`]; per-process lifecycle state is word-packed in
-//!   [`bits`] ([`bits::StatusBitmap`]) so the runnable set is scanned
+//! * [`shard`] — the flat arena core ([`Arena::run`]: struct-of-arrays
+//!   process state, scratch buffers reused across seeds, monomorphized
+//!   announce/step dispatch for typed process slices, and the same loop
+//!   for `Box<dyn Process>` slices) plus the sharded engine that runs
+//!   one logical execution as S coupled per-shard arenas. This is the
+//!   paper's model: single-threaded, adversary-in-the-loop, exact step
+//!   counts, deterministic. Every adversary-scheduled run in the
+//!   workspace executes this loop, and [`virtual_exec`] holds what it
+//!   returns ([`RunOutcome`], [`ExecError`]). All pid-indexed tables
+//!   are typed [`ids::EntityVec`]s keyed by [`ids::Pid`]; per-process
+//!   lifecycle state is word-packed in [`bits`]
+//!   ([`bits::StatusBitmap`]) so the runnable set is scanned
 //!   word-at-a-time and adversary decisions apply in macro-step
 //!   batches.
-//! * [`virtual_exec`] — the boxed compatibility shim over the arena:
-//!   single-threaded, adversary-in-the-loop, exact step counts,
-//!   deterministic. This is the executor API that realizes the paper's
-//!   model; `Box<dyn Process>` workloads run the identical loop.
 //! * [`thread_exec`] — one OS thread per process on real atomics, for
 //!   wall-clock benchmarks.
 //!
@@ -79,4 +79,4 @@ pub use shard::{
     DEFAULT_COUPLING_EVERY,
 };
 pub use thread_exec::{run_threads, run_threads_bounded};
-pub use virtual_exec::{run, ExecError, RunOutcome};
+pub use virtual_exec::{ExecError, RunOutcome};

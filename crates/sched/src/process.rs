@@ -8,7 +8,7 @@
 //! any coin flips, so the adversary legally sees them), and
 //! [`Process::step`] executes exactly that access.
 //!
-//! One representation, two executors: `rr-sched::virtual_exec` polls
+//! One representation, two executors: `rr-sched::shard::Arena` polls
 //! processes under an adversary (the paper's model, exact step counts,
 //! scales to n = 2²⁰ without threads), and `rr-sched::thread_exec` drives
 //! each process on its own OS thread against real atomics (wall-clock
@@ -100,9 +100,10 @@ pub trait Process: Send {
     }
 }
 
-/// Boxed processes delegate — the compatibility shim that lets the flat
-/// arena core ([`crate::shard::Arena`]) drive `Vec<Box<dyn Process>>`
-/// workloads with the same loop that runs monomorphized slices.
+/// Boxed processes delegate, so the flat arena core
+/// ([`crate::shard::Arena`]) drives `Vec<Box<dyn Process>>` workloads
+/// (the `threads` backend's instances, heterogeneous test fixtures) with
+/// the same loop that runs monomorphized slices.
 impl<P: Process + ?Sized> Process for Box<P> {
     fn announce(&mut self) -> Access {
         (**self).announce()

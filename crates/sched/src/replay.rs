@@ -161,29 +161,24 @@ mod tests {
     use super::*;
     use crate::adversary::{FairAdversary, RandomAdversary};
     use crate::process::testutil::ScanProcess;
-    use crate::process::Process;
-    use crate::virtual_exec::run;
+    use crate::shard::Arena;
     use rr_shmem::tas::AtomicTasArray;
     use std::sync::Arc;
 
-    fn scan_procs(n: usize) -> Vec<Box<dyn Process + 'static>> {
+    fn scan_procs(n: usize) -> Vec<ScanProcess<AtomicTasArray>> {
         let mem = Arc::new(AtomicTasArray::new(n));
-        (0..n)
-            .map(|pid| {
-                Box::new(ScanProcess { pid, mem: Arc::clone(&mem), cursor: 0 }) as Box<dyn Process>
-            })
-            .collect()
+        (0..n).map(|pid| ScanProcess { pid, mem: Arc::clone(&mem), cursor: 0 }).collect()
     }
 
     #[test]
     fn record_then_replay_reproduces_everything() {
         let mut rec = RecordingAdversary::new(RandomAdversary::new(77));
-        let out1 = run(scan_procs(16), &mut rec, 10_000).unwrap();
+        let out1 = Arena::new().run(&mut scan_procs(16), &mut rec, 10_000).unwrap();
         let tape = rec.into_tape();
         assert_eq!(tape.len() as u64, out1.decisions);
 
         let mut replay = ReplayAdversary::new(tape);
-        let out2 = run(scan_procs(16), &mut replay, 10_000).unwrap();
+        let out2 = Arena::new().run(&mut scan_procs(16), &mut replay, 10_000).unwrap();
         assert_eq!(out1.names, out2.names);
         assert_eq!(out1.steps, out2.steps);
         assert_eq!(replay.position() as u64, out2.decisions);
@@ -192,7 +187,7 @@ mod tests {
     #[test]
     fn text_roundtrip() {
         let mut rec = RecordingAdversary::new(FairAdversary::default());
-        let _ = run(scan_procs(6), &mut rec, 10_000).unwrap();
+        let _ = Arena::new().run(&mut scan_procs(6), &mut rec, 10_000).unwrap();
         let tape = rec.into_tape();
         let text = tape.to_text();
         let parsed = Tape::from_text(&text).unwrap();
@@ -214,7 +209,7 @@ mod tests {
         let tape = Tape::from_text("g0").unwrap();
         let mut replay = ReplayAdversary::new(tape);
         // Two processes need more than one decision.
-        let _ = run(scan_procs(2), &mut replay, 10_000);
+        let _ = Arena::new().run(&mut scan_procs(2), &mut replay, 10_000);
     }
 
     #[test]

@@ -678,7 +678,6 @@ mod tests {
     use crate::adversary::{CrashAdversary, FairAdversary, RandomAdversary};
     use crate::process::testutil::ScanProcess;
     use crate::replay::RecordingAdversary;
-    use crate::virtual_exec;
     use rr_shmem::tas::AtomicTasArray;
     use std::sync::Arc;
 
@@ -700,15 +699,16 @@ mod tests {
             let dense = arena.run(&mut typed, &mut RandomAdversary::new(seed), 100_000).unwrap();
 
             let (boxed, _m2) = scan_processes(24, 24);
-            let boxed: Vec<Box<dyn Process>> =
+            let mut boxed: Vec<Box<dyn Process>> =
                 boxed.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-            let virt = virtual_exec::run(boxed, &mut RandomAdversary::new(seed), 100_000).unwrap();
+            let via_box =
+                Arena::new().run(&mut boxed, &mut RandomAdversary::new(seed), 100_000).unwrap();
 
-            assert_eq!(dense.names, virt.names, "seed {seed}");
-            assert_eq!(dense.steps, virt.steps, "seed {seed}");
-            assert_eq!(dense.crashed, virt.crashed, "seed {seed}");
-            assert_eq!(dense.gave_up, virt.gave_up, "seed {seed}");
-            assert_eq!(dense.decisions, virt.decisions, "seed {seed}");
+            assert_eq!(dense.names, via_box.names, "seed {seed}");
+            assert_eq!(dense.steps, via_box.steps, "seed {seed}");
+            assert_eq!(dense.crashed, via_box.crashed, "seed {seed}");
+            assert_eq!(dense.gave_up, via_box.gave_up, "seed {seed}");
+            assert_eq!(dense.decisions, via_box.decisions, "seed {seed}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Free-running executor: one OS thread per process, real atomics, wall
 //! clock. This is the mode the Criterion benchmarks use; the state
-//! machines are identical to the ones the virtual executor polls, so the
+//! machines are identical to the ones the arena executor polls, so the
 //! numbers measure the same algorithm.
 
 use crate::ids::{EntityVec, Pid};
@@ -12,7 +12,7 @@ use crate::virtual_exec::RunOutcome;
 /// `max_steps_per_process` is a livelock guard (the thread panics past
 /// it, failing the run loudly rather than hanging a benchmark).
 ///
-/// Returns the same [`RunOutcome`] shape as the virtual executor. The
+/// Returns the same [`RunOutcome`] shape as the arena executor. The
 /// outcome vectors are indexed by pid, which need not be contiguous
 /// (bounded waves pass sub-batches): slots whose pid was **not** in
 /// `processes` are marked `crashed` — the crash-equivalent convention

@@ -1,16 +1,14 @@
-//! The model-faithful executor: single-threaded, adversary-scheduled,
-//! access-granular.
+//! What a run returns: the [`RunOutcome`] every executor produces and
+//! the [`ExecError`]s an adversary-scheduled run can end with.
 //!
-//! This executor *is* the paper's asynchronous shared-memory model. All
-//! processes are held as state machines; before every step the adversary
-//! sees each active process's announced access (coin flips included) and
-//! either grants one process its step or crashes one process. Because no
-//! OS threads are involved it scales to n = 2²⁰ processes and produces
-//! exact, deterministic step counts.
+//! The execution loop itself is [`crate::shard::Arena::run`]. It is the
+//! paper's asynchronous shared-memory model: before every step the
+//! adversary sees each active process's announced access (coin flips
+//! included) and either grants one process its step or crashes one
+//! process. The arena drives typed process slices and, through the
+//! forwarding `impl Process for Box<P>`, boxed ones alike.
 
-use crate::adversary::Adversary;
 use crate::ids::{EntityVec, Pid};
-use crate::process::Process;
 
 /// Why a run ended badly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,8 +40,35 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Outcome of a virtual run. All per-process tables are dense and keyed
-/// by [`Pid`].
+/// Outcome of one run. All per-process tables are dense and keyed by
+/// [`Pid`].
+///
+/// ```
+/// use rr_sched::adversary::FairAdversary;
+/// use rr_sched::ids::Pid;
+/// use rr_sched::process::{Process, StepOutcome};
+/// use rr_sched::shard::Arena;
+/// use rr_shmem::Access;
+///
+/// // A process that takes `pid` steps then claims name `pid`.
+/// struct Count { pid: usize, left: usize }
+/// impl Process for Count {
+///     fn announce(&mut self) -> Access { Access::Local }
+///     fn step(&mut self) -> StepOutcome {
+///         if self.left == 0 { StepOutcome::Done(self.pid) }
+///         else { self.left -= 1; StepOutcome::Continue }
+///     }
+///     fn pid(&self) -> Pid { Pid::new(self.pid) }
+/// }
+///
+/// // Boxed processes run on the same arena loop as typed ones.
+/// let mut procs: Vec<Box<dyn Process>> = (0..4)
+///     .map(|pid| Box::new(Count { pid, left: pid }) as Box<dyn Process>)
+///     .collect();
+/// let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1000).unwrap();
+/// out.verify_renaming(4).unwrap();
+/// assert_eq!(out.step_complexity(), 4); // pid 3: 3 waits + the claim
+/// ```
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// `names[pid]` — the name acquired, or `None` if the process crashed.
@@ -110,59 +135,17 @@ impl RunOutcome {
     }
 }
 
-/// Runs `processes` to completion under `adversary`.
-///
-/// `step_budget` guards against livelock (use ~`100 · n · log n` for the
-/// algorithms in this workspace; they are far below it w.h.p.).
-///
-/// ```
-/// use rr_sched::adversary::FairAdversary;
-/// use rr_sched::ids::Pid;
-/// use rr_sched::process::{Process, StepOutcome};
-/// use rr_shmem::Access;
-///
-/// // A process that takes `pid` steps then claims name `pid`.
-/// struct Count { pid: usize, left: usize }
-/// impl Process for Count {
-///     fn announce(&mut self) -> Access { Access::Local }
-///     fn step(&mut self) -> StepOutcome {
-///         if self.left == 0 { StepOutcome::Done(self.pid) }
-///         else { self.left -= 1; StepOutcome::Continue }
-///     }
-///     fn pid(&self) -> Pid { Pid::new(self.pid) }
-/// }
-///
-/// let procs: Vec<Box<dyn Process>> = (0..4)
-///     .map(|pid| Box::new(Count { pid, left: pid }) as Box<dyn Process>)
-///     .collect();
-/// let out = rr_sched::virtual_exec::run(procs, &mut FairAdversary::default(), 1000).unwrap();
-/// out.verify_renaming(4).unwrap();
-/// assert_eq!(out.step_complexity(), 4); // pid 3: 3 waits + the claim
-/// ```
-pub fn run<A: Adversary + ?Sized>(
-    mut processes: Vec<Box<dyn Process + '_>>,
-    adversary: &mut A,
-    step_budget: u64,
-) -> Result<RunOutcome, ExecError> {
-    // The boxed compatibility shim: `Box<dyn Process>` is itself a
-    // `Process`, so the flat arena core drives the boxed slice with the
-    // exact historical semantics (see `crate::shard` for the fast,
-    // monomorphized path typed process vectors take).
-    crate::shard::Arena::new().run(&mut processes, adversary, step_budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary};
     use crate::process::testutil::ScanProcess;
+    use crate::process::Process;
+    use crate::shard::Arena;
     use rr_shmem::tas::AtomicTasArray;
     use std::sync::Arc;
 
-    fn scan_processes(
-        n: usize,
-        m: usize,
-    ) -> (Vec<Box<dyn Process + 'static>>, Arc<AtomicTasArray>) {
+    fn scan_processes(n: usize, m: usize) -> (Vec<Box<dyn Process>>, Arc<AtomicTasArray>) {
         let mem = Arc::new(AtomicTasArray::new(m));
         let procs: Vec<Box<dyn Process>> = (0..n)
             .map(|pid| {
@@ -174,8 +157,8 @@ mod tests {
 
     #[test]
     fn fair_schedule_renames_everyone() {
-        let (procs, _mem) = scan_processes(8, 8);
-        let out = run(procs, &mut FairAdversary::default(), 10_000).unwrap();
+        let (mut procs, _mem) = scan_processes(8, 8);
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 10_000).unwrap();
         out.verify_renaming(8).unwrap();
         assert_eq!(out.survivors().len(), 8);
         // Scanning processes under round-robin: pid p wins register p
@@ -186,15 +169,16 @@ mod tests {
 
     #[test]
     fn random_schedule_still_safe() {
-        let (procs, _mem) = scan_processes(16, 16);
-        let out = run(procs, &mut RandomAdversary::new(99), 100_000).unwrap();
+        let (mut procs, _mem) = scan_processes(16, 16);
+        let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(99), 100_000).unwrap();
         out.verify_renaming(16).unwrap();
     }
 
     #[test]
     fn collision_maximizer_inflates_steps_but_safety_holds() {
-        let (procs, _mem) = scan_processes(12, 12);
-        let out = run(procs, &mut CollisionMaximizer::default(), 100_000).unwrap();
+        let (mut procs, _mem) = scan_processes(12, 12);
+        let out =
+            Arena::new().run(&mut procs, &mut CollisionMaximizer::default(), 100_000).unwrap();
         out.verify_renaming(12).unwrap();
         // Everyone scans from 0, so worst case is n probes each.
         assert!(out.step_complexity() <= 12);
@@ -202,9 +186,9 @@ mod tests {
 
     #[test]
     fn crashes_leave_survivors_named() {
-        let (procs, _mem) = scan_processes(10, 10);
+        let (mut procs, _mem) = scan_processes(10, 10);
         let mut adv = CrashAdversary::new(FairAdversary::default(), 0.3, 5, 42);
-        let out = run(procs, &mut adv, 100_000).unwrap();
+        let out = Arena::new().run(&mut procs, &mut adv, 100_000).unwrap();
         let crashed = out.crashed.iter().filter(|&&c| c).count();
         assert_eq!(crashed, adv.crashes());
         out.verify_renaming(10).unwrap();
@@ -214,8 +198,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_adversary() {
         let run_once = || {
-            let (procs, _mem) = scan_processes(8, 8);
-            let out = run(procs, &mut RandomAdversary::new(5), 100_000).unwrap();
+            let (mut procs, _mem) = scan_processes(8, 8);
+            let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(5), 100_000).unwrap();
             (out.names.clone(), out.steps.clone())
         };
         assert_eq!(run_once(), run_once());
@@ -223,15 +207,16 @@ mod tests {
 
     #[test]
     fn step_budget_enforced() {
-        let (procs, _mem) = scan_processes(4, 4);
-        let err = run(procs, &mut FairAdversary::default(), 3).unwrap_err();
+        let (mut procs, _mem) = scan_processes(4, 4);
+        let err = Arena::new().run(&mut procs, &mut FairAdversary::default(), 3).unwrap_err();
         assert!(matches!(err, ExecError::StepBudgetExceeded { budget: 3 }));
         assert!(err.to_string().contains("step budget"));
     }
 
     #[test]
     fn empty_run_is_trivial() {
-        let out = run(Vec::new(), &mut FairAdversary::default(), 10).unwrap();
+        let mut procs: Vec<Box<dyn Process>> = Vec::new();
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 10).unwrap();
         assert_eq!(out.decisions, 0);
         assert_eq!(out.step_complexity(), 0);
         out.verify_renaming(0).unwrap();
@@ -291,8 +276,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::adversary::{CrashAdversary, FairAdversary, RandomAdversary};
-    use crate::process::StepOutcome;
+    use crate::adversary::{Adversary, CrashAdversary, FairAdversary, RandomAdversary};
+    use crate::process::{Process, StepOutcome};
+    use crate::shard::Arena;
     use proptest::prelude::*;
     use rr_shmem::Access;
 
@@ -317,12 +303,8 @@ mod proptests {
         }
     }
 
-    fn build(tapes: Vec<Vec<StepOutcome>>) -> Vec<Box<dyn Process + 'static>> {
-        tapes
-            .into_iter()
-            .enumerate()
-            .map(|(pid, tape)| Box::new(Scripted { pid, tape, at: 0 }) as Box<dyn Process>)
-            .collect()
+    fn build(tapes: Vec<Vec<StepOutcome>>) -> Vec<Scripted> {
+        tapes.into_iter().enumerate().map(|(pid, tape)| Scripted { pid, tape, at: 0 }).collect()
     }
 
     fn tape_strategy() -> impl Strategy<Value = Vec<StepOutcome>> {
@@ -348,14 +330,14 @@ mod proptests {
                 .iter()
                 .map(|t| (t.len() as u64, *t.last().unwrap()))
                 .collect();
-            let procs = build(tapes);
+            let mut procs = build(tapes);
             let n = procs.len();
             let mut adv: Box<dyn Adversary> = match adv_kind {
                 0 => Box::new(FairAdversary::default()),
                 1 => Box::new(RandomAdversary::new(seed)),
                 _ => Box::new(CrashAdversary::new(FairAdversary::default(), 0.3, n / 2, seed)),
             };
-            let out = run(procs, adv.as_mut(), 1 << 20).unwrap();
+            let out = Arena::new().run(&mut procs, adv.as_mut(), 1 << 20).unwrap();
             for (i, &(tape_len, terminal)) in expected.iter().enumerate() {
                 let pid = Pid::new(i);
                 if out.crashed[pid] {

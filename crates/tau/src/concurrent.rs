@@ -13,7 +13,7 @@
 //! validates "bit free **and** quota remaining" against one consistent
 //! snapshot. No locks, no queues, no allocation:
 //!
-//! * single-threaded executors (`rr-sched`'s virtual and dense backends)
+//! * single-threaded executors (`rr-sched`'s dense and shard backends)
 //!   pay a handful of nanoseconds per request — this is the hot path of
 //!   every tight-renaming step at n = 2²⁰, where the earlier
 //!   flat-combining design (ticket allocation plus queue and device

@@ -9,8 +9,7 @@ use randomized_renaming::renaming::adaptive::AdaptiveRenaming;
 use randomized_renaming::renaming::longlived::{LongLivedClient, ReleasableTasArray};
 use randomized_renaming::renaming::traits::RenamingAlgorithm;
 use randomized_renaming::sched::adversary::FairAdversary;
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::sched::shard::Arena;
 use randomized_renaming::shmem::rng::RngMode;
 
 fn adaptive_demo() {
@@ -18,16 +17,15 @@ fn adaptive_demo() {
     println!("but the processes never learn k — names used stay O(k):\n");
     println!("{:>8} {:>15} {:>9} {:>11}", "k", "max name used", "used/k", "steps max");
     for k in [8usize, 64, 512, 4096] {
-        let (shared, procs) =
+        let (shared, mut procs) =
             AdaptiveRenaming.instantiate_participants_rng(k, 4096, 7, RngMode::default());
-        let boxed: Vec<Box<dyn Process>> =
-            procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-        let out = run(
-            boxed,
-            &mut FairAdversary::default(),
-            RenamingAlgorithm::step_budget(&AdaptiveRenaming, 4096),
-        )
-        .unwrap();
+        let out = Arena::new()
+            .run(
+                &mut procs,
+                &mut FairAdversary::default(),
+                RenamingAlgorithm::step_budget(&AdaptiveRenaming, 4096),
+            )
+            .unwrap();
         out.verify_renaming(shared.layout().total).unwrap();
         let max_name = out.names.iter().flatten().max().copied().unwrap();
         println!(

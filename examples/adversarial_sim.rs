@@ -9,16 +9,12 @@ use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::adversary::{
     CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary,
 };
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::sched::shard::Arena;
 use randomized_renaming::sched::Adversary;
 
 fn run_under(algo: &dyn RenamingAlgorithm, n: usize, adv: &mut dyn Adversary, label: &str) {
-    let inst = algo.instantiate(n, 99);
-    let m = inst.m;
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    let out = run(procs, adv, algo.step_budget(n)).expect("execution failed");
+    let m = algo.m(n);
+    let out = algo.run_dense(n, 99, adv, &mut Arena::new()).expect("execution failed");
     out.verify_renaming(m).expect("renaming safety violated");
     let crashed = out.crashed.iter().filter(|&&c| c).count();
     let named = out.names.iter().filter(|x| x.is_some()).count();

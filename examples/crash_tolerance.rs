@@ -9,8 +9,7 @@
 use randomized_renaming::renaming::traits::{Cor7, RenamingAlgorithm};
 use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::adversary::{CrashAdversary, FairAdversary};
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::sched::shard::Arena;
 
 fn main() {
     let n = 1024;
@@ -25,17 +24,14 @@ fn main() {
         ("cor7(l=1)", Box::new(Cor7 { ell: 1 })),
     ] {
         for pct in [0usize, 10, 30, 60, 90] {
-            let inst = algo.instantiate(n, 2024);
-            let m = inst.m;
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
+            let m = algo.m(n);
             let mut adv = CrashAdversary::new(
                 FairAdversary::default(),
                 0.1,
                 n * pct / 100,
                 1234 + pct as u64,
             );
-            let out = run(procs, &mut adv, algo.step_budget(n)).expect("run failed");
+            let out = algo.run_dense(n, 2024, &mut adv, &mut Arena::new()).expect("run failed");
             out.verify_renaming(m).expect("safety violated under crashes");
             let crashed = out.crashed.iter().filter(|&&c| c).count();
             let named = out.names.iter().filter(|x| x.is_some()).count();

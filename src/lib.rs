@@ -9,16 +9,12 @@
 //! ```
 //! use randomized_renaming::renaming::traits::{Cor9, RenamingAlgorithm};
 //! use randomized_renaming::sched::adversary::FairAdversary;
-//! use randomized_renaming::sched::process::Process;
+//! use randomized_renaming::sched::shard::Arena;
 //!
 //! // Corollary 9: loose renaming into n + 2n/log n names.
 //! let algo = Cor9 { ell: 1 };
-//! let inst = algo.instantiate(256, 42);
-//! let procs: Vec<Box<dyn Process>> =
-//!     inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-//! let out = randomized_renaming::sched::virtual_exec::run(
-//!     procs, &mut FairAdversary::default(), algo.step_budget(256)).unwrap();
-//! out.verify_renaming(inst.m).unwrap();
+//! let out = algo.run_dense(256, 42, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
+//! out.verify_renaming(algo.m(256)).unwrap();
 //! assert_eq!(out.gave_up_count(), 0);
 //! ```
 

@@ -1,18 +1,15 @@
-//! Reproducibility: the virtual executor is a deterministic function of
+//! Reproducibility: the arena executor is a deterministic function of
 //! (algorithm, n, seed, adversary) — the property EXPERIMENTS.md numbers
 //! rely on.
 
 use randomized_renaming::renaming::traits::{Cor7, Cor9, LooseL6, LooseL8, RenamingAlgorithm};
 use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::adversary::RandomAdversary;
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::{run, RunOutcome};
+use randomized_renaming::sched::shard::Arena;
+use randomized_renaming::sched::virtual_exec::RunOutcome;
 
 fn run_once(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) -> RunOutcome {
-    let inst = algo.instantiate(n, seed);
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    run(procs, &mut RandomAdversary::new(seed ^ 0xAB), algo.step_budget(n)).unwrap()
+    algo.run_dense(n, seed, &mut RandomAdversary::new(seed ^ 0xAB), &mut Arena::new()).unwrap()
 }
 
 fn fingerprint(out: &RunOutcome) -> (Vec<Option<usize>>, Vec<u64>, u64) {

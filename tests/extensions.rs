@@ -5,19 +5,16 @@ use randomized_renaming::renaming::adaptive::AdaptiveRenaming;
 use randomized_renaming::renaming::longlived::{LongLivedClient, ReleasableTasArray};
 use randomized_renaming::renaming::traits::RenamingAlgorithm;
 use randomized_renaming::sched::adversary::{CrashAdversary, FairAdversary, RandomAdversary};
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::sched::shard::Arena;
 use randomized_renaming::shmem::rng::RngMode;
 use std::collections::HashSet;
 
 #[test]
 fn adaptive_under_crashes_names_all_survivors() {
-    let (shared, procs) =
+    let (shared, mut procs) =
         AdaptiveRenaming.instantiate_participants_rng(256, 1024, 3, RngMode::default());
-    let boxed: Vec<Box<dyn Process>> =
-        procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
     let mut adv = CrashAdversary::new(FairAdversary::default(), 0.05, 50, 9);
-    let out = run(boxed, &mut adv, 1 << 28).unwrap();
+    let out = Arena::new().run(&mut procs, &mut adv, 1 << 28).unwrap();
     out.verify_renaming(shared.layout().total).unwrap();
     let crashed = out.crashed.iter().filter(|&&c| c).count();
     let named = out.names.iter().filter(|x| x.is_some()).count();
@@ -28,11 +25,10 @@ fn adaptive_under_crashes_names_all_survivors() {
 fn adaptive_name_usage_is_linear_in_k_across_seeds() {
     for seed in 0..5 {
         for k in [16usize, 128] {
-            let (shared, procs) =
+            let (shared, mut procs) =
                 AdaptiveRenaming.instantiate_participants_rng(k, 4096, seed, RngMode::default());
-            let boxed: Vec<Box<dyn Process>> =
-                procs.into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
-            let out = run(boxed, &mut RandomAdversary::new(seed), 1 << 28).unwrap();
+            let out =
+                Arena::new().run(&mut procs, &mut RandomAdversary::new(seed), 1 << 28).unwrap();
             out.verify_renaming(shared.layout().total).unwrap();
             assert_eq!(out.gave_up_count(), 0);
             let max_name = out.names.iter().flatten().max().copied().unwrap();
@@ -43,11 +39,10 @@ fn adaptive_name_usage_is_linear_in_k_across_seeds() {
 
 #[test]
 fn adaptive_through_renaming_algorithm_trait() {
-    let inst = RenamingAlgorithm::instantiate(&AdaptiveRenaming, 128, 7);
-    let m = inst.m;
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    let out = run(procs, &mut FairAdversary::default(), 1 << 28).unwrap();
+    let m = RenamingAlgorithm::m(&AdaptiveRenaming, 128);
+    let out = AdaptiveRenaming
+        .run_dense(128, 7, &mut FairAdversary::default(), &mut Arena::new())
+        .unwrap();
     out.verify_renaming(m).unwrap();
     assert_eq!(out.gave_up_count(), 0);
 }

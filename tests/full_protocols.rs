@@ -15,8 +15,6 @@ use randomized_renaming::sched::adversary::{
     Adversary, CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary,
 };
 use randomized_renaming::sched::explore::{shrink_tape, SharedExplorer, TolerantReplay};
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::run;
 use randomized_renaming::sched::Arena;
 
 fn all_algorithms() -> Vec<Box<dyn RenamingAlgorithm>> {
@@ -73,11 +71,9 @@ fn every_algorithm_under_every_adversary_is_safe() {
 fn every_algorithm_under_every_adversary_is_safe_at(n: usize) {
     for algo in all_algorithms() {
         for (ai, mut adv) in adversaries(7).into_iter().enumerate() {
-            let inst = algo.instantiate(n, 11);
-            let m = inst.m;
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-            let out = run(procs, adv.as_mut(), algo.step_budget(n))
+            let m = algo.m(n);
+            let out = algo
+                .run_dense(n, 11, adv.as_mut(), &mut Arena::new())
                 .unwrap_or_else(|e| panic!("{} under adversary {ai}: {e}", algo.name()));
             out.verify_renaming(m)
                 .unwrap_or_else(|v| panic!("{} under adversary {ai}: {v}", algo.name()));
@@ -235,11 +231,8 @@ fn names_fit_tighter_than_advertised_space() {
             continue;
         }
         let n = 128;
-        let inst = algo.instantiate(n, 3);
-        let m = inst.m;
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
+        let m = algo.m(n);
+        let out = algo.run_dense(n, 3, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
         out.verify_renaming(m).unwrap();
         let max_name = out.names.iter().flatten().max().copied().unwrap();
         assert!(max_name < m);
@@ -261,12 +254,9 @@ fn crashes_never_break_survivor_completeness() {
     ] {
         for crash_budget in [1usize, 16, 64, 120] {
             let n = 128;
-            let inst = algo.instantiate(n, 5);
-            let m = inst.m;
-            let procs: Vec<Box<dyn Process>> =
-                inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
+            let m = algo.m(n);
             let mut adv = CrashAdversary::new(FairAdversary::default(), 0.2, crash_budget, 9);
-            let out = run(procs, &mut adv, algo.step_budget(n)).unwrap();
+            let out = algo.run_dense(n, 5, &mut adv, &mut Arena::new()).unwrap();
             out.verify_renaming(m).unwrap();
             let crashed = out.crashed.iter().filter(|&&c| c).count();
             let named = out.names.iter().filter(|x| x.is_some()).count();
@@ -280,10 +270,7 @@ fn step_budget_is_generous_enough_for_all() {
     // The default budget must never be the reason a run fails.
     for algo in all_algorithms() {
         let n = 512;
-        let inst = algo.instantiate(n, 1);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let result = run(procs, &mut RandomAdversary::new(3), algo.step_budget(n));
+        let result = algo.run_dense(n, 1, &mut RandomAdversary::new(3), &mut Arena::new());
         assert!(result.is_ok(), "{} exceeded its own step budget", algo.name());
     }
 }

@@ -13,7 +13,7 @@ use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::adversary::{Adversary, Decision, FairAdversary, RunView};
 use randomized_renaming::sched::ids::{pids, Pid};
 use randomized_renaming::sched::process::{Process, StepOutcome};
-use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::sched::shard::Arena;
 use randomized_renaming::shmem::Access;
 use std::sync::Mutex;
 
@@ -49,12 +49,10 @@ impl Process for AnnounceChecker {
 fn check_announce_stability(algo: &dyn RenamingAlgorithm, n: usize) {
     let inst = algo.instantiate(n, 3);
     let m = inst.m;
-    let procs: Vec<Box<dyn Process>> = inst
-        .processes
-        .into_iter()
-        .map(|inner| Box::new(AnnounceChecker { inner, repeats: 2 }) as Box<dyn Process>)
-        .collect();
-    let out = run(procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
+    let mut procs: Vec<AnnounceChecker> =
+        inst.processes.into_iter().map(|inner| AnnounceChecker { inner, repeats: 2 }).collect();
+    let out =
+        Arena::new().run(&mut procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
     out.verify_renaming(m).unwrap();
 }
 
@@ -96,13 +94,9 @@ fn adversary_sees_the_coin_flips_that_actually_execute() {
     // executed random choices).
     let algo = UniformProbing::double();
     let n = 128;
-    let inst = algo.instantiate(n, 9);
-    let m = inst.m;
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
     let mut rec = Recorder { inner: FairAdversary::default(), granted: Mutex::new(Vec::new()) };
-    let out = run(procs, &mut rec, algo.step_budget(n)).unwrap();
-    out.verify_renaming(m).unwrap();
+    let out = algo.run_dense(n, 9, &mut rec, &mut Arena::new()).unwrap();
+    out.verify_renaming(algo.m(n)).unwrap();
 
     let granted = rec.granted.into_inner().unwrap();
     for pid in pids(n) {
@@ -126,11 +120,8 @@ fn step_counts_equal_grants() {
     // executor must charge exactly one per grant.
     let algo = TightRenaming::calibrated(4);
     let n = 256;
-    let inst = algo.instantiate(n, 4);
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
     let mut rec = Recorder { inner: FairAdversary::default(), granted: Mutex::new(Vec::new()) };
-    let out = run(procs, &mut rec, algo.step_budget(n)).unwrap();
+    let out = algo.run_dense(n, 4, &mut rec, &mut Arena::new()).unwrap();
     let granted = rec.granted.into_inner().unwrap();
     assert_eq!(granted.len() as u64, out.total_steps());
     for pid in pids(n) {

@@ -6,15 +6,12 @@ use randomized_renaming::analysis::ballsbins::{lemma3_bound, simulate_lemma3};
 use randomized_renaming::renaming::traits::{Cor7, Cor9, LooseL6, LooseL8, RenamingAlgorithm};
 use randomized_renaming::renaming::{Lemma6Schedule, Lemma8Schedule, TightRenaming};
 use randomized_renaming::sched::adversary::FairAdversary;
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::{run, RunOutcome};
+use randomized_renaming::sched::shard::Arena;
+use randomized_renaming::sched::virtual_exec::RunOutcome;
 
 fn run_fair(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) -> RunOutcome {
-    let inst = algo.instantiate(n, seed);
-    let m = inst.m;
-    let procs: Vec<Box<dyn Process>> =
-        inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-    let out = run(procs, &mut FairAdversary::default(), algo.step_budget(n)).unwrap();
+    let m = algo.m(n);
+    let out = algo.run_dense(n, seed, &mut FairAdversary::default(), &mut Arena::new()).unwrap();
     out.verify_renaming(m).unwrap();
     out
 }

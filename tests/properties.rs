@@ -8,8 +8,7 @@ use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::adversary::{
     Adversary, CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary,
 };
-use randomized_renaming::sched::process::Process;
-use randomized_renaming::sched::virtual_exec::run;
+use randomized_renaming::sched::shard::Arena;
 use randomized_renaming::tau::CountingDevice;
 
 fn algo_by_index(i: u8) -> Box<dyn RenamingAlgorithm> {
@@ -47,12 +46,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let algo = algo_by_index(algo_i);
-        let inst = algo.instantiate(n, seed);
-        let m = inst.m;
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
+        let m = algo.m(n);
         let mut adv = adversary_by_index(adv_i, seed);
-        let out = run(procs, adv.as_mut(), algo.step_budget(n)).unwrap();
+        let out = algo.run_dense(n, seed, adv.as_mut(), &mut Arena::new()).unwrap();
         prop_assert!(out.verify_renaming(m).is_ok());
         if !algo.almost_tight() {
             prop_assert_eq!(out.gave_up_count(), 0);
@@ -71,10 +67,7 @@ proptest! {
         } else {
             Box::new(TightRenaming::paper_exact(4))
         };
-        let inst = algo.instantiate(n, seed);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
-        let out = run(procs, &mut RandomAdversary::new(seed), algo.step_budget(n)).unwrap();
+        let out = algo.run_dense(n, seed, &mut RandomAdversary::new(seed), &mut Arena::new()).unwrap();
         let mut names: Vec<usize> = out.names.iter().flatten().copied().collect();
         names.sort_unstable();
         prop_assert_eq!(names, (0..n).collect::<Vec<_>>());
@@ -114,11 +107,8 @@ proptest! {
         seed in 0u64..300,
     ) {
         let algo = TightRenaming::calibrated(4);
-        let inst = RenamingAlgorithm::instantiate(&algo, n, seed);
-        let procs: Vec<Box<dyn Process>> =
-            inst.processes.into_iter().map(|p| p as Box<dyn Process>).collect();
         let mut adv = CrashAdversary::new(FairAdversary::default(), 0.3, budget, seed);
-        let out = run(procs, &mut adv, RenamingAlgorithm::step_budget(&algo, n)).unwrap();
+        let out = algo.run_dense(n, seed, &mut adv, &mut Arena::new()).unwrap();
         let crashed = out.crashed.iter().filter(|&&c| c).count();
         let named = out.names.iter().filter(|x| x.is_some()).count();
         prop_assert_eq!(named + crashed, n);
