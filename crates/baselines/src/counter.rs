@@ -10,7 +10,6 @@
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::RngMode;
 use rr_shmem::Access;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,9 +53,8 @@ impl RenamingProtocol for FetchAddRenaming {
         n
     }
 
-    /// Deterministic: draws no coins, so the seed and the RNG mode are
-    /// ignored.
-    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<CounterProcess> {
+    /// Deterministic: draws no coins, so the seed is ignored.
+    fn build(&self, n: usize, _seed: u64) -> Vec<CounterProcess> {
         let counter = Arc::new(AtomicUsize::new(0));
         (0..n).map(|pid| CounterProcess { pid, counter: Arc::clone(&counter), limit: n }).collect()
     }

@@ -11,7 +11,6 @@
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::RngMode;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -97,9 +96,8 @@ impl RenamingProtocol for LinearScan {
         4 * (n as u64) * (n as u64) + 1024
     }
 
-    /// Deterministic: draws no coins, so the seed and the RNG mode are
-    /// ignored.
-    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<ScanProcess> {
+    /// Deterministic: draws no coins, so the seed is ignored.
+    fn build(&self, n: usize, _seed: u64) -> Vec<ScanProcess> {
         let mem = Arc::new(AtomicTasArray::new(n));
         (0..n).map(|pid| ScanProcess::new(pid, Arc::clone(&mem), self.start)).collect()
     }

@@ -21,7 +21,6 @@
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::RngMode;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -226,9 +225,8 @@ impl RenamingProtocol for BitonicRenaming {
         n.next_power_of_two().max(2)
     }
 
-    /// Deterministic: draws no coins, so the seed and the RNG mode are
-    /// ignored.
-    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<NetworkProcess> {
+    /// Deterministic: draws no coins, so the seed is ignored.
+    fn build(&self, n: usize, _seed: u64) -> Vec<NetworkProcess> {
         let shared = Arc::new(NetworkShared::new(ComparatorNetwork::bitonic(self.m(n))));
         (0..n).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect()
     }

@@ -31,7 +31,6 @@
 
 use crate::network::{Comparator, ComparatorNetwork, NetworkProcess, NetworkShared};
 use rr_renaming::traits::RenamingProtocol;
-use rr_shmem::rng::RngMode;
 use std::sync::Arc;
 
 /// TAS address space of the route family's switches — distinct from the
@@ -188,9 +187,8 @@ impl RenamingProtocol for RouteRenaming {
         n.next_power_of_two().max(2)
     }
 
-    /// Deterministic: draws no coins, so the seed and the RNG mode are
-    /// ignored.
-    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<NetworkProcess> {
+    /// Deterministic: draws no coins, so the seed is ignored.
+    fn build(&self, n: usize, _seed: u64) -> Vec<NetworkProcess> {
         let net = route_network(self.topology, self.m(n), self.stages);
         let shared = Arc::new(NetworkShared::new(net));
         (0..n)
@@ -291,7 +289,7 @@ mod tests {
     #[test]
     fn single_process_percolates_to_wire_zero() {
         let algo = RouteRenaming { topology: RouteTopology::Benes, stages: None };
-        let mut procs = algo.build(1, 0, RngMode::default());
+        let mut procs = algo.build(1, 0);
         // Alone, the process wins every switch and exits on wire 0 — but
         // it entered on wire 0, so route from a different wire directly.
         let net = route_network(RouteTopology::Benes, 8, None);
@@ -306,7 +304,7 @@ mod tests {
     #[test]
     fn announces_on_the_route_array() {
         let algo = RouteRenaming { topology: RouteTopology::Butterfly, stages: None };
-        let mut procs = algo.build(4, 0, RngMode::default());
+        let mut procs = algo.build(4, 0);
         match procs[0].announce() {
             rr_shmem::Access::Tas { array, .. } => assert_eq!(array, ROUTE_TAS_ARRAY),
             other => panic!("unexpected announce {other:?}"),

@@ -26,7 +26,6 @@
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::RngMode;
 use rr_shmem::Access;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -231,9 +230,8 @@ impl RenamingProtocol for SplitterGrid {
         16 * (n as u64) * (n as u64) + 1024
     }
 
-    /// Deterministic: draws no coins, so the seed and the RNG mode are
-    /// ignored.
-    fn build(&self, n: usize, _seed: u64, _rng: RngMode) -> Vec<GridProcess> {
+    /// Deterministic: draws no coins, so the seed is ignored.
+    fn build(&self, n: usize, _seed: u64) -> Vec<GridProcess> {
         let shared = Arc::new(GridShared::new(n));
         (0..n).map(|pid| GridProcess::new(pid, Arc::clone(&shared))).collect()
     }

@@ -9,7 +9,7 @@
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::{ProcessRng, RngMode};
+use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -27,19 +27,7 @@ pub struct UniformProcess {
 impl UniformProcess {
     /// Process `pid` probing `mem`.
     pub fn new(pid: usize, seed: u64, mem: Arc<AtomicTasArray>, budget: u64) -> Self {
-        Self::with_rng(pid, seed, RngMode::default(), mem, budget)
-    }
-
-    /// Like [`UniformProcess::new`] with an explicit RNG backend (the
-    /// default mode is bit-identical to it).
-    pub fn with_rng(
-        pid: usize,
-        seed: u64,
-        rng: RngMode,
-        mem: Arc<AtomicTasArray>,
-        budget: u64,
-    ) -> Self {
-        Self { pid, rng: ProcessRng::with_mode(rng, seed, pid), mem, pending: None, budget }
+        Self { pid, rng: ProcessRng::new(seed, pid), mem, pending: None, budget }
     }
 }
 
@@ -99,14 +87,12 @@ impl RenamingProtocol for UniformProbing {
         ((1.0 + self.epsilon) * n as f64).ceil() as usize
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<UniformProcess> {
+    fn build(&self, n: usize, seed: u64) -> Vec<UniformProcess> {
         assert!(self.epsilon > 0.0, "uniform probing needs m > n");
         let mem = Arc::new(AtomicTasArray::new(self.m(n)));
         // W.h.p. bound is O(log n / log(1+ε)); budget 100× that.
         let budget = (100.0 * (n.max(2) as f64).log2() / (1.0 + self.epsilon).log2()).ceil() as u64;
-        (0..n)
-            .map(|pid| UniformProcess::with_rng(pid, seed, rng, Arc::clone(&mem), budget))
-            .collect()
+        (0..n).map(|pid| UniformProcess::new(pid, seed, Arc::clone(&mem), budget)).collect()
     }
 }
 

@@ -4,12 +4,12 @@
 //! only logarithmically.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rr_renaming::traits::RenamingProtocol;
 use rr_renaming::TightRenaming;
 use rr_sched::adversary::FairAdversary;
 use rr_sched::process::Process;
 use rr_sched::run_threads_bounded;
 use rr_sched::shard::Arena;
-use rr_shmem::rng::RngMode;
 use std::hint::black_box;
 
 fn bench_dense(c: &mut Criterion) {
@@ -18,8 +18,7 @@ fn bench_dense(c: &mut Criterion) {
     for n in [1usize << 8, 1 << 10, 1 << 12] {
         g.bench_function(format!("n={n}"), |b| {
             b.iter(|| {
-                let (_s, mut procs) =
-                    TightRenaming::calibrated(4).instantiate_shared_rng(n, 1, RngMode::default());
+                let mut procs = TightRenaming::calibrated(4).build(n, 1);
                 let out =
                     Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 32).unwrap();
                 black_box(out.step_complexity())
@@ -35,8 +34,7 @@ fn bench_threads(c: &mut Criterion) {
     for n in [1usize << 8, 1 << 10] {
         g.bench_function(format!("n={n},threads=8"), |b| {
             b.iter(|| {
-                let (_s, procs) =
-                    TightRenaming::calibrated(4).instantiate_shared_rng(n, 1, RngMode::default());
+                let procs = TightRenaming::calibrated(4).build(n, 1);
                 let boxed: Vec<Box<dyn Process + Send>> =
                     procs.into_iter().map(|p| Box::new(p) as Box<dyn Process + Send>).collect();
                 let out = run_threads_bounded(boxed, 8, 1 << 26);

@@ -61,6 +61,6 @@ fn main() {
             eprintln!("exp_backends: {e}");
             std::process::exit(2);
         }
-        backends(cfg, &opts)
+        backends(&opts)
     });
 }

@@ -8,7 +8,6 @@ use rr_sched::registry::{standard, ParsedKey};
 use rr_sched::shard::{run_sharded, shard_seed, Arena, ShardRun, DEFAULT_COUPLING_EVERY};
 use rr_sched::thread_exec::run_threads_bounded;
 use rr_sched::virtual_exec::RunOutcome;
-use rr_shmem::rng::RngMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -97,7 +96,7 @@ impl BatchStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// The flat arena core with monomorphized process storage and
-    /// cross-seed scratch reuse ([`RenamingAlgorithm::run_dense_with`]
+    /// cross-seed scratch reuse ([`RenamingAlgorithm::run_dense`]
     /// in an [`rr_sched::shard::Arena`]). The default.
     #[default]
     Dense,
@@ -204,8 +203,7 @@ impl BatchTiming {
     }
 }
 
-/// Runs `algo` at size `n` once with `seed` on `backend`, every
-/// process drawing coins in `rng` mode.
+/// Runs `algo` at size `n` once with `seed` on `backend`.
 ///
 /// `adversary` schedules the `dense` backend; the
 /// `threads` backend is free-running (the machine schedules) and ignores
@@ -220,15 +218,14 @@ pub fn run_once(
     algo: &dyn RenamingAlgorithm,
     n: usize,
     seed: u64,
-    rng: RngMode,
     backend: ExecBackend,
     adversary: &mut dyn Adversary,
     arena: &mut Arena,
 ) -> RunOutcome {
     let out = match backend {
-        ExecBackend::Dense => algo.run_dense_with(n, seed, rng, adversary, arena),
+        ExecBackend::Dense => algo.run_dense(n, seed, adversary, arena),
         ExecBackend::Threads { t } => {
-            let processes = algo.instantiate_with(n, seed, rng).processes;
+            let processes = algo.instantiate(n, seed).processes;
             Ok(run_threads_bounded(processes, t, algo.step_budget(n)))
         }
         ExecBackend::Shard { .. } => panic!(
@@ -244,8 +241,7 @@ pub fn run_once(
 }
 
 /// Runs `algo` at size `n` once with `seed` as `shards` coupled
-/// shard sub-instances (the `shard:s=N` backend), every process drawing
-/// coins in `rng` mode.
+/// shard sub-instances (the `shard:s=N` backend).
 ///
 /// Shard `s` runs `algo` at its sub-size `n_s` (round-robin partition
 /// of the pid space) with a fresh adversary from
@@ -263,7 +259,6 @@ pub fn run_once_sharded(
     algo: &(dyn RenamingAlgorithm + Sync),
     n: usize,
     seed: u64,
-    rng: RngMode,
     build_adv: &(dyn Fn(usize, u64) -> Box<dyn Adversary> + Sync),
     shards: usize,
 ) -> RunOutcome {
@@ -273,7 +268,7 @@ pub fn run_once_sharded(
         let sub_seed = shard_seed(seed, s);
         let mut adversary = ctx.couple(build_adv(n_s, sub_seed));
         let mut arena = Arena::new();
-        algo.run_dense_with(n_s, sub_seed, rng, &mut adversary, &mut arena)
+        algo.run_dense(n_s, sub_seed, &mut adversary, &mut arena)
             .map(|outcome| ShardRun { outcome, m: algo.m(n_s) })
     })
     .unwrap_or_else(|e| panic!("{} at n={n}, seed {seed}, shard:s={shards}: {e}", algo.name()));
@@ -355,7 +350,6 @@ pub struct BatchRun<'a> {
     seeds: u64,
     adversary: String,
     backend: ExecBackend,
-    rng: RngMode,
     workers: usize,
 }
 
@@ -370,7 +364,6 @@ impl<'a> BatchRun<'a> {
             seeds: 1,
             adversary: "fair".into(),
             backend: ExecBackend::default(),
-            rng: RngMode::default(),
             workers: runner_threads(),
         }
     }
@@ -391,17 +384,6 @@ impl<'a> BatchRun<'a> {
     /// Execution backend (default [`ExecBackend::Dense`]).
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Per-process RNG backend (default [`RngMode::ChaCha8`], which is
-    /// bit-identical to not calling this at all). A non-default mode is
-    /// a **modelling change**: step counts follow a different coin
-    /// stream, so the scenario layer stamps its records with the mode.
-    /// Every algorithm builds in every mode; the deterministic baselines
-    /// draw no coins, so for them the mode changes nothing.
-    pub fn rng_mode(mut self, rng: RngMode) -> Self {
-        self.rng = rng;
         self
     }
 
@@ -442,7 +424,6 @@ impl<'a> BatchRun<'a> {
             &move |n, seed| builder(n, seed),
             self.workers,
             self.backend,
-            self.rng,
         );
         let timing = BatchTiming {
             wall_secs: start.elapsed().as_secs_f64(),
@@ -473,12 +454,11 @@ fn run_batch_core(
     build_adv: &(dyn Fn(usize, u64) -> Box<dyn Adversary> + Sync),
     workers: usize,
     backend: ExecBackend,
-    rng: RngMode,
 ) -> BatchStats {
     let run_seed = |seed: u64, arena: &mut Arena| {
         let out = match backend {
-            ExecBackend::Shard { s } => run_once_sharded(algo, n, seed, rng, build_adv, s),
-            _ => run_once(algo, n, seed, rng, backend, build_adv(n, seed).as_mut(), arena),
+            ExecBackend::Shard { s } => run_once_sharded(algo, n, seed, build_adv, s),
+            _ => run_once(algo, n, seed, backend, build_adv(n, seed).as_mut(), arena),
         };
         measure(&out, n)
     };
@@ -539,7 +519,6 @@ fn parse_threads(raw: Option<&str>) -> usize {
 /// | `threads` | `RR_RUNNER_THREADS` env (else available parallelism) | [`BatchRun`] worker count |
 /// | `json_path` | `--json <path>` CLI flag | also write structured records (see `scenario::sink`) |
 /// | `backend` | `--backend <key>` CLI flag | execution core (`dense` (default) \| `threads:t=N` \| `shard:s=N`) |
-/// | `rng` | `--rng <mode>` CLI flag | per-process RNG backend (`chacha8` \| `counter`) |
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// CI-sized sweeps when set (the `--quick` flag).
@@ -550,9 +529,6 @@ pub struct RunConfig {
     pub json_path: Option<std::path::PathBuf>,
     /// Which execution core batch sections run on.
     pub backend: ExecBackend,
-    /// Per-process RNG backend. Non-default modes are a modelling
-    /// change: records produced under them carry an `"rng"` field.
-    pub rng: RngMode,
 }
 
 impl Default for RunConfig {
@@ -562,7 +538,6 @@ impl Default for RunConfig {
             threads: parse_threads(None),
             json_path: None,
             backend: ExecBackend::default(),
-            rng: RngMode::default(),
         }
     }
 }
@@ -574,18 +549,17 @@ impl RunConfig {
     }
 
     /// Testable core of [`RunConfig::from_env`]: `--quick`,
-    /// `--json <path>`, `--backend <key>` and `--rng <mode>` are
-    /// recognized, anything else is ignored (the experiment binaries
-    /// have always tolerated stray arguments). An invalid backend key
-    /// or RNG mode exits with a friendly message (code 2) — the flag is
-    /// user input, not programmer error.
+    /// `--json <path>` and `--backend <key>` are recognized, anything
+    /// else is ignored (the experiment binaries have always tolerated
+    /// stray arguments). An invalid backend key, or the removed `--rng`
+    /// flag, exits with a friendly message (code 2) — the flag is user
+    /// input, not programmer error.
     pub fn from_args(args: impl IntoIterator<Item = String>, threads_env: Option<String>) -> Self {
         let mut cfg = Self {
             quick: false,
             threads: parse_threads(threads_env.as_deref()),
             json_path: None,
             backend: ExecBackend::default(),
-            rng: RngMode::default(),
         };
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
@@ -603,12 +577,11 @@ impl RunConfig {
                         std::process::exit(2);
                     });
                 }
-                "--rng" if args.peek().is_some_and(|v| !v.starts_with("--")) => {
-                    let key = args.next().expect("peeked");
-                    cfg.rng = RngMode::parse(&key).unwrap_or_else(|e| {
-                        eprintln!("--rng {key}: {e}");
-                        std::process::exit(2);
-                    });
+                // Rejected rather than ignored, so that a script asking
+                // for another generator cannot silently run ChaCha8.
+                "--rng" => {
+                    eprintln!("--rng: RNG modes were removed; every process draws from ChaCha8");
+                    std::process::exit(2);
                 }
                 _ => {}
             }
@@ -895,63 +868,27 @@ mod tests {
         let cfg = RunConfig::from_args(["--backend", "--quick"].map(String::from), None);
         assert_eq!(cfg.backend, ExecBackend::Dense);
         assert!(cfg.quick);
-
-        // `--rng` selects the per-process RNG backend; default chacha8.
-        assert_eq!(cfg.rng, RngMode::default());
-        let cfg = RunConfig::from_args(["--rng", "counter"].map(String::from), None);
-        assert_eq!(cfg.rng, RngMode::Counter);
-        let cfg = RunConfig::from_args(["--rng", "chacha8"].map(String::from), None);
-        assert_eq!(cfg.rng, RngMode::ChaCha8);
-        // `--rng` with no value (next is a flag) leaves the default.
-        let cfg = RunConfig::from_args(["--rng", "--quick"].map(String::from), None);
-        assert_eq!(cfg.rng, RngMode::default());
-        assert!(cfg.quick);
     }
 
-    /// `.rng_mode(RngMode::default())` is the identity: stats are
-    /// bit-identical to a builder that never mentions the mode, on
-    /// every backend.
+    /// The `RngMode` marker that `instantiate_shared_rng` still takes
+    /// selects nothing: processes built through it run bit-identically
+    /// to a batch that never mentions a mode.
     #[test]
     fn default_rng_mode_is_bit_identical_to_unset() {
+        use rr_shmem::rng::RngMode;
         let algo = TightRenaming::calibrated(4);
-        for backend in [ExecBackend::Dense, ExecBackend::Shard { s: 2 }] {
-            let plain =
-                BatchRun::new(&algo, 96).seeds(3).backend(backend).workers(1).stats().unwrap();
-            let explicit = BatchRun::new(&algo, 96)
-                .seeds(3)
-                .backend(backend)
-                .rng_mode(RngMode::default())
-                .workers(1)
-                .stats()
-                .unwrap();
-            assert_eq!(plain.step_complexity, explicit.step_complexity, "{backend:?}");
-            assert_eq!(plain.total_steps, explicit.total_steps, "{backend:?}");
-            assert_eq!(plain.unnamed, explicit.unnamed, "{backend:?}");
-        }
-    }
-
-    /// Counter mode runs safely on every backend, and dense and
-    /// shard:s=1 agree bit for bit under it (same determinism contract
-    /// as the default stream).
-    #[test]
-    fn counter_mode_backends_agree() {
-        let algo = TightRenaming::calibrated(4);
-        let run = |backend| {
-            BatchRun::new(&algo, 96)
-                .seeds(3)
-                .backend(backend)
-                .rng_mode(RngMode::Counter)
-                .workers(1)
-                .stats()
-                .unwrap()
-        };
-        let dense = run(ExecBackend::Dense);
-        let shard = run(ExecBackend::Shard { s: 1 });
-        assert_eq!(dense.violations, 0);
-        assert_eq!(dense.max_unnamed(), 0);
-        assert_eq!(dense.step_complexity, shard.step_complexity);
-        assert_eq!(dense.total_steps, shard.total_steps);
-        assert_eq!(dense.unnamed, shard.unnamed);
+        let outs: Vec<_> = (0..3)
+            .map(|seed| {
+                let (_s, mut procs) = algo.instantiate_shared_rng(96, seed, RngMode::default());
+                let mut fair = standard().build("fair", 96, seed).unwrap();
+                Arena::new().run(&mut procs, fair.as_mut(), algo.step_budget(96)).unwrap()
+            })
+            .collect();
+        let explicit = BatchStats::from_outcomes(&outs, 96);
+        let plain = BatchRun::new(&algo, 96).seeds(3).workers(1).stats().unwrap();
+        assert_eq!(plain.step_complexity, explicit.step_complexity);
+        assert_eq!(plain.total_steps, explicit.total_steps);
+        assert_eq!(plain.unnamed, explicit.unnamed);
     }
 
     #[test]
@@ -970,15 +907,7 @@ mod tests {
         let outs: Vec<_> = (0..3)
             .map(|seed| {
                 let mut fair = standard().build("fair", 64, seed).unwrap();
-                run_once(
-                    &algo,
-                    64,
-                    seed,
-                    RngMode::default(),
-                    ExecBackend::Dense,
-                    fair.as_mut(),
-                    &mut arena,
-                )
+                run_once(&algo, 64, seed, ExecBackend::Dense, fair.as_mut(), &mut arena)
             })
             .collect();
         let manual = BatchStats::from_outcomes(&outs, 64);

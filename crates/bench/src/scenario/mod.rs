@@ -31,7 +31,6 @@ pub use spec::{
 use crate::runner::{BatchRun, BatchTiming, RunConfig};
 use rr_analysis::stats::upper_median;
 use rr_renaming::registry::{AlgorithmRegistry, BoxedAlgorithm};
-use rr_shmem::rng::RngMode;
 use std::collections::BTreeMap;
 
 /// The full algorithm registry the engine resolves keys against: the
@@ -107,7 +106,6 @@ fn run_batch_section(
             .seeds(row.seeds)
             .adversary(&row.adversary)
             .backend(cfg.backend)
-            .rng_mode(cfg.rng)
             .workers(cfg.threads)
             .run()
             .unwrap_or_else(|e| panic!("scenario {scenario}: {e}"));
@@ -129,7 +127,7 @@ fn batch_record(
     algo_name: String,
     stats: &crate::runner::BatchStats,
 ) -> Record {
-    let mut fields = vec![
+    let fields = vec![
         ("algorithm".into(), Value::Str(row.algorithm.clone())),
         ("algorithm_name".into(), Value::Str(algo_name)),
         ("adversary".into(), Value::Str(row.adversary.clone())),
@@ -144,21 +142,10 @@ fn batch_record(
         ("crashed_total".into(), Value::U64(stats.total_crashed() as u64)),
         ("violations".into(), Value::U64(stats.violations as u64)),
     ];
-    push_rng_field(&mut fields, cfg);
     Record {
         scenario: scenario.to_string(),
         section: section.title.clone().unwrap_or_default(),
         fields,
-    }
-}
-
-/// Tags a record with the per-process RNG backend — but **only** when it
-/// is not the default stream. Default-mode records stay byte-identical
-/// to every committed snapshot; a non-default mode is a modelling change
-/// and must be visible in the data it produced.
-fn push_rng_field(fields: &mut Vec<(String, Value)>, cfg: &RunConfig) {
-    if cfg.rng != RngMode::default() {
-        fields.push(("rng".into(), Value::Str(cfg.rng.key().into())));
     }
 }
 
@@ -173,7 +160,7 @@ fn throughput_record(
     cfg: &RunConfig,
     timing: &BatchTiming,
 ) -> Record {
-    let mut fields = vec![
+    let fields = vec![
         ("kind".into(), Value::Str("throughput".into())),
         ("algorithm".into(), Value::Str(row.algorithm.clone())),
         ("adversary".into(), Value::Str(row.adversary.clone())),
@@ -185,7 +172,6 @@ fn throughput_record(
         ("runs_per_sec".into(), Value::F64(timing.runs_per_sec())),
         ("steps_per_sec".into(), Value::F64(timing.steps_per_sec())),
     ];
-    push_rng_field(&mut fields, cfg);
     Record {
         scenario: scenario.to_string(),
         section: section.title.clone().unwrap_or_default(),
@@ -274,33 +260,6 @@ mod tests {
             run_spec(tiny_spec(), &cfg, &mut sinks);
         }
         assert_eq!(dense, String::from_utf8(buf).unwrap());
-    }
-
-    /// Default-mode records never mention the RNG (snapshots stay
-    /// byte-stable); counter-mode records all carry `"rng":"counter"`.
-    #[test]
-    fn rng_field_appears_exactly_when_mode_is_non_default() {
-        let emit = |rng| {
-            let path = std::env::temp_dir()
-                .join(format!("rr_scenario_rng_{}_{rng}.json", std::process::id()));
-            {
-                let cfg = RunConfig { rng, ..Default::default() };
-                let mut sinks: Vec<Box<dyn Sink + '_>> =
-                    vec![Box::new(JsonSink::new(path.clone()))];
-                run_spec(tiny_spec(), &cfg, &mut sinks);
-                for s in &mut sinks {
-                    s.finish().unwrap();
-                }
-            }
-            let body = std::fs::read_to_string(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            body
-        };
-        let default_body = emit(RngMode::default());
-        assert!(!default_body.contains("\"rng\":"), "default mode must not tag records");
-        let counter_body = emit(RngMode::Counter);
-        // Two rows → 2 deterministic + 2 throughput records, all tagged.
-        assert_eq!(counter_body.matches("\"rng\":\"counter\"").count(), 4);
     }
 
     #[test]

@@ -323,12 +323,7 @@ pub fn adaptive(cfg: &RunConfig) -> ScenarioSpec {
             let mut worst_steps = 0u64;
             let mut unnamed = 0usize;
             for seed in 0..seeds {
-                let (shared, mut procs) = AdaptiveRenaming.instantiate_participants_rng(
-                    k,
-                    max_n,
-                    seed,
-                    RngMode::default(),
-                );
+                let (shared, mut procs) = AdaptiveRenaming.instantiate_participants(k, max_n, seed);
                 let out = Arena::new()
                     .run(
                         &mut procs,

@@ -4,17 +4,12 @@
 //! * Boxed processes (`Box<dyn Process>`, what the `threads` backend
 //!   and heterogeneous workloads run) must reproduce the typed dense
 //!   run **bit for bit** for every registry algorithm under every
-//!   adversary family the engine schedules deterministically, in every
-//!   RNG mode — same outcome, same RNG draws, same batched τ-CAS
-//!   claims. This pins the `Box<P>` forwarding of `tau_host`,
+//!   adversary family the engine schedules deterministically — same
+//!   outcome, same RNG draws, same batched τ-CAS claims. This pins the `Box<P>` forwarding of `tau_host`,
 //!   `step_claimed` and `rng_words` against typed dispatch.
 //! * `shard:s=1` is the degenerate partition (one shard, identity
 //!   sub-seed, zero cross-shard traffic) and must be bit-identical to
 //!   `dense`.
-//! * That identity holds in every RNG mode: under `rng:mode=counter`
-//!   the deterministic baselines (which draw no coins) and the
-//!   randomized protocols alike build their typed processes through the
-//!   same `build`, so no backend can fall back to a different path.
 //! * `threads` is free-running (the machine schedules), so its step
 //!   counts are not reproducible — but it must still satisfy
 //!   `verify_renaming` and account for every process.
@@ -36,7 +31,6 @@ use rr_renaming::registry::BoxedAlgorithm;
 use rr_sched::process::Process;
 use rr_sched::registry::standard;
 use rr_sched::shard::Arena;
-use rr_shmem::rng::RngMode;
 
 /// Sizes small enough that the full registry × adversary sweep stays in
 /// CI territory while still exercising multi-round protocol behaviour.
@@ -68,23 +62,10 @@ fn batch(
     backend: ExecBackend,
     workers: usize,
 ) -> BatchStats {
-    batch_rng(algo, n, seeds, adv_key, backend, RngMode::default(), workers)
-}
-
-fn batch_rng(
-    algo: &BoxedAlgorithm,
-    n: usize,
-    seeds: u64,
-    adv_key: &str,
-    backend: ExecBackend,
-    rng: RngMode,
-    workers: usize,
-) -> BatchStats {
     BatchRun::new(algo.as_ref(), n)
         .seeds(seeds)
         .adversary(adv_key)
         .backend(backend)
-        .rng_mode(rng)
         .workers(workers)
         .stats()
         .unwrap()
@@ -104,47 +85,45 @@ fn assert_bit_identical(a: &BatchStats, b: &BatchStats, ctx: &str) {
 }
 
 /// The virtual path — the boxed [`Instance`](rr_renaming::traits::Instance)
-/// processes on an arena — against the typed dense `run_dense_with`
-/// path, seed by seed: the full outcome, the summed RNG words and the
-/// arena's batched-claim counters must all agree.
+/// processes on an arena — against the typed dense `run_dense` path,
+/// seed by seed: the full outcome, the summed RNG words and the arena's
+/// batched-claim counters must all agree.
 #[test]
 fn dense_matches_virtual_bit_for_bit_for_every_algorithm_and_adversary() {
     let reg = registry();
     for algo_key in reg.keys() {
         let algo = reg.build(algo_key).unwrap();
         for adv_key in swept_adversary_keys() {
-            for rng in RngMode::ALL {
-                for seed in 0..SEEDS {
-                    let ctx = format!("{algo_key} under {adv_key}, rng {rng}, seed {seed}");
-                    let mut adv = standard().build(adv_key, N, seed).unwrap();
-                    let mut boxed_arena = Arena::new();
-                    let mut processes = algo.instantiate_with(N, seed, rng).processes;
-                    let boxed = boxed_arena
-                        .run(&mut processes, adv.as_mut(), algo.step_budget(N))
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    // `Process::rng_words` with `Self = Box<_>`: method
-                    // syntax on a box would call the trait object
-                    // directly and skip the forwarding under test.
-                    let boxed_words: u64 = processes.iter().filter_map(Process::rng_words).sum();
+            for seed in 0..SEEDS {
+                let ctx = format!("{algo_key} under {adv_key}, seed {seed}");
+                let mut adv = standard().build(adv_key, N, seed).unwrap();
+                let mut boxed_arena = Arena::new();
+                let mut processes = algo.instantiate(N, seed).processes;
+                let boxed = boxed_arena
+                    .run(&mut processes, adv.as_mut(), algo.step_budget(N))
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                // `Process::rng_words` with `Self = Box<_>`: method
+                // syntax on a box would call the trait object
+                // directly and skip the forwarding under test.
+                let boxed_words: u64 = processes.iter().filter_map(Process::rng_words).sum();
 
-                    let mut adv = standard().build(adv_key, N, seed).unwrap();
-                    let mut typed_arena = Arena::new();
-                    let (typed, typed_words) = algo
-                        .run_dense_with_draws(N, seed, rng, adv.as_mut(), &mut typed_arena)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let mut adv = standard().build(adv_key, N, seed).unwrap();
+                let mut typed_arena = Arena::new();
+                let (typed, typed_words) = algo
+                    .run_dense_with_draws(N, seed, adv.as_mut(), &mut typed_arena)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 
-                    assert_eq!(boxed.names, typed.names, "{ctx}: names");
-                    assert_eq!(boxed.steps, typed.steps, "{ctx}: steps");
-                    assert_eq!(boxed.crashed, typed.crashed, "{ctx}: crashed");
-                    assert_eq!(boxed.gave_up, typed.gave_up, "{ctx}: gave_up");
-                    assert_eq!(boxed.decisions, typed.decisions, "{ctx}: decisions");
-                    assert_eq!(boxed_words, typed_words, "{ctx}: rng words");
-                    assert_eq!(
-                        boxed_arena.block_stats(),
-                        typed_arena.block_stats(),
-                        "{ctx}: block stats"
-                    );
-                }
+                assert_eq!(boxed.names, typed.names, "{ctx}: names");
+                assert_eq!(boxed.steps, typed.steps, "{ctx}: steps");
+                assert_eq!(boxed.crashed, typed.crashed, "{ctx}: crashed");
+                assert_eq!(boxed.gave_up, typed.gave_up, "{ctx}: gave_up");
+                assert_eq!(boxed.decisions, typed.decisions, "{ctx}: decisions");
+                assert_eq!(boxed_words, typed_words, "{ctx}: rng words");
+                assert_eq!(
+                    boxed_arena.block_stats(),
+                    typed_arena.block_stats(),
+                    "{ctx}: block stats"
+                );
             }
         }
     }
@@ -164,26 +143,6 @@ fn shard_with_one_shard_matches_dense_bit_for_bit_for_every_algorithm_and_advers
             let dense = batch(&algo, N, SEEDS, adv_key, ExecBackend::Dense, 1);
             let shard = batch(&algo, N, SEEDS, adv_key, ExecBackend::Shard { s: 1 }, 1);
             assert_bit_identical(&dense, &shard, &format!("{algo_key} under {adv_key}"));
-        }
-    }
-}
-
-/// The same identity under the counter RNG stream: `dense` and
-/// `shard:s=1` agree bit for bit for every registry cell, deterministic
-/// baselines included.
-#[test]
-fn counter_mode_backends_match_bit_for_bit_for_every_algorithm_and_adversary() {
-    let reg = registry();
-    for algo_key in reg.keys() {
-        let algo = reg.build(algo_key).unwrap();
-        for adv_key in swept_adversary_keys() {
-            let run = |backend| batch_rng(&algo, N, SEEDS, adv_key, backend, RngMode::Counter, 1);
-            let ctx = format!("{algo_key} under {adv_key}, rng counter");
-            assert_bit_identical(
-                &run(ExecBackend::Dense),
-                &run(ExecBackend::Shard { s: 1 }),
-                &format!("{ctx}: shard"),
-            );
         }
     }
 }

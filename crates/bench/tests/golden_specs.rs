@@ -61,7 +61,7 @@ fn exp_backends_quick_json_shape_is_golden() {
     let cfg = quick();
     {
         let mut sinks: Vec<Box<dyn Sink + '_>> = vec![Box::new(JsonSink::new(path.clone()))];
-        run_spec(specs::backends(&cfg, &specs::BackendsOptions::defaults(&cfg)), &cfg, &mut sinks);
+        run_spec(specs::backends(&specs::BackendsOptions::defaults(&cfg)), &cfg, &mut sinks);
         for sink in &mut sinks {
             sink.finish().unwrap();
         }

@@ -3,7 +3,8 @@
 //! (`threads:t=0`, unknown keys, trailing commas, …) into a
 //! **descriptive `Err`** — never a panic. The exact messages are pinned:
 //! they are user-facing CLI output (`--backend`, `--algos`,
-//! `--adversaries`) and experiment scripts grep them.
+//! `--adversaries`, the removed `--rng`) and experiment scripts grep
+//! them.
 
 use rr_bench::runner::ExecBackend;
 use rr_bench::scenario::registry;
@@ -284,6 +285,24 @@ fn backend_taking_binaries_list_every_backend_key_in_their_help() {
         String::from_utf8_lossy(&out.stderr).trim(),
         "--backend virtual: unknown backend `virtual` (known: dense, threads:t=N, shard:s=N)"
     );
+}
+
+/// The removed `--rng` flag exits 2 instead of being ignored, so a
+/// script that asks for another generator cannot silently run ChaCha8.
+#[test]
+fn removed_rng_flag_exits_2_naming_the_removal() {
+    for args in [&["--rng", "counter"][..], &["--quick", "--rng", "chacha8"], &["--rng"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_backends"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim(),
+            "--rng: RNG modes were removed; every process draws from ChaCha8",
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

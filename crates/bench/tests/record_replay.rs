@@ -16,7 +16,6 @@ use rr_sched::replay::{RecordingAdversary, ReplayAdversary, Tape};
 use rr_sched::shard::Arena;
 use rr_sched::virtual_exec::RunOutcome;
 use rr_sched::Adversary;
-use rr_shmem::rng::RngMode;
 
 /// Adversary keys covering every registered strategy, the crash one in
 /// both a light and a heavy parameterization, and the schedule-space
@@ -53,7 +52,7 @@ fn audited_run(
     seed: u64,
     adversary: &mut dyn Adversary,
 ) -> RunOutcome {
-    run_once(algo, n, seed, RngMode::default(), ExecBackend::Dense, adversary, &mut Arena::new())
+    run_once(algo, n, seed, ExecBackend::Dense, adversary, &mut Arena::new())
 }
 
 fn record_then_replay(algo: &dyn RenamingAlgorithm, n: usize, seed: u64, key: &str) {

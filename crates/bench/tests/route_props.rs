@@ -22,7 +22,6 @@ use rr_sched::registry::standard;
 use rr_sched::shard::Arena;
 use rr_sched::{entity_vec, EntityVec, Pid};
 use rr_shmem::intent::Access;
-use rr_shmem::rng::RngMode;
 
 fn topology(idx: usize) -> RouteTopology {
     [RouteTopology::Benes, RouteTopology::Butterfly, RouteTopology::Variant][idx]
@@ -48,15 +47,7 @@ proptest! {
         let algo = RouteRenaming { topology: topology(t), stages };
         let adversary = ["fair", "random", "collisions"][adv_idx];
         let mut adv = standard().build(adversary, n, seed).unwrap();
-        let out = run_once(
-            &algo,
-            n,
-            seed,
-            RngMode::ChaCha8,
-            ExecBackend::Dense,
-            adv.as_mut(),
-            &mut Arena::new(),
-        );
+        let out = run_once(&algo, n, seed, ExecBackend::Dense, adv.as_mut(), &mut Arena::new());
 
         let m = algo.m(n);
         let mut names: Vec<usize> = out.names.iter().flatten().copied().collect();

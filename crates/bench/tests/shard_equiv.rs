@@ -16,7 +16,6 @@ use rr_bench::scenario::registry;
 use rr_sched::ids::{LocalIdx, Pid, ShardId, ShardMap};
 use rr_sched::registry::standard;
 use rr_sched::shard::{shard_seed, Arena};
-use rr_shmem::rng::RngMode;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -34,14 +33,8 @@ proptest! {
         let algo = reg.build("tight-tau:c=4").unwrap();
         let build = standard().prepare("random").unwrap();
 
-        let merged = run_once_sharded(
-            algo.as_ref(),
-            n,
-            seed,
-            RngMode::default(),
-            &|n_s, sub_seed| build(n_s, sub_seed),
-            s,
-        );
+        let merged =
+            run_once_sharded(algo.as_ref(), n, seed, &|n_s, sub_seed| build(n_s, sub_seed), s);
 
         let map = ShardMap::new(s);
         let mut name_offset = 0usize;
@@ -91,9 +84,7 @@ proptest! {
         let reg = registry();
         let algo = reg.build("cor9").unwrap();
         let build = standard().prepare("random").unwrap();
-        let run = || {
-            run_once_sharded(algo.as_ref(), n, seed, RngMode::default(), &|n_s, sub| build(n_s, sub), s)
-        };
+        let run = || run_once_sharded(algo.as_ref(), n, seed, &|n_s, sub| build(n_s, sub), s);
         let a = run();
         let b = run();
         prop_assert_eq!(a.names, b.names);

@@ -19,7 +19,7 @@
 
 use crate::params::FinisherPlan;
 use crate::phase::{PhaseOutcome, PhaseProcess};
-use rr_shmem::rng::{ProcessRng, RngMode};
+use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -77,21 +77,6 @@ impl AagwProcess {
     /// # Panics
     /// Panics if the plan's spare size differs from the shared space.
     pub fn new(pid: usize, seed: u64, shared: Arc<SpareShared>, plan: FinisherPlan) -> Self {
-        Self::with_rng(pid, seed, RngMode::default(), shared, plan)
-    }
-
-    /// Like [`AagwProcess::new`] with an explicit RNG backend (the
-    /// default mode is bit-identical to it).
-    ///
-    /// # Panics
-    /// Panics if the plan's spare size differs from the shared space.
-    pub fn with_rng(
-        pid: usize,
-        seed: u64,
-        rng: RngMode,
-        shared: Arc<SpareShared>,
-        plan: FinisherPlan,
-    ) -> Self {
         assert_eq!(plan.spare, shared.registers.len(), "plan/space size mismatch");
         let state = if plan.segments() == 0 {
             State::Sweep { cursor: 0, start: 0, visited: 0 }
@@ -100,7 +85,7 @@ impl AagwProcess {
         };
         Self {
             pid,
-            rng: ProcessRng::with_mode(rng, seed, pid),
+            rng: ProcessRng::new(seed, pid),
             shared,
             plan,
             state,
@@ -118,18 +103,7 @@ impl AagwProcess {
         shared: Arc<SpareShared>,
         plan: FinisherPlan,
     ) -> Self {
-        Self::without_sweep_rng(pid, seed, RngMode::default(), shared, plan)
-    }
-
-    /// [`AagwProcess::without_sweep`] with an explicit RNG backend.
-    pub fn without_sweep_rng(
-        pid: usize,
-        seed: u64,
-        rng: RngMode,
-        shared: Arc<SpareShared>,
-        plan: FinisherPlan,
-    ) -> Self {
-        let mut p = Self::with_rng(pid, seed, rng, shared, plan);
+        let mut p = Self::new(pid, seed, shared, plan);
         p.sweep = false;
         p
     }

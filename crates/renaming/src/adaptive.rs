@@ -30,7 +30,6 @@ use crate::phase::{PhaseOutcome, PhaseProcess};
 use crate::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::RngMode;
 use rr_shmem::Access;
 use std::sync::Arc;
 
@@ -138,7 +137,6 @@ enum Stage {
 pub struct AdaptiveProcess {
     pid: usize,
     seed: u64,
-    rng: RngMode,
     shared: Arc<AdaptiveShared>,
     segment: usize,
     stage: Stage,
@@ -152,16 +150,9 @@ pub struct AdaptiveProcess {
 impl AdaptiveProcess {
     /// Process `pid` starting at segment 0.
     pub fn new(pid: usize, seed: u64, shared: Arc<AdaptiveShared>) -> Self {
-        Self::with_rng(pid, seed, RngMode::default(), shared)
-    }
-
-    /// Like [`AdaptiveProcess::new`] with an explicit RNG backend (the
-    /// default mode is bit-identical to it).
-    pub fn with_rng(pid: usize, seed: u64, rng: RngMode, shared: Arc<AdaptiveShared>) -> Self {
         let mut p = Self {
             pid,
             seed,
-            rng,
             shared,
             segment: 0,
             stage: Stage::Primary,
@@ -187,29 +178,17 @@ impl AdaptiveProcess {
         // Distinct stream per (process, segment) so ladder retries are
         // independent.
         let seed = self.seed ^ ((j as u64 + 1) << 32);
-        self.inner_primary = Some(L6Process::with_rng(
-            self.pid,
-            seed,
-            self.rng,
-            Arc::clone(&seg.primary),
-            seg.schedule.clone(),
-        ));
+        self.inner_primary =
+            Some(L6Process::new(self.pid, seed, Arc::clone(&seg.primary), seg.schedule.clone()));
         let last = j + 1 == self.shared.segments.len();
         // Only the top segment keeps the deterministic sweep (it is the
         // global termination guarantee); lower segments climb instead.
         self.inner_finisher = Some(if last {
-            AagwProcess::with_rng(
-                self.pid,
-                seed ^ 0x5eed,
-                self.rng,
-                Arc::clone(&seg.spare),
-                seg.plan.clone(),
-            )
+            AagwProcess::new(self.pid, seed ^ 0x5eed, Arc::clone(&seg.spare), seg.plan.clone())
         } else {
-            AagwProcess::without_sweep_rng(
+            AagwProcess::without_sweep(
                 self.pid,
                 seed ^ 0x5eed,
-                self.rng,
                 Arc::clone(&seg.spare),
                 seg.plan.clone(),
             )
@@ -275,7 +254,7 @@ impl Process for AdaptiveProcess {
 ///
 /// `build(n, …)` sizes the ladder for up to `n` participants but
 /// the *processes do not know n* — they start at guess 1 and climb. Use
-/// [`AdaptiveRenaming::instantiate_participants_rng`] to run only `k ≤ n`
+/// [`AdaptiveRenaming::instantiate_participants`] to run only `k ≤ n`
 /// participants against the same ladder and observe the adaptive
 /// name-space bound `O(k)`.
 #[derive(Debug, Clone, Copy)]
@@ -283,22 +262,20 @@ pub struct AdaptiveRenaming;
 
 impl AdaptiveRenaming {
     /// Builds a ladder sized for `max_n` and processes for `k`
-    /// participants (`k ≤ max_n`), drawing coins in `rng` mode.
-    pub fn instantiate_participants_rng(
+    /// participants (`k ≤ max_n`).
+    pub fn instantiate_participants(
         &self,
         k: usize,
         max_n: usize,
         seed: u64,
-        rng: RngMode,
     ) -> (Arc<AdaptiveShared>, Vec<AdaptiveProcess>) {
         assert!(k >= 1 && k <= max_n);
         // Segments up to 2^(⌈log₂ max_n⌉ + 1): one guess beyond max_n so
         // the w.h.p. straggler bound of the top segment has headroom.
         let max_guess_log = (usize::BITS - (max_n - 1).leading_zeros()).max(1) + 1;
         let shared = Arc::new(AdaptiveShared::new(AdaptiveLayout::new(max_guess_log)));
-        let procs = (0..k)
-            .map(|pid| AdaptiveProcess::with_rng(pid, seed, rng, Arc::clone(&shared)))
-            .collect();
+        let procs =
+            (0..k).map(|pid| AdaptiveProcess::new(pid, seed, Arc::clone(&shared))).collect();
         (shared, procs)
     }
 }
@@ -321,8 +298,8 @@ impl RenamingProtocol for AdaptiveRenaming {
         400 * (n as u64) * ((n.max(2) as f64).log2().ceil() as u64 + 16)
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<AdaptiveProcess> {
-        self.instantiate_participants_rng(n, n, seed, rng).1
+    fn build(&self, n: usize, seed: u64) -> Vec<AdaptiveProcess> {
+        self.instantiate_participants(n, n, seed).1
     }
 }
 
@@ -334,8 +311,7 @@ mod tests {
     use rr_sched::shard::Arena;
 
     fn run_adaptive(k: usize, max_n: usize, seed: u64) -> (Vec<usize>, u64, usize) {
-        let (shared, mut procs) =
-            AdaptiveRenaming.instantiate_participants_rng(k, max_n, seed, RngMode::default());
+        let (shared, mut procs) = AdaptiveRenaming.instantiate_participants(k, max_n, seed);
         let out = Arena::new()
             .run(
                 &mut procs,
@@ -394,8 +370,7 @@ mod tests {
 
     #[test]
     fn safety_under_random_adversary() {
-        let (shared, mut procs) =
-            AdaptiveRenaming.instantiate_participants_rng(64, 256, 2, RngMode::default());
+        let (shared, mut procs) = AdaptiveRenaming.instantiate_participants(64, 256, 2);
         let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(11), 1 << 26).unwrap();
         out.verify_renaming(shared.layout().total).unwrap();
     }

@@ -15,7 +15,7 @@
 
 use crate::params::Lemma6Schedule;
 use crate::phase::{PhaseOutcome, PhaseProcess};
-use rr_shmem::rng::{ProcessRng, RngMode};
+use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -54,26 +54,7 @@ pub struct L6Process {
 impl L6Process {
     /// Process `pid` over `shared`, following `schedule`.
     pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>, schedule: Lemma6Schedule) -> Self {
-        Self::with_rng(pid, seed, RngMode::default(), shared, schedule)
-    }
-
-    /// Like [`L6Process::new`] with an explicit RNG backend (the default
-    /// mode is bit-identical to it).
-    pub fn with_rng(
-        pid: usize,
-        seed: u64,
-        rng: RngMode,
-        shared: Arc<LooseShared>,
-        schedule: Lemma6Schedule,
-    ) -> Self {
-        Self {
-            pid,
-            rng: ProcessRng::with_mode(rng, seed, pid),
-            shared,
-            schedule,
-            spent: 0,
-            pending: None,
-        }
+        Self { pid, rng: ProcessRng::new(seed, pid), shared, schedule, spent: 0, pending: None }
     }
 
     /// The round (1-based) that probe number `spent` (0-based) falls in.

@@ -12,7 +12,7 @@
 use crate::loose_l6::LooseShared;
 use crate::params::Lemma8Schedule;
 use crate::phase::{PhaseOutcome, PhaseProcess};
-use rr_shmem::rng::{ProcessRng, RngMode};
+use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::TasMemory;
 use rr_shmem::Access;
 use std::sync::Arc;
@@ -33,21 +33,9 @@ pub struct L8Process {
 impl L8Process {
     /// Process `pid` over `shared`, following `schedule`.
     pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>, schedule: Lemma8Schedule) -> Self {
-        Self::with_rng(pid, seed, RngMode::default(), shared, schedule)
-    }
-
-    /// Like [`L8Process::new`] with an explicit RNG backend (the default
-    /// mode is bit-identical to it).
-    pub fn with_rng(
-        pid: usize,
-        seed: u64,
-        rng: RngMode,
-        shared: Arc<LooseShared>,
-        schedule: Lemma8Schedule,
-    ) -> Self {
         Self {
             pid,
-            rng: ProcessRng::with_mode(rng, seed, pid),
+            rng: ProcessRng::new(seed, pid),
             shared,
             schedule,
             phase: 0,

@@ -1,10 +1,10 @@
 //! The uniform algorithm interface the experiment harness drives.
 //!
 //! Every renaming protocol (the paper's and the baselines) implements
-//! [`RenamingProtocol`]: given `n`, a seed and an RNG mode it builds the
-//! `n` typed process state machines. The blanket impl turns each one
-//! into a [`RenamingAlgorithm`] — the object-safe face the registry and
-//! the runner use — whose dense entry point runs the typed vector in an
+//! [`RenamingProtocol`]: given `n` and a seed it builds the `n` typed
+//! process state machines. The blanket impl turns each one into a
+//! [`RenamingAlgorithm`] — the object-safe face the registry and the
+//! runner use — whose dense entry point runs the typed vector in an
 //! [`Arena`] and whose boxed [`Instance`] feeds the threads executor.
 
 use crate::aagw::{AagwProcess, SpareShared};
@@ -62,9 +62,9 @@ pub trait RenamingProtocol {
     }
 
     /// Builds one run's shared memory and its `n` processes, pids
-    /// `0..n`, drawing coins from per-process streams of `seed` in `rng`
-    /// mode (see `rr_shmem::rng`).
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc>;
+    /// `0..n`, drawing coins from per-process streams of `seed` (see
+    /// `rr_shmem::rng`).
+    fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc>;
 }
 
 /// The object-safe face of a [`RenamingProtocol`]: what the registry's
@@ -83,30 +83,29 @@ pub trait RenamingAlgorithm {
     /// See [`RenamingProtocol::step_budget`].
     fn step_budget(&self, n: usize) -> u64;
 
-    /// Builds one run's processes, boxed, under `rng` mode.
-    fn instantiate_with(&self, n: usize, seed: u64, rng: RngMode) -> Instance;
+    /// Builds one run's processes, boxed.
+    fn instantiate(&self, n: usize, seed: u64) -> Instance;
 
-    /// Runs one seed inside `arena` under `adversary` and `rng` mode —
-    /// the dense backend's entry point. The processes stay a typed
-    /// `Vec<Proc>` (one allocation, announce/step monomorphized); the
-    /// outcome is bit-identical to running the boxed
-    /// [`Instance::processes`] of the same seed in an arena.
+    /// Runs one seed inside `arena` under `adversary` — the dense
+    /// backend's entry point. The processes stay a typed `Vec<Proc>` (one
+    /// allocation, announce/step monomorphized); the outcome is
+    /// bit-identical to running the boxed [`Instance::processes`] of the
+    /// same seed in an arena.
     ///
     /// # Errors
     /// Propagates the executor's [`ExecError`]s (step-budget livelock
     /// guard, illegal adversary decisions).
-    fn run_dense_with(
+    fn run_dense(
         &self,
         n: usize,
         seed: u64,
-        rng: RngMode,
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError>;
 
-    /// [`RenamingAlgorithm::run_dense_with`], also returning the RNG
-    /// words the typed processes drew (Σ [`Process::rng_words`]) — the
-    /// typed side of the boxed-dispatch equivalence check.
+    /// [`RenamingAlgorithm::run_dense`], also returning the RNG words the
+    /// typed processes drew (Σ [`Process::rng_words`]) — the typed side
+    /// of the boxed-dispatch equivalence check.
     ///
     /// # Errors
     /// Propagates the executor's [`ExecError`]s.
@@ -114,29 +113,9 @@ pub trait RenamingAlgorithm {
         &self,
         n: usize,
         seed: u64,
-        rng: RngMode,
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<(RunOutcome, u64), ExecError>;
-
-    /// [`RenamingAlgorithm::instantiate_with`] in the default RNG mode.
-    fn instantiate(&self, n: usize, seed: u64) -> Instance {
-        self.instantiate_with(n, seed, RngMode::default())
-    }
-
-    /// [`RenamingAlgorithm::run_dense_with`] in the default RNG mode.
-    ///
-    /// # Errors
-    /// Propagates the executor's [`ExecError`]s.
-    fn run_dense(
-        &self,
-        n: usize,
-        seed: u64,
-        adversary: &mut dyn Adversary,
-        arena: &mut Arena,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_dense_with(n, seed, RngMode::default(), adversary, arena)
-    }
 }
 
 impl<A: RenamingProtocol> RenamingAlgorithm for A {
@@ -156,8 +135,8 @@ impl<A: RenamingProtocol> RenamingAlgorithm for A {
         RenamingProtocol::step_budget(self, n)
     }
 
-    fn instantiate_with(&self, n: usize, seed: u64, rng: RngMode) -> Instance {
-        let processes = self.build(n, seed, rng);
+    fn instantiate(&self, n: usize, seed: u64) -> Instance {
+        let processes = self.build(n, seed);
         Instance {
             processes: processes
                 .into_iter()
@@ -168,26 +147,24 @@ impl<A: RenamingProtocol> RenamingAlgorithm for A {
         }
     }
 
-    fn run_dense_with(
+    fn run_dense(
         &self,
         n: usize,
         seed: u64,
-        rng: RngMode,
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<RunOutcome, ExecError> {
-        arena.run(&mut self.build(n, seed, rng), adversary, RenamingProtocol::step_budget(self, n))
+        arena.run(&mut self.build(n, seed), adversary, RenamingProtocol::step_budget(self, n))
     }
 
     fn run_dense_with_draws(
         &self,
         n: usize,
         seed: u64,
-        rng: RngMode,
         adversary: &mut dyn Adversary,
         arena: &mut Arena,
     ) -> Result<(RunOutcome, u64), ExecError> {
-        let mut processes = self.build(n, seed, rng);
+        let mut processes = self.build(n, seed);
         let out = arena.run(&mut processes, adversary, RenamingProtocol::step_budget(self, n))?;
         Ok((out, processes.iter().filter_map(Process::rng_words).sum()))
     }
@@ -208,8 +185,8 @@ impl RenamingProtocol for TightRenaming {
         n
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<TightProcess> {
-        self.instantiate_shared_rng(n, seed, rng).1
+    fn build(&self, n: usize, seed: u64) -> Vec<TightProcess> {
+        self.instantiate_shared_rng(n, seed, RngMode::default()).1
     }
 }
 
@@ -235,18 +212,12 @@ impl RenamingProtocol for LooseL6 {
         true
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
+    fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma6Schedule::new(n, self.ell);
         (0..n)
             .map(|pid| {
-                AlmostTight(L6Process::with_rng(
-                    pid,
-                    seed,
-                    rng,
-                    Arc::clone(&shared),
-                    schedule.clone(),
-                ))
+                AlmostTight(L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
             })
             .collect()
     }
@@ -274,18 +245,12 @@ impl RenamingProtocol for LooseL8 {
         true
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
+    fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma8Schedule::new(n, self.ell);
         (0..n)
             .map(|pid| {
-                AlmostTight(L8Process::with_rng(
-                    pid,
-                    seed,
-                    rng,
-                    Arc::clone(&shared),
-                    schedule.clone(),
-                ))
+                AlmostTight(L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
             })
             .collect()
     }
@@ -309,7 +274,7 @@ impl RenamingProtocol for Cor7 {
         n + spare::cor7(n, self.ell)
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
+    fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let primary = Arc::new(LooseShared::new(n));
         let spare_size = spare::cor7(n, self.ell);
         let spare_mem = Arc::new(SpareShared::new(n, spare_size));
@@ -317,14 +282,8 @@ impl RenamingProtocol for Cor7 {
         let plan = FinisherPlan::new(spare_size);
         (0..n)
             .map(|pid| {
-                let a = L6Process::with_rng(pid, seed, rng, Arc::clone(&primary), schedule.clone());
-                let b = AagwProcess::with_rng(
-                    pid,
-                    seed ^ 0x5eed,
-                    rng,
-                    Arc::clone(&spare_mem),
-                    plan.clone(),
-                );
+                let a = L6Process::new(pid, seed, Arc::clone(&primary), schedule.clone());
+                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem), plan.clone());
                 Chain::new(a, b)
             })
             .collect()
@@ -349,7 +308,7 @@ impl RenamingProtocol for Cor9 {
         n + spare::cor9(n, self.ell)
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
+    fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let primary = Arc::new(LooseShared::new(n));
         let spare_size = spare::cor9(n, self.ell);
         let spare_mem = Arc::new(SpareShared::new(n, spare_size));
@@ -357,14 +316,8 @@ impl RenamingProtocol for Cor9 {
         let plan = FinisherPlan::new(spare_size);
         (0..n)
             .map(|pid| {
-                let a = L8Process::with_rng(pid, seed, rng, Arc::clone(&primary), schedule.clone());
-                let b = AagwProcess::with_rng(
-                    pid,
-                    seed ^ 0x5eed,
-                    rng,
-                    Arc::clone(&spare_mem),
-                    plan.clone(),
-                );
+                let a = L8Process::new(pid, seed, Arc::clone(&primary), schedule.clone());
+                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem), plan.clone());
                 Chain::new(a, b)
             })
             .collect()
@@ -387,19 +340,11 @@ impl RenamingProtocol for AagwLoose {
         2 * n
     }
 
-    fn build(&self, n: usize, seed: u64, rng: RngMode) -> Vec<Self::Proc> {
+    fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(SpareShared::new(0, 2 * n));
         let plan = FinisherPlan::new(2 * n);
         (0..n)
-            .map(|pid| {
-                AlmostTight(AagwProcess::with_rng(
-                    pid,
-                    seed,
-                    rng,
-                    Arc::clone(&shared),
-                    plan.clone(),
-                ))
-            })
+            .map(|pid| AlmostTight(AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone())))
             .collect()
     }
 }

@@ -94,14 +94,6 @@ pub fn to_markdown(report: &Report) -> String {
          (`kind:\"throughput\"`) records are ignored, so this file is a pure function \
          of its inputs and CI diffs it byte-for-byte.\n\n",
     );
-    out.push_str(
-        "**RNG modes.** Records produced under a non-default process-RNG backend \
-         (`--rng counter`: SplitMix64 counter streams with amortized coin blocks — a \
-         flagged modelling change for throughput work) carry an explicit \
-         `\"rng\":\"counter\"` field; the claim checks below only consume default-mode \
-         (ChaCha8) records, whose draw schedule is pinned bit-for-bit, so every verdict \
-         in this file is reproduction-grade.\n\n",
-    );
     let _ = writeln!(
         out,
         "Inputs: {}.\n",

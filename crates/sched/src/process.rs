@@ -92,7 +92,7 @@ pub trait Process: Send {
 
     /// Raw RNG draws made so far, if this process draws randomness —
     /// the per-process draw-schedule fingerprint the draws-per-step
-    /// goldens sum and pin. Units are backend-defined (see
+    /// goldens sum and pin, in 32-bit cipher words (see
     /// `ProcessRng::words_drawn`). Deterministic processes return
     /// `None`.
     fn rng_words(&self) -> Option<u64> {

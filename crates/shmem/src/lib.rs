@@ -51,6 +51,6 @@ pub mod tas;
 pub use atomics::AtomicWord;
 pub use intent::Access;
 pub use namespace::{AuditError, NameSpaceAudit};
-pub use rng::{ProcessRng, RngMode};
+pub use rng::ProcessRng;
 pub use stats::{StepCounters, StepSummary};
 pub use tas::{AtomicTasArray, CountingTas, TasMemory};

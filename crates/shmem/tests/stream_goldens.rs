@@ -1,14 +1,16 @@
 //! Literal goldens for the values of the per-process random streams.
 //!
 //! The draw-schedule goldens pin how many words each step consumes; these
-//! pin the words themselves, for three `(seed, pid)` pairs in both
-//! [`RngMode`]s. `index(usize::MAX)` returns a raw 64-bit draw unchanged
+//! pin the words themselves, for three `(seed, pid)` pairs.
+//! `index(usize::MAX)` returns a raw 64-bit draw unchanged
 //! (its rejection zone is the single value `u64::MAX`), so 24 such draws
 //! expose the first 48 ChaCha8 words: three 16-word cipher blocks. A
 //! second, mixed pattern of coins and bounded draws pins the drawn values
 //! together with `words_drawn()` after every draw.
 
-use rr_shmem::rng::{ProcessRng, RngMode};
+use rand::rngs::ChaCha8Rng;
+use rand::{RngExt, SeedableRng};
+use rr_shmem::rng::ProcessRng;
 
 /// `(seed, pid)` pairs: `pid = 0`, `seed = u64::MAX`, and the last pid of
 /// an n = 2^20 run.
@@ -45,91 +47,6 @@ const CHACHA_WORDS: [[u32; 48]; 3] = [
         0xfb1ea512, 0xfc188e7e, 0x89603308, 0x91cd7044, 0x54384487, 0x190c6371, 0x6f860a0d,
         0xfb31a2c2, 0xd1779b97, 0x48c1ab31, 0x85ea3c28, 0x6ac411c4, 0x329a266a, 0xb99e6338,
         0xfd2eeaf1, 0xc8a5878b, 0x4cadac5a, 0x5572450f, 0x6a9ea37c, 0x808ff734,
-    ],
-];
-
-/// First 24 64-bit mixes of each counter stream.
-const COUNTER_WORDS: [[u64; 24]; 3] = [
-    // (42, 0)
-    [
-        0x737e3392d1dcad82,
-        0xc3d892a4232eb20d,
-        0x4ae68a8625c9c767,
-        0x3c8838094d8db5fc,
-        0xe866e32d9350ca6f,
-        0x9c4b2e46a87e25f2,
-        0xb416381c038b5c62,
-        0xeb9776b6441d3e6e,
-        0xfbd43710ed553695,
-        0x1da79fdfe85ffe9a,
-        0x74efbfca28ef8f50,
-        0xcc3e213ed90ce94a,
-        0xd063d0047d62ab65,
-        0xb45bd5ae650e95c1,
-        0xcb26bcc26533d3ae,
-        0xdd03f33a2e035ce0,
-        0xf00beffd52d3e5e4,
-        0xf2469abcac3dc378,
-        0x1d4eaae82df767b6,
-        0x3135c751f3475bec,
-        0x7f18db76a10ec091,
-        0x5275b99a1534b6b7,
-        0x010bb37eae9e22fe,
-        0xad4ed765559e721c,
-    ],
-    // (u64::MAX, 5)
-    [
-        0x51d1c0dcf08e18e6,
-        0xb35fbdaf1481df80,
-        0xd799149e1b8af6b8,
-        0xdee748e0cb7cef5d,
-        0x0377d5a312990bd0,
-        0x646eebf49199b240,
-        0xc539d0afd4221a48,
-        0x7abe07fc71f9cd0d,
-        0x2ecfb1de64a666d2,
-        0xf79fa08b0c8df005,
-        0x75c4c6bbf2cd9003,
-        0xa333bc83c3a9f9ff,
-        0x1d7b8f4f122a3391,
-        0xa9ac6e99d7a2eb55,
-        0xe347e091de2d711d,
-        0x27ba75a8b8d5b063,
-        0xb57618a2fd70554d,
-        0xa73e869bb3c73123,
-        0x89f9d3e4d87db4c0,
-        0x44fe4da6aa3da9ca,
-        0x6db9ed2be4c4f985,
-        0xf6f4f10cdb944a1c,
-        0xbdeb5a2c2bff883a,
-        0xa05a177181a9f869,
-    ],
-    // (7, 1_048_575)
-    [
-        0x4edc0a5cb5cb218b,
-        0x31e6d4378df8bc3e,
-        0x5d490f9376842995,
-        0x3aa0398391c1e3e0,
-        0xe4a5b5c98e885d58,
-        0x41a601608bf674d8,
-        0x89fc6b069c9dd3f5,
-        0x32730480c8d4c646,
-        0x209d1108e81a41e2,
-        0x7624e34f19658036,
-        0x9532cb62bb8f5103,
-        0x5f83554fb1a79528,
-        0x491748e1afebea50,
-        0x1c905e4f9595b2e2,
-        0xdc998099631a0f83,
-        0x82d9011c5200b21c,
-        0x74023e7c939a9640,
-        0xdc0ffe18527fb48a,
-        0x7a8107e8beef9994,
-        0x66c179fabe4785c5,
-        0x771a5243fe9a0627,
-        0x4943aebb2b0f35dd,
-        0xee96b591bd567618,
-        0x1117fac422ed90fb,
     ],
 ];
 
@@ -266,148 +183,15 @@ const CHACHA_MIXED: [[(usize, u64); 40]; 3] = [
     ],
 ];
 
-/// `(value, words_drawn())` after each draw of [`mixed_draws`], counter.
-const COUNTER_MIXED: [[(usize, u64); 40]; 3] = [
-    // (42, 0)
-    [
-        (0, 1),
-        (853, 2),
-        (3, 3),
-        (898556, 4),
-        (1, 4),
-        (991, 5),
-        (2, 6),
-        (744546, 7),
-        (0, 7),
-        (670, 8),
-        (3, 9),
-        (1048218, 10),
-        (0, 10),
-        (800, 11),
-        (0, 12),
-        (174949, 13),
-        (0, 13),
-        (625, 14),
-        (2, 15),
-        (220384, 16),
-        (0, 16),
-        (868, 17),
-        (2, 18),
-        (485302, 19),
-        (0, 19),
-        (108, 20),
-        (1, 21),
-        (308919, 22),
-        (1, 22),
-        (582, 23),
-        (4, 24),
-        (946222, 25),
-        (1, 25),
-        (565, 26),
-        (0, 27),
-        (903275, 28),
-        (0, 28),
-        (720, 29),
-        (2, 30),
-        (686188, 31),
-    ],
-    // (u64::MAX, 5)
-    [
-        (0, 1),
-        (8, 2),
-        (4, 3),
-        (847709, 4),
-        (1, 4),
-        (328, 5),
-        (2, 6),
-        (137800, 7),
-        (1, 7),
-        (221, 8),
-        (0, 9),
-        (913413, 10),
-        (0, 10),
-        (107, 11),
-        (3, 12),
-        (668561, 13),
-        (0, 13),
-        (181, 14),
-        (5, 15),
-        (372835, 16),
-        (1, 16),
-        (917, 17),
-        (5, 18),
-        (898240, 19),
-        (1, 19),
-        (42, 20),
-        (3, 21),
-        (281116, 22),
-        (1, 22),
-        (770, 23),
-        (5, 24),
-        (308103, 25),
-        (0, 25),
-        (2, 26),
-        (0, 27),
-        (54183, 28),
-        (0, 28),
-        (804, 29),
-        (5, 30),
-        (479119, 31),
-    ],
-    // (7, 1_048_575)
-    [
-        (1, 1),
-        (110, 2),
-        (3, 3),
-        (123872, 4),
-        (1, 4),
-        (64, 5),
-        (4, 6),
-        (906229, 7),
-        (0, 7),
-        (822, 8),
-        (4, 9),
-        (360502, 10),
-        (1, 10),
-        (579, 11),
-        (2, 12),
-        (780880, 13),
-        (0, 13),
-        (842, 14),
-        (1, 15),
-        (45596, 16),
-        (0, 16),
-        (464, 17),
-        (2, 18),
-        (1022356, 19),
-        (0, 19),
-        (317, 20),
-        (3, 21),
-        (996829, 22),
-        (1, 22),
-        (696, 23),
-        (3, 24),
-        (960923, 25),
-        (1, 25),
-        (4, 26),
-        (0, 27),
-        (725457, 28),
-        (0, 28),
-        (732, 29),
-        (3, 30),
-        (521407, 31),
-    ],
-];
-
 /// 24 full-width draws as `(value, words_drawn())` pairs.
-fn full_draws(mode: RngMode, seed: u64, pid: usize) -> Vec<(u64, u64)> {
-    let mut rng = ProcessRng::with_mode(mode, seed, pid);
+fn full_draws(seed: u64, pid: usize) -> Vec<(u64, u64)> {
+    let mut rng = ProcessRng::new(seed, pid);
     (0..24).map(|_| (rng.index(usize::MAX) as u64, rng.words_drawn())).collect()
 }
 
 /// A coin, then bounds 1000, 6 and 2^20, repeated ten times.
-fn mixed_draws(mode: RngMode, seed: u64, pid: usize) -> Vec<(usize, u64)> {
-    let mut rng = ProcessRng::with_mode(mode, seed, pid);
+fn mixed_draws(seed: u64, pid: usize) -> Vec<(usize, u64)> {
+    let mut rng = ProcessRng::new(seed, pid);
     (0..40)
         .map(|i| {
             let value = match i % 4 {
@@ -424,7 +208,7 @@ fn mixed_draws(mode: RngMode, seed: u64, pid: usize) -> Vec<(usize, u64)> {
 #[test]
 fn chacha_stream_words_are_pinned() {
     for ((seed, pid), golden) in PAIRS.into_iter().zip(CHACHA_WORDS) {
-        let draws = full_draws(RngMode::ChaCha8, seed, pid);
+        let draws = full_draws(seed, pid);
         let words: Vec<u32> =
             draws.iter().flat_map(|&(v, _)| [v as u32, (v >> 32) as u32]).collect();
         assert_eq!(words, golden, "ChaCha8 stream ({seed}, {pid})");
@@ -434,22 +218,9 @@ fn chacha_stream_words_are_pinned() {
 }
 
 #[test]
-fn counter_stream_words_are_pinned() {
-    for ((seed, pid), golden) in PAIRS.into_iter().zip(COUNTER_WORDS) {
-        let draws = full_draws(RngMode::Counter, seed, pid);
-        let words: Vec<u64> = draws.iter().map(|&(v, _)| v).collect();
-        assert_eq!(words, golden, "counter stream ({seed}, {pid})");
-        let drawn: Vec<u64> = draws.iter().map(|&(_, w)| w).collect();
-        assert_eq!(drawn, (1..=24).collect::<Vec<u64>>(), "({seed}, {pid})");
-    }
-}
-
-#[test]
 fn mixed_draws_and_word_counts_are_pinned() {
-    for (mode, goldens) in [(RngMode::ChaCha8, CHACHA_MIXED), (RngMode::Counter, COUNTER_MIXED)] {
-        for ((seed, pid), golden) in PAIRS.into_iter().zip(goldens) {
-            assert_eq!(mixed_draws(mode, seed, pid), golden, "{mode} ({seed}, {pid})");
-        }
+    for ((seed, pid), golden) in PAIRS.into_iter().zip(CHACHA_MIXED) {
+        assert_eq!(mixed_draws(seed, pid), golden, "({seed}, {pid})");
     }
 }
 
@@ -457,9 +228,10 @@ fn mixed_draws_and_word_counts_are_pinned() {
 fn new_is_the_chacha8_mode() {
     for (seed, pid) in PAIRS {
         let mut a = ProcessRng::new(seed, pid);
-        let mut b = ProcessRng::with_mode(RngMode::ChaCha8, seed, pid);
+        let mut b = ChaCha8Rng::seed_from_u64(seed);
+        b.set_stream(pid as u64);
         for _ in 0..48 {
-            assert_eq!(a.index(usize::MAX), b.index(usize::MAX));
+            assert_eq!(a.index(usize::MAX), b.random_range(0..usize::MAX));
         }
     }
 }

@@ -6,13 +6,11 @@ use randomized_renaming::renaming::longlived::{LongLivedClient, ReleasableTasArr
 use randomized_renaming::renaming::traits::RenamingAlgorithm;
 use randomized_renaming::sched::adversary::{CrashAdversary, FairAdversary, RandomAdversary};
 use randomized_renaming::sched::shard::Arena;
-use randomized_renaming::shmem::rng::RngMode;
 use std::collections::HashSet;
 
 #[test]
 fn adaptive_under_crashes_names_all_survivors() {
-    let (shared, mut procs) =
-        AdaptiveRenaming.instantiate_participants_rng(256, 1024, 3, RngMode::default());
+    let (shared, mut procs) = AdaptiveRenaming.instantiate_participants(256, 1024, 3);
     let mut adv = CrashAdversary::new(FairAdversary::default(), 0.05, 50, 9);
     let out = Arena::new().run(&mut procs, &mut adv, 1 << 28).unwrap();
     out.verify_renaming(shared.layout().total).unwrap();
@@ -25,8 +23,7 @@ fn adaptive_under_crashes_names_all_survivors() {
 fn adaptive_name_usage_is_linear_in_k_across_seeds() {
     for seed in 0..5 {
         for k in [16usize, 128] {
-            let (shared, mut procs) =
-                AdaptiveRenaming.instantiate_participants_rng(k, 4096, seed, RngMode::default());
+            let (shared, mut procs) = AdaptiveRenaming.instantiate_participants(k, 4096, seed);
             let out =
                 Arena::new().run(&mut procs, &mut RandomAdversary::new(seed), 1 << 28).unwrap();
             out.verify_renaming(shared.layout().total).unwrap();
