@@ -28,7 +28,6 @@ scenarios:
   tas            3 TAS contenders, two on one register + one independent
   tas-collide    3 TAS contenders all hammering one register
   tau            2 τ-register acquirers on distinct bits
-  tau-block      batched request_block vs a request_bit acquirer
   tau-collide    2 τ-register acquirers racing for the same bit
   tau-quota      2 acquirers, quota τ=1: exactly one may win";
 

@@ -224,36 +224,6 @@ fn mk_tau_collide() -> ModelRun<Vec<ModelOp>> {
     tau_run(4, 2, &[2, 2], false)
 }
 
-/// One thread batching bits {0, 1} through `request_block` (the arena
-/// macro-step fast path: one CAS for the whole block, per-bit fallback
-/// under contention) racing a plain `request_bit(1)` acquirer. The
-/// block reports one [`ModelOp::Request`] per bit — the batched CAS
-/// must be explainable as those requests executed back to back, and
-/// bit 1 must have exactly one winner across both threads.
-fn mk_tau_block() -> ModelRun<Vec<ModelOp>> {
-    let reg = Arc::new(ConcurrentTauRegister::<TracedWord>::with_atomics(4, 2, 0));
-    let block = {
-        let reg = Arc::clone(&reg);
-        Box::new(move || {
-            let mut wins = Vec::new();
-            reg.request_block(&[0, 1], &mut wins);
-            wins.iter().zip([0usize, 1]).map(|(&won, bit)| ModelOp::Request { bit, won }).collect()
-        }) as Box<dyn FnOnce() -> Vec<ModelOp> + Send>
-    };
-    let single = {
-        let reg = Arc::clone(&reg);
-        Box::new(move || vec![ModelOp::Request { bit: 1, won: reg.request_bit(1) }])
-            as Box<dyn FnOnce() -> Vec<ModelOp> + Send>
-    };
-    ModelRun::new(vec![block, single], move |seqs: &[Vec<ModelOp>]| {
-        if tau_linearizes(4, 2, seqs) {
-            Ok(())
-        } else {
-            Err(format!("no sequential order explains {seqs:?}"))
-        }
-    })
-}
-
 fn mk_tau_quota() -> ModelRun<Vec<ModelOp>> {
     tau_run(4, 1, &[0, 1], false)
 }
@@ -288,12 +258,6 @@ pub fn scenarios() -> Vec<ModelScenario> {
             summary: "2 τ-register acquirers on distinct bits (τ=2, width 4)",
             limit: 100_000,
             builder: mk_tau,
-        },
-        ModelScenario {
-            key: "tau-block",
-            summary: "batched request_block on bits {0,1} racing a request_bit(1) acquirer",
-            limit: 100_000,
-            builder: mk_tau_block,
         },
         ModelScenario {
             key: "tau-collide",

@@ -551,9 +551,10 @@ impl RunConfig {
     /// Testable core of [`RunConfig::from_env`]: `--quick`,
     /// `--json <path>` and `--backend <key>` are recognized, anything
     /// else is ignored (the experiment binaries have always tolerated
-    /// stray arguments). An invalid backend key, or the removed `--rng`
-    /// flag, exits with a friendly message (code 2) — the flag is user
-    /// input, not programmer error.
+    /// stray arguments). A `--json` or `--backend` without a value, an
+    /// invalid backend key, or the removed `--rng` flag exits with a
+    /// friendly message (code 2) — the flag is user input, not
+    /// programmer error.
     pub fn from_args(args: impl IntoIterator<Item = String>, threads_env: Option<String>) -> Self {
         let mut cfg = Self {
             quick: false,
@@ -561,17 +562,21 @@ impl RunConfig {
             json_path: None,
             backend: ExecBackend::default(),
         };
-        let mut args = args.into_iter().peekable();
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            // A following `--flag` is not a value: reject it rather than
+            // swallow it or silently fall back to the default.
+            let mut value = |flag: &str| {
+                args.next().filter(|v| !v.starts_with("--")).unwrap_or_else(|| {
+                    eprintln!("{flag} needs a value");
+                    std::process::exit(2);
+                })
+            };
             match arg.as_str() {
                 "--quick" => cfg.quick = true,
-                // A following `--flag` is not a path — leave it in the
-                // stream instead of swallowing it.
-                "--json" if args.peek().is_some_and(|v| !v.starts_with("--")) => {
-                    cfg.json_path = args.next().map(Into::into);
-                }
-                "--backend" if args.peek().is_some_and(|v| !v.starts_with("--")) => {
-                    let key = args.next().expect("peeked");
+                "--json" => cfg.json_path = Some(value("--json").into()),
+                "--backend" => {
+                    let key = value("--backend");
                     cfg.backend = ExecBackend::parse(&key).unwrap_or_else(|e| {
                         eprintln!("--backend {key}: {e}");
                         std::process::exit(2);
@@ -847,15 +852,6 @@ mod tests {
         assert!(cfg.json_path.is_none());
         assert_eq!(cfg.pick(10, 2), 10);
 
-        // `--json` with no value is tolerated (no path recorded).
-        let cfg = RunConfig::from_args(["--json".to_string()], None);
-        assert!(cfg.json_path.is_none());
-
-        // `--json` must not swallow a following flag as its path.
-        let cfg = RunConfig::from_args(["--json", "--quick"].map(String::from), None);
-        assert!(cfg.json_path.is_none());
-        assert!(cfg.quick);
-
         // `--backend` selects the execution core; default is dense.
         assert_eq!(cfg.backend, ExecBackend::Dense);
         let cfg = RunConfig::from_args(["--backend", "dense"].map(String::from), None);
@@ -864,10 +860,6 @@ mod tests {
         assert_eq!(cfg.backend, ExecBackend::Threads { t: 3 });
         let cfg = RunConfig::from_args(["--backend", "shard:s=2"].map(String::from), None);
         assert_eq!(cfg.backend, ExecBackend::Shard { s: 2 });
-        // `--backend` with no value (next is a flag) leaves the default.
-        let cfg = RunConfig::from_args(["--backend", "--quick"].map(String::from), None);
-        assert_eq!(cfg.backend, ExecBackend::Dense);
-        assert!(cfg.quick);
     }
 
     /// The `RngMode` marker that `instantiate_shared_rng` still takes

@@ -2,14 +2,11 @@
 //! every execution core, timed — the scenario behind `exp_backends` and
 //! the committed `BENCH_backends.json` speed trajectory.
 
-use crate::runner::{run_once, BatchRun, BatchStats, BatchTiming, ExecBackend, RunConfig};
+use crate::runner::{BatchRun, BatchStats, ExecBackend, RunConfig};
 use crate::scenario::{registry, Record, ScenarioSpec, Section, Value};
 use rr_analysis::stats::upper_median;
 use rr_analysis::table::fnum;
 use rr_analysis::Table;
-use rr_sched::registry::standard;
-use rr_sched::shard::Arena;
-use std::time::Instant;
 
 /// What to race. Defaults target the paper's headline configuration at
 /// scale: `tight-tau` under the fair schedule at n = 2²⁰ (`--quick`
@@ -46,9 +43,7 @@ impl BackendsOptions {
 /// aggregate run count is checked. The shard counts are pinned, not
 /// core-count-derived, so the table is byte-stable across machines.
 /// Every row runs its seeds one after another, so the speedup column
-/// compares execution cores, not seed parallelism. The `dense` row runs
-/// on one explicit [`Arena`] so that its batched `request_block` stats
-/// are reported (and pinned by the snapshot).
+/// compares execution cores, not seed parallelism.
 /// The free-running `threads` backend is deliberately absent here: its
 /// schedule is the machine's, so it answers a different question (see
 /// `exp_matrix --backend threads:t=N`).
@@ -83,37 +78,16 @@ pub fn backends(opts: &BackendsOptions) -> ScenarioSpec {
                 "speedup",
             ]);
             let mut reference: Option<(BatchStats, f64)> = None;
-            let mut blocks = (0, 0);
             for backend in
                 [ExecBackend::Dense, ExecBackend::Shard { s: 1 }, ExecBackend::Shard { s: 4 }]
             {
-                let (stats, timing) = if backend == ExecBackend::Dense {
-                    let build = standard()
-                        .prepare(&opts.adversary)
-                        .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"));
-                    let mut arena = Arena::new();
-                    let start = Instant::now();
-                    let outs: Vec<_> = (0..opts.seeds)
-                        .map(|seed| {
-                            let mut adv = build(opts.n, seed);
-                            run_once(algo.as_ref(), opts.n, seed, backend, adv.as_mut(), &mut arena)
-                        })
-                        .collect();
-                    let wall_secs = start.elapsed().as_secs_f64();
-                    blocks = arena.block_stats();
-                    let stats = BatchStats::from_outcomes(&outs, opts.n);
-                    let timing =
-                        BatchTiming { wall_secs, runs: opts.seeds, steps: stats.total_work() };
-                    (stats, timing)
-                } else {
-                    BatchRun::new(algo.as_ref(), opts.n)
-                        .seeds(opts.seeds)
-                        .adversary(&opts.adversary)
-                        .backend(backend)
-                        .workers(1)
-                        .run()
-                        .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"))
-                };
+                let (stats, timing) = BatchRun::new(algo.as_ref(), opts.n)
+                    .seeds(opts.seeds)
+                    .adversary(&opts.adversary)
+                    .backend(backend)
+                    .workers(1)
+                    .run()
+                    .unwrap_or_else(|e| panic!("scenario BACKENDS: {e}"));
                 // Only shard:s=1 promises bit-identity with the dense
                 // reference; shard:s=4 runs a different (deterministic)
                 // partitioned schedule.
@@ -148,7 +122,7 @@ pub fn backends(opts: &BackendsOptions) -> ScenarioSpec {
                     fnum(timing.steps_per_sec() / 1e6, 2),
                     speedup,
                 ]);
-                let mut fields = vec![
+                let fields = vec![
                     ("kind".into(), Value::Str("throughput".into())),
                     ("algorithm".into(), Value::Str(opts.algorithm.clone())),
                     ("adversary".into(), Value::Str(opts.adversary.clone())),
@@ -160,16 +134,6 @@ pub fn backends(opts: &BackendsOptions) -> ScenarioSpec {
                     ("runs_per_sec".into(), Value::F64(timing.runs_per_sec())),
                     ("steps_per_sec".into(), Value::F64(timing.steps_per_sec())),
                 ];
-                if backend == ExecBackend::Dense {
-                    // The batched τ-CAS macro-step: how many
-                    // request_block claims fired and how many decisions
-                    // they covered. Deterministic (the dense schedule is
-                    // a pure function of the seeds), so the snapshot pins
-                    // them — a silent change to the batching heuristic
-                    // moves these counts.
-                    fields.push(("block_claims".into(), Value::U64(blocks.0)));
-                    fields.push(("block_steps".into(), Value::U64(blocks.1)));
-                }
                 emitter.record(&Record {
                     scenario: "BACKENDS".into(),
                     section: String::new(),
@@ -180,10 +144,6 @@ pub fn backends(opts: &BackendsOptions) -> ScenarioSpec {
                 }
             }
             emitter.text(table.to_string());
-            emitter.text(format!(
-                "batched request_block (dense): {} block claims covering {} decisions",
-                blocks.0, blocks.1
-            ));
         })],
         claim_check: "claim check: the speedup column is each backend's wall-clock over the \
                       dense executor on the identical batch (shard:s=1 bit-checked against \

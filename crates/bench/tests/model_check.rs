@@ -23,7 +23,6 @@ fn all_scenarios_exhaustively_linearizable() {
         ("tas", 2, 3),
         ("tas-collide", 6, 0),
         ("tau", 8, 5),
-        ("tau-block", 4, 0),
         ("tau-collide", 4, 5),
         ("tau-quota", 4, 5),
     ];
@@ -51,8 +50,8 @@ fn all_scenarios_exhaustively_linearizable() {
 fn unknown_scenario_key_lists_alternatives() {
     assert_eq!(
         scenario_by_key("livelock").unwrap_err(),
-        "unknown model scenario `livelock` (known: collect, tas, tas-collide, tau, tau-block, \
-         tau-collide, tau-quota)"
+        "unknown model scenario `livelock` (known: collect, tas, tas-collide, tau, tau-collide, \
+         tau-quota)"
     );
     assert_eq!(scenario_by_key("tau").unwrap().key, "tau");
 }

@@ -2,7 +2,7 @@
 //! `ParsedKey::parse` and both registries must turn malformed user input
 //! (`threads:t=0`, unknown keys, trailing commas, …) into a
 //! **descriptive `Err`** — never a panic. The exact messages are pinned:
-//! they are user-facing CLI output (`--backend`, `--algos`,
+//! they are user-facing CLI output (`--backend`, `--json`, `--algos`,
 //! `--adversaries`, the removed `--rng`) and experiment scripts grep
 //! them.
 
@@ -305,6 +305,30 @@ fn removed_rng_flag_exits_2_naming_the_removal() {
     }
 }
 
+/// `--json` and `--backend` without a value exit 2 instead of silently
+/// writing no file or running the default backend. A following flag is
+/// not a value.
+#[test]
+fn valueless_json_and_backend_flags_exit_2() {
+    for (args, flag) in [
+        (&["--json"][..], "--json"),
+        (&["--json", "--quick"], "--json"),
+        (&["--quick", "--backend"], "--backend"),
+        (&["--backend", "--quick"], "--backend"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_matrix"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim(),
+            format!("{flag} needs a value"),
+            "{args:?}"
+        );
+    }
+}
+
 #[test]
 fn registry_listing_shows_each_size_bound() {
     let listing = rr_bench::listing::registry_listing();
@@ -332,8 +356,8 @@ fn backend_round_trip_still_accepts_the_valid_grammar() {
 fn model_scenario_registry_lists_every_key_on_unknown_names() {
     assert_eq!(
         rr_bench::modelcheck::scenario_by_key("deadlock").unwrap_err(),
-        "unknown model scenario `deadlock` (known: collect, tas, tas-collide, tau, tau-block, \
-         tau-collide, tau-quota)"
+        "unknown model scenario `deadlock` (known: collect, tas, tas-collide, tau, tau-collide, \
+         tau-quota)"
     );
 }
 

@@ -31,23 +31,9 @@ pub enum StepOutcome {
     GaveUp,
 }
 
-/// Shared memory that can serve a *block* of announced
-/// [`Access::TauRequest`] steps from one batched τ-register CAS.
-///
-/// Implemented by workload shared-memory structs (e.g. the tight
-/// protocol's `TightShared`) and consumed by the arena's macro-step
-/// dispatch: when a contiguous run of granted decisions all announce
-/// requests on the same τ-register of the same host object, the
-/// executor claims the whole run through [`TauBatchHost::request_block`]
-/// (≈ one CAS) and hands each process its outcome via
-/// [`Process::step_claimed`]. The block must answer exactly as the same
-/// bits fed one at a time in order — the contiguity of the run is what
-/// makes a single commit point bit-identical to sequential execution.
-pub trait TauBatchHost {
-    /// Claims `bits` on τ-register `register` as one linearizable
-    /// block, pushing one outcome per entry (in order) onto `wins`.
-    fn request_block(&self, register: usize, bits: &[usize], wins: &mut Vec<bool>);
-}
+/// Kept only because the standalone `stepbench` package names it; the
+/// next change to that benchmark removes it. Nothing implements it.
+pub trait TauBatchHost {}
 
 /// A renaming participant as a pollable state machine.
 ///
@@ -68,24 +54,16 @@ pub trait Process: Send {
     /// The process id (stable, `0..n`).
     fn pid(&self) -> Pid;
 
-    /// The shared memory backing this process's announced
-    /// [`Access::TauRequest`] steps, if the executor may serve them
-    /// from a batched [`TauBatchHost::request_block`]. Two processes
-    /// are batched together only when both return the *same object*
-    /// (compared by address). Default: no batching.
+    /// Kept only because the standalone `stepbench` package calls it;
+    /// the next change to that benchmark removes it. Always `None`:
+    /// nothing overrides it.
     fn tau_host(&self) -> Option<&dyn TauBatchHost> {
         None
     }
 
-    /// Executes the announced τ-request step with `won` — the outcome
-    /// the executor already claimed for this process through
-    /// [`TauBatchHost::request_block`]. Must apply exactly the state
-    /// transition [`Process::step`] would after an identical
-    /// per-request outcome, without touching the register again.
-    ///
-    /// Only called when [`Process::tau_host`] returned a host and the
-    /// announced access was a τ-request; the default is therefore
-    /// unreachable.
+    /// Kept only because the standalone `stepbench` package calls it;
+    /// the next change to that benchmark removes it. Unreachable: every
+    /// τ-request runs through [`Process::step`].
     fn step_claimed(&mut self, _won: bool) -> StepOutcome {
         unreachable!("step_claimed on a process without a tau_host")
     }
@@ -115,14 +93,6 @@ impl<P: Process + ?Sized> Process for Box<P> {
 
     fn pid(&self) -> Pid {
         (**self).pid()
-    }
-
-    fn tau_host(&self) -> Option<&dyn TauBatchHost> {
-        (**self).tau_host()
-    }
-
-    fn step_claimed(&mut self, won: bool) -> StepOutcome {
-        (**self).step_claimed(won)
     }
 
     fn rng_words(&self) -> Option<u64> {

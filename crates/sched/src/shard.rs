@@ -49,7 +49,7 @@
 use crate::adversary::{Adversary, Decision, RunView};
 use crate::bits::{SlotSnapshot, Status, StatusBitmap};
 use crate::ids::{EntityVec, LocalIdx, Pid, ShardId, ShardMap};
-use crate::process::{Process, StepOutcome, TauBatchHost};
+use crate::process::{Process, StepOutcome};
 use crate::virtual_exec::{ExecError, RunOutcome};
 use rr_shmem::Access;
 use std::sync::{Condvar, Mutex};
@@ -98,17 +98,6 @@ pub struct Arena {
     slots: SlotSnapshot,
     steps: EntityVec<Pid, u64>,
     names: EntityVec<Pid, usize>,
-    /// Per-batch-position outcomes pre-claimed through a
-    /// [`TauBatchHost::request_block`]; `None` = execute live.
-    claimed: Vec<Option<bool>>,
-    /// Scratch for the current candidate run (see `try_claim_run`).
-    block_pids: Vec<Pid>,
-    block_bits: Vec<usize>,
-    block_wins: Vec<bool>,
-    /// Batched-CAS accounting since construction: block claims issued
-    /// and announced τ-request steps served from them.
-    block_claims: u64,
-    block_steps: u64,
 }
 
 impl Arena {
@@ -201,9 +190,7 @@ impl Arena {
             if batch.is_empty() {
                 return Err(ExecError::BadDecision { decision: "empty decision batch".into() });
             }
-            self.claimed.clear();
-            self.claimed.resize(batch.len(), None);
-            for (at, &decision) in batch.iter().enumerate() {
+            for &decision in &batch {
                 decisions += 1;
                 match decision {
                     Decision::Grant(pid) => {
@@ -217,14 +204,7 @@ impl Arena {
                         if total_steps > step_budget {
                             return Err(ExecError::StepBudgetExceeded { budget: step_budget });
                         }
-                        if self.claimed[at].is_none() {
-                            self.try_claim_run(processes, &batch, at, total_steps, step_budget);
-                        }
-                        let outcome = match self.claimed[at] {
-                            Some(won) => processes[pid.index()].step_claimed(won),
-                            None => processes[pid.index()].step(),
-                        };
-                        match outcome {
+                        match processes[pid.index()].step() {
                             StepOutcome::Continue => {
                                 self.announced[pid] = Some(processes[pid.index()].announce());
                             }
@@ -259,91 +239,11 @@ impl Arena {
         Ok(self.outcome(decisions))
     }
 
-    /// Macro-step τ-CAS batching: if positions `at..` of `batch` form a
-    /// contiguous run of ≥ 2 grants whose announced accesses all
-    /// request bits of one τ-register on one shared
-    /// [`TauBatchHost`] (same object, compared by address), claims the
-    /// whole run with a single
-    /// [`request_block`](TauBatchHost::request_block) and stashes the
-    /// per-position outcomes in `self.claimed`. Positions the claim
-    /// does not cover stay `None` and execute live.
-    ///
-    /// Bit-identity argument: the lookahead runs at *execution* time of
-    /// position `at` — every earlier decision of the batch has already
-    /// executed, so the announces it reads are exactly the ones the
-    /// sequential loop would execute (a repeated pid breaks the run,
-    /// because its later announce is not yet knowable). The run being
-    /// contiguous, no other access can observe the register between the
-    /// run's steps, so committing them at one linearization point
-    /// answers each request exactly as per-step execution would. Runs
-    /// that would straddle the step budget are left unclaimed so the
-    /// budget error fires at the same step with the same shared state.
-    fn try_claim_run<P: Process>(
-        &mut self,
-        processes: &[P],
-        batch: &[Decision],
-        at: usize,
-        total_steps: u64,
-        step_budget: u64,
-    ) {
-        let first = match batch[at] {
-            Decision::Grant(pid) => pid,
-            Decision::Crash(_) => return,
-        };
-        let register = match self.announced[first] {
-            Some(Access::TauRequest { register, .. }) => register,
-            _ => return,
-        };
-        let host = match processes[first.index()].tau_host() {
-            Some(h) => h,
-            None => return,
-        };
-        let host_addr = host as *const dyn TauBatchHost as *const ();
-        self.block_pids.clear();
-        self.block_bits.clear();
-        for d in &batch[at..] {
-            let pid = match *d {
-                Decision::Grant(p) => p,
-                Decision::Crash(_) => break,
-            };
-            if pid.index() >= processes.len() || self.block_pids.contains(&pid) {
-                break;
-            }
-            let bit = match self.announced[pid] {
-                Some(Access::TauRequest { register: r, bit }) if r == register => bit,
-                _ => break,
-            };
-            let same_host = processes[pid.index()].tau_host().is_some_and(|h| {
-                std::ptr::eq(h as *const dyn TauBatchHost as *const (), host_addr)
-            });
-            if !same_host {
-                break;
-            }
-            self.block_pids.push(pid);
-            self.block_bits.push(bit);
-        }
-        // `total_steps` already counts position `at`; the run adds
-        // `len - 1` more steps.
-        if self.block_bits.len() < 2
-            || total_steps + (self.block_bits.len() as u64 - 1) > step_budget
-        {
-            return;
-        }
-        self.block_wins.clear();
-        host.request_block(register, &self.block_bits, &mut self.block_wins);
-        self.block_claims += 1;
-        self.block_steps += self.block_wins.len() as u64;
-        for (offset, &won) in self.block_wins.iter().enumerate() {
-            self.claimed[at + offset] = Some(won);
-        }
-    }
-
-    /// `(block CASes issued, τ-request steps they served)` since this
-    /// arena was built — the batching-effectiveness numerator/denominator
-    /// the backends experiment reports. Zero/zero when no workload
-    /// exposed a [`TauBatchHost`].
+    /// Kept only because the standalone `stepbench` package calls it;
+    /// the next change to that benchmark removes it. Always `(0, 0)`:
+    /// every τ-request runs through [`Process::step`].
     pub fn block_stats(&self) -> (u64, u64) {
-        (self.block_claims, self.block_steps)
+        (0, 0)
     }
 
     /// Unpacks the packed bitmap state into the public [`RunOutcome`]

@@ -182,60 +182,6 @@ impl<W: AtomicWord> ConcurrentTauRegister<W> {
         won
     }
 
-    /// Requests a block of device bits — up to the register width — in
-    /// **one** CAS attempt, pushing one outcome per entry of `bits` (in
-    /// order) onto `wins`.
-    ///
-    /// Outcomes are exactly those of calling [`Self::request_bit`] for
-    /// each entry in sequence with no interference: the block is
-    /// simulated against one atomic snapshot (repeated bits lose to the
-    /// earlier entry, wins stop when the τ quota fills) and committed by
-    /// a single compare-and-swap, so the whole block linearizes at that
-    /// CAS. If the snapshot went stale — a concurrent writer moved the
-    /// state, or the weak CAS failed spuriously — the simulated outcomes
-    /// are discarded and the block falls back to per-bit
-    /// [`Self::request_bit`] calls, which preserves every invariant at
-    /// the old one-CAS-per-bit cost. Either path advances the cycle
-    /// counter by `bits.len()`, one answered request per entry, so
-    /// single-threaded executors observe identical metadata regardless
-    /// of which path ran.
-    ///
-    /// # Panics
-    /// Panics if any bit is out of range.
-    pub fn request_block(&self, bits: &[usize], wins: &mut Vec<bool>) {
-        for &bit in bits {
-            assert!((bit as u32) < self.width, "bit {bit} out of range (width {})", self.width);
-        }
-        let start = wins.len();
-        let cur = self.state.load(Ordering::Acquire);
-        let mut next = cur;
-        for &bit in bits {
-            let b = 1u64 << bit;
-            let won = next & b == 0 && next.count_ones() < self.tau;
-            if won {
-                next |= b;
-            }
-            wins.push(won);
-        }
-        if next == cur {
-            // Every entry lost against the snapshot alone — the block
-            // linearizes at the load; nothing to commit.
-            self.cycles.fetch_add(bits.len() as u64, Ordering::Relaxed);
-            return;
-        }
-        if self.state.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire).is_ok()
-        {
-            self.cycles.fetch_add(bits.len() as u64, Ordering::Relaxed);
-            return;
-        }
-        // Stale snapshot: discard and take the per-bit slow path (each
-        // request_bit advances the cycle counter itself).
-        wins.truncate(start);
-        for &bit in bits {
-            wins.push(self.request_bit(bit));
-        }
-    }
-
     /// Number of name slots (τ).
     pub fn slots_len(&self) -> usize {
         self.tau as usize
@@ -390,66 +336,6 @@ mod tests {
         assert_eq!(reg.cycles(), 0);
         reg.acquire(0).unwrap();
         assert!(reg.cycles() >= 1);
-    }
-
-    /// `request_block` answers exactly as the same bits fed one at a
-    /// time through `request_bit` — including repeated bits inside one
-    /// block and quota exhaustion mid-block — and advances the cycle
-    /// counter identically.
-    #[test]
-    fn block_requests_match_per_bit_requests() {
-        let blocks: [&[usize]; 4] = [&[3, 7, 3, 0], &[1, 1, 1], &[2, 9, 4, 5, 8], &[10, 0, 15]];
-        let blocked = ConcurrentTauRegister::new(16, 6, 0);
-        let serial = ConcurrentTauRegister::new(16, 6, 0);
-        let mut wins = Vec::new();
-        for bits in blocks {
-            wins.clear();
-            blocked.request_block(bits, &mut wins);
-            let expect: Vec<bool> = bits.iter().map(|&b| serial.request_bit(b)).collect();
-            assert_eq!(wins, expect, "block {bits:?}");
-            assert_eq!(blocked.confirmed_bits(), serial.confirmed_bits(), "block {bits:?}");
-            assert_eq!(blocked.cycles(), serial.cycles(), "block {bits:?}");
-        }
-        assert_eq!(blocked.confirmed_count(), 6, "τ quota filled across blocks");
-    }
-
-    #[test]
-    fn block_appends_to_existing_wins() {
-        let reg = ConcurrentTauRegister::new(8, 4, 0);
-        let mut wins = vec![true];
-        reg.request_block(&[0, 0], &mut wins);
-        assert_eq!(wins, vec![true, true, false]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn block_rejects_out_of_range_bits() {
-        ConcurrentTauRegister::new(8, 4, 0).request_block(&[3, 8], &mut Vec::new());
-    }
-
-    /// Concurrent block and per-bit requesters still hand out at most
-    /// one winner per bit and at most τ winners total.
-    #[test]
-    fn concurrent_blocks_hold_the_quota() {
-        for trial in 0..32 {
-            let reg = ConcurrentTauRegister::new(16, 5, 0);
-            let won: usize = thread::scope(|s| {
-                let handles: Vec<_> = (0..8)
-                    .map(|t| {
-                        let reg = &reg;
-                        s.spawn(move || {
-                            let bits = [(t + trial) % 16, (t + trial + 3) % 16];
-                            let mut wins = Vec::new();
-                            reg.request_block(&bits, &mut wins);
-                            wins.iter().filter(|&&w| w).count()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(won as u32, reg.confirmed_count());
-            assert!(reg.confirmed_count() <= 5, "quota overshoot");
-        }
     }
 
     /// The lock-free front end and the batched device agree request for
