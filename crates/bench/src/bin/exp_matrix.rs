@@ -16,9 +16,10 @@
 //! `--backend` selects the execution core: `dense` (the default flat
 //! arena), `threads:t=N` (free-running OS threads — wall-clock data;
 //! ignores the adversary key and is not seed-reproducible), or
-//! `shard:s=N` (N coupled per-shard arenas; a pure function of the seed
-//! and N, `shard:s=1` bit-identical to `dense`). JSON records carry the
-//! backend key plus one
+//! `shard:s=N` (N independent sub-instances of about n/N processes, one
+//! per thread; a pure function of the seed and N, `shard:s=1`
+//! bit-identical to `dense`). JSON records carry the backend key plus
+//! one
 //! `kind:"throughput"` record per row (runs/sec, steps/sec).
 
 use rr_bench::runner::RunConfig;
@@ -39,8 +40,10 @@ usage: exp_matrix [--quick] [--json PATH] [--list] [--help]
   --backend KEY  execution core: `dense` (default; flat arena core),
                  `threads:t=N` (free-running OS threads, wall-clock
                  truth — ignores the adversary key, not
-                 seed-reproducible), `shard:s=N` (N coupled per-shard
-                 arenas; `shard:s=1` bit-identical to `dense`)
+                 seed-reproducible), `shard:s=N` (N independent
+                 sub-instances of about n/N processes, one per thread;
+                 `shard:s=1` bit-identical to `dense`; needs N ≤ every
+                 size)
   --algos        comma-separated algorithm registry keys
   --adversaries  comma-separated adversary registry keys
   --sizes        comma-separated process counts (each algorithm's

@@ -106,6 +106,13 @@ fn main() {
     let mut inputs: Vec<String> = Vec::new();
 
     if !ingest {
+        let claim_specs: Vec<_> =
+            specs::catalogue(&cfg).into_iter().filter(|s| !s.reproduces.is_empty()).collect();
+        for spec in &claim_specs {
+            if let Err(e) = scenario::check_spec(spec, &cfg) {
+                fail(&e);
+            }
+        }
         let mut report_sink = ReportSink::new();
         {
             let mut sinks: Vec<Box<dyn Sink + '_>> =
@@ -113,10 +120,7 @@ fn main() {
             if let Some(path) = &cfg.json_path {
                 sinks.push(Box::new(JsonSink::new(path.clone())));
             }
-            for spec in specs::catalogue(&cfg) {
-                if spec.reproduces.is_empty() {
-                    continue;
-                }
+            for spec in claim_specs {
                 scenario::run_spec(spec, &cfg, &mut sinks);
             }
             for sink in &mut sinks {

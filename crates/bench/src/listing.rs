@@ -25,8 +25,10 @@ pub fn backend_rows() -> Vec<(&'static str, &'static str, &'static str)> {
         ),
         (
             "shard:s=N",
-            "N coupled per-shard arenas, one thread each, merged deterministically",
-            "pure function of (seed, N) on any machine; `shard:s=1` bit-identical to `dense`",
+            "N independent sub-instances of about n/N processes, one arena and thread each, \
+             merged with disjoint name ranges",
+            "pure function of (seed, N) on any machine; `shard:s=1` bit-identical to `dense`; \
+             claim scenarios refuse N > 1",
         ),
     ]
 }

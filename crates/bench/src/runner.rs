@@ -5,7 +5,7 @@
 use rr_renaming::traits::RenamingAlgorithm;
 use rr_sched::adversary::Adversary;
 use rr_sched::registry::{standard, ParsedKey};
-use rr_sched::shard::{run_sharded, shard_seed, Arena, ShardRun, DEFAULT_COUPLING_EVERY};
+use rr_sched::shard::{run_sharded, shard_seed, Arena, ShardRun};
 use rr_sched::thread_exec::run_threads_bounded;
 use rr_sched::virtual_exec::RunOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +92,7 @@ impl BatchStats {
 /// |---|---|---|
 /// | `dense` | flat arena, typed processes, scratch reuse | exact, adversary-scheduled, seed-reproducible |
 /// | `threads:t=N` | free-running OS threads (≤ N concurrent) | wall-clock only; safety audited, steps not reproducible; ignores the adversary key |
-/// | `shard:s=N` | S coupled per-shard arenas, one thread each | pure function of `(seed, S)` regardless of thread timing; `s=1` bit-identical to `dense` |
+/// | `shard:s=N` | S independent sub-instances of about n/S processes, one arena and thread each, merged with disjoint name ranges | pure function of `(seed, S)` regardless of thread timing; `s=1` bit-identical to `dense` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// The flat arena core with monomorphized process storage and
@@ -109,12 +109,13 @@ pub enum ExecBackend {
         t: usize,
     },
     /// Sharded entity-keyed arenas ([`rr_sched::shard::run_sharded`]):
-    /// the pid space is partitioned round-robin into `s` shards, each
-    /// driven by its own arena on its own thread, coupled through the
-    /// deterministic round ledger every
-    /// [`DEFAULT_COUPLING_EVERY`] decisions. The merged outcome is a
-    /// pure function of `(seed, s)` — thread scheduling cannot change
-    /// it — and `s = 1` is bit-identical to `dense`.
+    /// the pid space is partitioned round-robin into `s` shards, and
+    /// each shard runs an independent sub-instance of about `n/s`
+    /// processes, with its own adversary and a disjoint name range, in
+    /// its own arena on its own thread. For `s > 1` that is not one
+    /// `n`-process run, so claim scenarios refuse it. The merged
+    /// outcome is a pure function of `(seed, s)` — thread scheduling
+    /// cannot change it — and `s = 1` is bit-identical to `dense`.
     Shard {
         /// Number of shards (each runs on its own thread).
         s: usize,
@@ -157,6 +158,20 @@ impl ExecBackend {
             other => {
                 Err(format!("unknown backend `{other}` (known: dense, threads:t=N, shard:s=N)"))
             }
+        }
+    }
+
+    /// Whether this backend can run an `n`-process row: the shard
+    /// backend needs at least one process per shard.
+    ///
+    /// # Errors
+    /// `shard backend needs s ≤ n (got s=…, n=…)` when `s > n`.
+    pub fn check_n(&self, n: usize) -> Result<(), String> {
+        match *self {
+            ExecBackend::Shard { s } if s > n => {
+                Err(format!("shard backend needs s ≤ n (got s={s}, n={n})"))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -240,14 +255,13 @@ pub fn run_once(
     out
 }
 
-/// Runs `algo` at size `n` once with `seed` as `shards` coupled
+/// Runs `algo` at size `n` once with `seed` as `shards` independent
 /// shard sub-instances (the `shard:s=N` backend).
 ///
 /// Shard `s` runs `algo` at its sub-size `n_s` (round-robin partition
 /// of the pid space) with a fresh adversary from
-/// `build_adv(n_s, shard_seed(seed, s))`, coupled to the global round
-/// ledger every [`DEFAULT_COUPLING_EVERY`] decisions. Shard name spaces
-/// are offset-disjoint, so the merged run renames into
+/// `build_adv(n_s, shard_seed(seed, s))` that sees only its own shard.
+/// Shard name spaces are offset-disjoint, so the merged run renames into
 /// `m_total = Σ m(n_s)` names and is verified against that bound. The
 /// outcome is a pure function of `(seed, shards)`; with `shards = 1` it
 /// is bit-identical to the `dense` backend.
@@ -264,11 +278,10 @@ pub fn run_once_sharded(
 ) -> RunOutcome {
     assert!(shards >= 1, "shard backend needs s ≥ 1");
     assert!(shards <= n, "shard backend needs s ≤ n (got s={shards}, n={n})");
-    let (out, m_total) = run_sharded(n, shards, DEFAULT_COUPLING_EVERY, |s, n_s, ctx| {
+    let (out, m_total) = run_sharded(n, shards, 0, |s, n_s, _ctx| {
         let sub_seed = shard_seed(seed, s);
-        let mut adversary = ctx.couple(build_adv(n_s, sub_seed));
-        let mut arena = Arena::new();
-        algo.run_dense(n_s, sub_seed, &mut adversary, &mut arena)
+        let mut adversary = build_adv(n_s, sub_seed);
+        algo.run_dense(n_s, sub_seed, adversary.as_mut(), &mut Arena::new())
             .map(|outcome| ShardRun { outcome, m: algo.m(n_s) })
     })
     .unwrap_or_else(|e| panic!("{} at n={n}, seed {seed}, shard:s={shards}: {e}", algo.name()));
@@ -410,11 +423,7 @@ impl<'a> BatchRun<'a> {
     /// backend's `s` exceeds `n`. The runs themselves panic on safety
     /// violations (those are bugs, not data).
     pub fn run(self) -> Result<(BatchStats, BatchTiming), String> {
-        if let ExecBackend::Shard { s } = self.backend {
-            if s > self.n {
-                return Err(format!("shard backend needs s ≤ n (got s={s}, n={})", self.n));
-            }
-        }
+        self.backend.check_n(self.n)?;
         let builder = standard().prepare(&self.adversary)?;
         let start = Instant::now();
         let stats = run_batch_core(
@@ -754,7 +763,7 @@ mod tests {
     }
 
     /// A single shard is the degenerate partition: `shard_seed(seed, 0)`
-    /// is the identity and the coupler adds zero remote names, so
+    /// is the identity and the partition maps every pid to itself, so
     /// `shard:s=1` must reproduce the dense backend bit for bit.
     #[test]
     fn shard_backend_with_one_shard_bit_identical_to_dense() {

@@ -28,7 +28,7 @@ pub use spec::{
     BatchSection, CellFn, ClaimCheck, Column, CustomSection, RowCtx, RowSpec, ScenarioSpec, Section,
 };
 
-use crate::runner::{BatchRun, BatchTiming, RunConfig};
+use crate::runner::{BatchRun, BatchTiming, ExecBackend, RunConfig};
 use rr_analysis::stats::upper_median;
 use rr_renaming::registry::{AlgorithmRegistry, BoxedAlgorithm};
 use std::collections::BTreeMap;
@@ -44,16 +44,57 @@ pub fn registry() -> AlgorithmRegistry {
 /// Builds the spec from the process environment and executes it against
 /// stdout (and the `--json` sink when requested) — the whole `main` of
 /// every `exp_*` binary.
+///
+/// A spec that [`check_spec`] refuses exits 2 with one line on stderr
+/// before any row runs.
 pub fn drive(build: impl FnOnce(&RunConfig) -> ScenarioSpec) {
     let cfg = RunConfig::from_env();
+    let spec = build(&cfg);
+    if let Err(e) = check_spec(&spec, &cfg) {
+        let arg0 = std::env::args().next().unwrap_or_default();
+        let name = std::path::Path::new(&arg0).file_stem().map(|s| s.to_string_lossy());
+        eprintln!("{}: {e}", name.as_deref().unwrap_or("scenario"));
+        std::process::exit(2);
+    }
     let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(TableSink::stdout())];
     if let Some(path) = &cfg.json_path {
         sinks.push(Box::new(JsonSink::new(path.clone())));
     }
-    run_spec(build(&cfg), &cfg, &mut sinks);
+    run_spec(spec, &cfg, &mut sinks);
     for sink in &mut sinks {
         sink.finish().expect("scenario sink finish failed");
     }
+}
+
+/// Checks that `cfg.backend` can run every batch row of `spec`, before
+/// any of them runs.
+///
+/// Under `shard:s=N` a row labelled `n` runs `N` independent
+/// sub-instances of about `n/N` processes, so a spec that reproduces
+/// paper claims is refused for `N > 1`; and no row may have fewer
+/// processes than shards.
+///
+/// # Errors
+/// A one-line message: the claim refusal names the scenario and the
+/// backend, a short row gets [`ExecBackend::check_n`]'s message.
+pub fn check_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> Result<(), String> {
+    if let ExecBackend::Shard { s } = cfg.backend {
+        if s > 1 && !spec.reproduces.is_empty() {
+            return Err(format!(
+                "scenario {} checks paper claims at each row's n, but {} runs {s} independent \
+                 sub-instances of about n/{s} processes; use --backend dense",
+                spec.id,
+                cfg.backend.key()
+            ));
+        }
+    }
+    spec.sections
+        .iter()
+        .flat_map(|section| match section {
+            Section::Batch(batch) => batch.rows.as_slice(),
+            Section::Custom(_) => &[],
+        })
+        .try_for_each(|row| cfg.backend.check_n(row.n))
 }
 
 /// Renders a spec to a string through the table sink — what [`drive`]

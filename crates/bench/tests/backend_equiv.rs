@@ -8,8 +8,7 @@
 //!   outcome, same RNG draws. This pins the `Box<P>` forwarding of
 //!   `announce`, `step` and `rng_words` against typed dispatch.
 //! * `shard:s=1` is the degenerate partition (one shard, identity
-//!   sub-seed, zero cross-shard traffic) and must be bit-identical to
-//!   `dense`.
+//!   sub-seed, identity pid map) and must be bit-identical to `dense`.
 //! * `threads` is free-running (the machine schedules), so its step
 //!   counts are not reproducible — but it must still satisfy
 //!   `verify_renaming` and account for every process.
@@ -25,6 +24,9 @@
 //! `example` key, so parameterized strategies are exercised with their
 //! parameters bound.
 
+mod common;
+
+use common::swept_adversary_keys;
 use rr_bench::runner::{BatchRun, BatchStats, ExecBackend};
 use rr_bench::scenario::registry;
 use rr_renaming::registry::BoxedAlgorithm;
@@ -36,23 +38,6 @@ use rr_sched::shard::Arena;
 /// CI territory while still exercising multi-round protocol behaviour.
 const N: usize = 64;
 const SEEDS: u64 = 2;
-
-/// Every deterministically-schedulable adversary, as its registry
-/// example key — the full registry minus the stateful searchers.
-fn swept_adversary_keys() -> Vec<&'static str> {
-    let swept: Vec<&'static str> = standard()
-        .entries()
-        .iter()
-        .filter(|(name, ..)| !matches!(*name, "explore" | "fuzz"))
-        .map(|&(_, _, example)| example)
-        .collect();
-    // The exclusion list is exactly the two searchers: a new registry
-    // key is swept automatically, and this guard makes shrinking the
-    // sweep a loud, deliberate edit.
-    assert_eq!(swept.len(), standard().keys().len() - 2, "unexpected sweep exclusion");
-    assert!(swept.len() >= 9, "adversary registry shrank: {swept:?}");
-    swept
-}
 
 fn batch(
     algo: &BoxedAlgorithm,
@@ -123,9 +108,8 @@ fn dense_matches_virtual_bit_for_bit_for_every_algorithm_and_adversary() {
 
 /// The shard backend with a single shard must be indistinguishable from
 /// the serial dense core, for every registry cell: `shard_seed` leaves
-/// shard 0's seed untouched, the partition is the identity, and the
-/// coupler never adds remote names — so any divergence here is a
-/// sharding bug, not a modelling choice.
+/// shard 0's seed untouched and the partition is the identity — so any
+/// divergence here is a sharding bug, not a modelling choice.
 #[test]
 fn shard_with_one_shard_matches_dense_bit_for_bit_for_every_algorithm_and_adversary() {
     let reg = registry();

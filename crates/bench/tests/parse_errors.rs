@@ -287,6 +287,66 @@ fn backend_taking_binaries_list_every_backend_key_in_their_help() {
     );
 }
 
+/// Under `shard:s=N` a row labelled n runs N independent sub-instances
+/// of about n/N processes, so claim scenarios refuse N > 1; and no row
+/// may have fewer processes than shards. Both exit 2 with one line on
+/// stderr before any row runs (nothing on stdout), never a panic.
+#[test]
+fn shard_backend_is_refused_up_front_by_claim_scenarios_and_small_rows() {
+    let claim = |s: usize| {
+        format!(
+            "scenario E1 checks paper claims at each row's n, but shard:s={s} runs {s} \
+             independent sub-instances of about n/{s} processes; use --backend dense"
+        )
+    };
+    let cases: [(&str, &str, &[&str], String); 4] = [
+        (
+            env!("CARGO_BIN_EXE_exp_theorem5"),
+            "exp_theorem5",
+            &["--quick", "--backend", "shard:s=2"],
+            claim(2),
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_report"),
+            "exp_report",
+            &["--quick", "--backend", "shard:s=2"],
+            claim(2),
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_theorem5"),
+            "exp_theorem5",
+            &["--quick", "--backend", "shard:s=5000"],
+            claim(5000),
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_matrix"),
+            "exp_matrix",
+            &[
+                "--quick",
+                "--backend",
+                "shard:s=5000",
+                "--algos",
+                "tight-tau:c=4",
+                "--adversaries",
+                "fair",
+                "--sizes",
+                "64",
+            ],
+            "shard backend needs s ≤ n (got s=5000, n=64)".into(),
+        ),
+    ];
+    for (exe, name, args, message) in cases {
+        let out = std::process::Command::new(exe).args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("{name}: {message}\n"),
+            "{name} {args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{name} {args:?} ran rows before refusing");
+    }
+}
+
 /// The removed `--rng` flag exits 2 instead of being ignored, so a
 /// script that asks for another generator cannot silently run ChaCha8.
 #[test]

@@ -1,15 +1,17 @@
 //! Property coverage for the sharded execution core: the round-robin
 //! partition plus the deterministic global merge must be *lossless*.
 //!
-//! Under an adversary that never reads the cross-shard view (`random`
-//! consumes only its own RNG and the local active set), each shard of a
-//! coupled run is indistinguishable from a standalone dense run of the
-//! same sub-instance at `shard_seed(seed, s)`. So for random
-//! `(n, S, seed)` the merged outcome must equal the `S` standalone runs
-//! stitched back through [`ShardMap`]: per-pid step counts preserved
-//! exactly, names offset by each shard's namespace prefix, and the
-//! total decision count the sum of the parts.
+//! The shards of a `shard:s=S` run share nothing: each is a standalone
+//! dense run of its sub-instance at `shard_seed(seed, s)`, under any
+//! adversary. So for random `(n, S, seed, adversary)` the merged outcome
+//! must equal the `S` standalone runs stitched back through
+//! [`ShardMap`]: per-pid step counts preserved exactly, names offset by
+//! each shard's namespace prefix, and the total decision count the sum
+//! of the parts.
 
+mod common;
+
+use common::swept_adversary_keys;
 use proptest::prelude::*;
 use rr_bench::runner::run_once_sharded;
 use rr_bench::scenario::registry;
@@ -21,17 +23,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Partition + merge preserves per-pid step counts and offsets
-    /// names by the shard namespace prefix, for random (n, S, seed).
+    /// names by the shard namespace prefix, for random
+    /// (n, S, seed, adversary).
     #[test]
     fn shard_merge_preserves_per_pid_outcomes(
         n in 8usize..96,
         s in 1usize..6,
         seed in 0u64..1000,
+        adv in 0usize..1024,
     ) {
         let s = s.min(n);
+        let keys = swept_adversary_keys();
+        let adv_key = keys[adv % keys.len()];
         let reg = registry();
         let algo = reg.build("tight-tau:c=4").unwrap();
-        let build = standard().prepare("random").unwrap();
+        let build = standard().prepare(adv_key).unwrap();
 
         let merged =
             run_once_sharded(algo.as_ref(), n, seed, &|n_s, sub_seed| build(n_s, sub_seed), s);
@@ -54,21 +60,21 @@ proptest! {
                 let lp = Pid::new(l.index());
                 prop_assert_eq!(
                     merged.steps[p], standalone.steps[lp],
-                    "steps diverged at pid {} (shard {}, slot {})", p, shard, l
+                    "{}: steps diverged at pid {} (shard {}, slot {})", adv_key, p, shard, l
                 );
                 prop_assert_eq!(
                     merged.names[p],
                     standalone.names[lp].map(|name| name + name_offset),
-                    "name diverged at pid {} (shard {}, slot {})", p, shard, l
+                    "{}: name diverged at pid {} (shard {}, slot {})", adv_key, p, shard, l
                 );
                 prop_assert_eq!(
                     merged.crashed[p], standalone.crashed[lp],
-                    "crash flag diverged at pid {} (shard {}, slot {})", p, shard, l
+                    "{}: crash flag diverged at pid {} (shard {}, slot {})", adv_key, p, shard, l
                 );
             }
             name_offset += algo.m(n_s);
         }
-        prop_assert_eq!(merged.decisions, decisions, "merge must sum shard decision counts");
+        prop_assert_eq!(merged.decisions, decisions, "{}: merge must sum shard decision counts", adv_key);
     }
 
     /// The merged outcome is a pure function of (seed, S): running the

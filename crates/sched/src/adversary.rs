@@ -18,7 +18,7 @@
 //! without re-entering the dispatch loop.
 
 use crate::bits::{SlotSnapshot, StatusBitmap};
-use crate::ids::{EntityVec, Pid, ShardMap};
+use crate::ids::{EntityVec, Pid};
 use rand::rngs::ChaCha8Rng;
 use rand::{RngExt, SeedableRng, UniformBelow};
 use rr_shmem::Access;
@@ -46,18 +46,13 @@ pub struct RunView<'a> {
     pub announced: &'a EntityVec<Pid, Option<Access>>,
     /// Steps taken so far, indexed by pid.
     pub steps: &'a EntityVec<Pid, u64>,
-    /// Number of processes that already hold a name (global across
-    /// shards — under the shard backend this includes the other shards'
-    /// counts as of the last coupling round).
+    /// Number of processes of this run that already hold a name (under
+    /// the shard backend, of this shard's sub-instance).
     pub named: usize,
-    /// How the run's pid space is partitioned across shards.
-    /// [`ShardMap::single`] for every unsharded backend.
-    pub shards: ShardMap,
 }
 
 impl<'a> RunView<'a> {
-    /// An unsharded view — the common case for every serial executor and
-    /// for tests.
+    /// A view over the executor's run state.
     pub fn new(
         status: &'a StatusBitmap,
         slots: &'a SlotSnapshot,
@@ -65,7 +60,7 @@ impl<'a> RunView<'a> {
         steps: &'a EntityVec<Pid, u64>,
         named: usize,
     ) -> Self {
-        Self { status, slots, announced, steps, named, shards: ShardMap::single() }
+        Self { status, slots, announced, steps, named }
     }
 
     /// Whether `pid` is still runnable (one load + mask).
@@ -1102,12 +1097,6 @@ mod tests {
         assert_eq!(BurstyAdversary::new(4, 2).name(), "bursty");
         assert_eq!(DiurnalAdversary::new(16).name(), "diurnal");
         assert_eq!(VictimAdversary::new(0).name(), "victim");
-    }
-
-    #[test]
-    fn view_defaults_to_a_single_shard() {
-        let fx = ViewFixture::new(crate::entity_vec![Some(Access::Local); 2]);
-        assert_eq!(fx.view().shards, ShardMap::single());
     }
 
     #[test]

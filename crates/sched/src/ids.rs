@@ -272,9 +272,7 @@ macro_rules! entity_vec {
 }
 
 /// The round-robin partition of a run's pid space into `S` shards —
-/// pure index arithmetic shared by the [`crate::shard`] engine and any
-/// shard-aware adversary (carried on every
-/// [`RunView`](crate::adversary::RunView)).
+/// the pure index arithmetic behind the [`crate::shard`] engine's merge.
 ///
 /// Pid `p` lives in shard `p mod S` at local slot `p div S`, so shard
 /// sizes differ by at most one and low pids spread across all shards
@@ -304,12 +302,6 @@ impl ShardMap {
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a shard map needs at least one shard");
         Self { shards }
-    }
-
-    /// The unsharded (single-shard) map — what every non-shard backend
-    /// reports on its views.
-    pub fn single() -> Self {
-        Self { shards: 1 }
     }
 
     /// Number of shards `S`.
@@ -433,7 +425,7 @@ mod tests {
 
     #[test]
     fn single_map_is_identity() {
-        let map = ShardMap::single();
+        let map = ShardMap::new(1);
         assert_eq!(map.shards(), 1);
         let p = Pid::new(9);
         assert_eq!(map.shard_of(p), ShardId::new(0));

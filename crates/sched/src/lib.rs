@@ -11,13 +11,15 @@
 //!   process state, scratch buffers reused across seeds, monomorphized
 //!   announce/step dispatch for typed process slices, and the same loop
 //!   for `Box<dyn Process>` slices) plus the sharded engine that runs
-//!   one logical execution as S coupled per-shard arenas. This is the
-//!   paper's model: single-threaded, adversary-in-the-loop, exact step
-//!   counts, deterministic. Every adversary-scheduled run in the
-//!   workspace executes this loop, and [`virtual_exec`] holds what it
-//!   returns ([`RunOutcome`], [`ExecError`]). All pid-indexed tables
-//!   are typed [`ids::EntityVec`]s keyed by [`ids::Pid`]; per-process
-//!   lifecycle state is word-packed in [`bits`]
+//!   S independent sub-instances of about n/S processes, one per
+//!   thread, and merges them into one outcome with disjoint name
+//!   ranges. The arena is the paper's model: single-threaded,
+//!   adversary-in-the-loop, exact step counts, deterministic. Every
+//!   adversary-scheduled run in the workspace executes this loop, and
+//!   [`virtual_exec`] holds what it returns ([`RunOutcome`],
+//!   [`ExecError`]). All pid-indexed tables are typed
+//!   [`ids::EntityVec`]s keyed by [`ids::Pid`]; per-process lifecycle
+//!   state is word-packed in [`bits`]
 //!   ([`bits::StatusBitmap`]) so the runnable set is scanned
 //!   word-at-a-time and adversary decisions apply in macro-step
 //!   batches.
@@ -74,9 +76,6 @@ pub use model::{ModelReport, ModelRun, ModelTrace, TracedWord};
 pub use process::{run_to_completion, Process, StepOutcome};
 pub use registry::{AdversaryBuilder, AdversaryRegistry, ParsedKey};
 pub use replay::{RecordingAdversary, ReplayAdversary, Tape};
-pub use shard::{
-    run_sharded, shard_seed, Arena, CoupledAdversary, ShardContext, ShardCoupler, ShardRun,
-    DEFAULT_COUPLING_EVERY,
-};
+pub use shard::{run_sharded, shard_seed, Arena, ShardContext, ShardRun};
 pub use thread_exec::{run_threads, run_threads_bounded};
 pub use virtual_exec::{ExecError, RunOutcome};
