@@ -6,6 +6,7 @@
 //! graph stays acyclic (baselines depend on the algorithm trait, never
 //! the other way around). Drivers compose both with two calls.
 
+use crate::uniform::MAX_EPSILON;
 use crate::{
     BitonicRenaming, FetchAddRenaming, LinearScan, RouteRenaming, ScanStart, SplitterGrid,
     UniformProbing,
@@ -36,6 +37,9 @@ pub fn register_baselines(reg: &mut AlgorithmRegistry) {
         let epsilon: f64 = k.get("eps", 1.0)?;
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return Err(format!("uniform probing needs eps > 0, got {epsilon}"));
+        }
+        if epsilon > MAX_EPSILON {
+            return Err(format!("parameter `eps` of `uniform` must be ≤ {MAX_EPSILON}"));
         }
         Ok(Box::new(UniformProbing { epsilon }))
     });
@@ -114,6 +118,8 @@ mod tests {
         let reg = full();
         assert!(reg.build("uniform:eps=0").is_err());
         assert!(reg.build("uniform:eps=-1").is_err());
+        assert!(reg.build("uniform:eps=1024").is_ok());
+        assert!(reg.build("uniform:eps=1025").is_err());
         assert!(reg.build("linear-scan:start=middle").is_err());
         assert!(reg.build("bitonic:w=2").is_err());
         assert_eq!(

@@ -62,6 +62,12 @@ impl Process for UniformProcess {
     }
 }
 
+/// The largest slack ε accepted. The name space `⌈(1+ε)n⌉` is one TAS
+/// bit per name, allocated up front; past this, a large `ε` would ask for
+/// more memory than any run can have (at `ε = 10³⁰⁰` the count saturates
+/// `usize`), so the registry refuses it instead of aborting the process.
+pub const MAX_EPSILON: f64 = 1024.0;
+
 /// Uniform probing into `m = ⌈(1+ε)n⌉` names.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformProbing {
@@ -89,6 +95,7 @@ impl RenamingProtocol for UniformProbing {
 
     fn build(&self, n: usize, seed: u64) -> Vec<UniformProcess> {
         assert!(self.epsilon > 0.0, "uniform probing needs m > n");
+        assert!(self.epsilon <= MAX_EPSILON, "uniform probing needs eps ≤ {MAX_EPSILON}");
         let mem = Arc::new(AtomicTasArray::new(self.m(n)));
         // W.h.p. bound is O(log n / log(1+ε)); budget 100× that.
         let budget = (100.0 * (n.max(2) as f64).log2() / (1.0 + self.epsilon).log2()).ceil() as u64;

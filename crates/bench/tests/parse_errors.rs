@@ -210,6 +210,34 @@ fn algorithm_registry_names_each_minimum_size() {
     }
 }
 
+/// `uniform`'s name space `⌈(1+ε)n⌉` is allocated up front, so an ε
+/// too large to allocate is a parse error (exit 2 from the binaries),
+/// not an aborted allocation mid-run.
+#[test]
+fn uniform_rejects_a_name_space_too_large_to_allocate() {
+    let reg = registry();
+    assert_eq!(
+        reg.build("uniform:eps=1e300").err().unwrap(),
+        "parameter `eps` of `uniform` must be ≤ 1024"
+    );
+    assert_eq!(
+        reg.build("uniform:eps=1025").err().unwrap(),
+        "parameter `eps` of `uniform` must be ≤ 1024"
+    );
+    assert!(reg.build("uniform:eps=1024").is_ok());
+    let args =
+        ["--quick", "--sizes", "64", "--algos", "uniform:eps=1e300", "--adversaries", "fair"];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_matrix"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "exp_matrix {args:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim(),
+        "exp_matrix: parameter `eps` of `uniform` must be ≤ 1024"
+    );
+}
+
 #[test]
 fn experiment_binaries_exit_2_on_sizes_below_an_algorithm_minimum() {
     // Each binary rejects the size up front with exit 2 (never a panic

@@ -316,6 +316,22 @@ impl Process for TightProcess {
         Pid::new(self.rng.pid())
     }
 
+    /// Loads the state and the confirmed word of the register it names,
+    /// the line the next request, slot TAS or inspection hits. A round
+    /// not yet drawn names no register, and touching never draws.
+    fn touch(&self) {
+        let reg = match self.state {
+            State::Round { drawn: None, .. } => return,
+            State::Round { drawn: Some((reg, _)), .. }
+            | State::Slots { reg, .. }
+            | State::Sweep { reg, .. }
+            | State::SweepBits { reg, .. } => reg,
+        };
+        if let Some(register) = self.shared.registers.get(reg as usize) {
+            std::hint::black_box(register.confirmed_bits());
+        }
+    }
+
     fn rng_words(&self) -> Option<u64> {
         Some(self.rng.words_drawn())
     }
@@ -574,6 +590,64 @@ mod tests {
                 assert_eq!(out.decisions, single_out.decisions, "{ctx}");
                 assert_eq!(batched_draws, draws(&procs), "{ctx}");
                 assert_eq!(batched.words_consumed(), single.0.words_consumed(), "{ctx}");
+            }
+        }
+    }
+
+    /// Touches its process before and after every announce and step, and
+    /// forwards the arena's touches.
+    struct Touching(TightProcess);
+
+    impl Process for Touching {
+        fn announce(&mut self) -> Access {
+            self.0.touch();
+            let access = self.0.announce();
+            self.0.touch();
+            access
+        }
+        fn step(&mut self) -> StepOutcome {
+            self.0.touch();
+            let outcome = self.0.step();
+            self.0.touch();
+            outcome
+        }
+        fn pid(&self) -> Pid {
+            self.0.pid()
+        }
+        fn touch(&self) {
+            self.0.touch();
+        }
+    }
+
+    /// `touch` draws nothing and changes nothing: a fresh process (whose
+    /// round is not drawn yet) keeps its stream untouched, and runs that
+    /// touch around every announce and step, as well as the arena's own
+    /// pass under `random`, match the untouched run in outcome and in
+    /// every process's draw count.
+    #[test]
+    fn touch_changes_no_draw_and_no_outcome() {
+        let algo = TightRenaming::calibrated(4);
+        let (_s, fresh) = algo.instantiate_shared_rng(64, 9, RngMode::default());
+        for p in &fresh {
+            p.touch();
+            assert_eq!(p.rng_words(), Some(0), "pid {}", p.pid());
+        }
+        for (n, seed) in [(130usize, 1u64), (1000, 2)] {
+            let budget = algo.step_budget(n);
+            let (_s, mut plain) = algo.instantiate_shared_rng(n, seed, RngMode::default());
+            let want = Arena::new()
+                .run(&mut plain, &mut SingleStep(RandomAdversary::new(seed)), budget)
+                .unwrap();
+            let (_s, procs) = algo.instantiate_shared_rng(n, seed, RngMode::default());
+            let mut touched: Vec<Touching> = procs.into_iter().map(Touching).collect();
+            let got =
+                Arena::new().run(&mut touched, &mut RandomAdversary::new(seed), budget).unwrap();
+            let ctx = format!("n {n} seed {seed}");
+            assert_eq!(got.names, want.names, "{ctx}");
+            assert_eq!(got.steps, want.steps, "{ctx}");
+            assert_eq!(got.decisions, want.decisions, "{ctx}");
+            for (t, p) in touched.iter().zip(&plain) {
+                assert_eq!(t.0.rng_words(), p.rng_words(), "{ctx} pid {}", p.pid());
             }
         }
     }

@@ -22,15 +22,15 @@
 //!   (64 pids per word, bit set ⟺ `Running`), so "next runnable pid ≥
 //!   `from`" is a masked load + count-trailing-zeros per word, and a
 //!   running count makes "runnable population" one load.
-//! * [`SlotSnapshot`] — a rank-indexed copy of the runnable words at a
-//!   capture point, with a sampled hint so `select` searches only the
-//!   few words that can hold a slot. This reproduces, observationally,
-//!   the historical executor's tombstoned `active` vector: `len()` is
-//!   the tombstoned length, `select(i)` is `active[i]`, and the executor
-//!   recaptures under exactly the old lazy-compaction trigger.
-//!   Adversaries that index slots by number (rejection sampling)
-//!   therefore consume RNG identically to every previous snapshot of
-//!   this repo — the bit-identity contract the equivalence suites pin.
+//! * [`SlotSnapshot`] — the flat list of pids runnable at a capture
+//!   point, so `select(i)` is one load. This reproduces,
+//!   observationally, the historical executor's tombstoned `active`
+//!   vector: `len()` is the tombstoned length, `select(i)` is
+//!   `active[i]`, and the executor recaptures under exactly the old
+//!   lazy-compaction trigger. Adversaries that index slots by number
+//!   (rejection sampling) therefore consume RNG identically to every
+//!   previous snapshot of this repo — the bit-identity contract the
+//!   equivalence suites pin.
 
 use crate::ids::Pid;
 
@@ -146,8 +146,8 @@ const RUN_BITS: usize = u64::BITS as usize;
 /// The companion is what makes the hot-loop queries word-wide:
 /// [`StatusBitmap::next_runnable`] is a masked load +
 /// `trailing_zeros` per word, [`StatusBitmap::runnable_count`] one
-/// load of a count `set` keeps, and [`SlotSnapshot::capture`] a word
-/// copy.
+/// load of a count `set` keeps, and [`SlotSnapshot::capture`] one walk
+/// over the runnable words.
 #[derive(Debug, Default, Clone)]
 pub struct StatusBitmap {
     /// 2-bit status lanes, [`Status::LANES`] pids per word.
@@ -265,12 +265,6 @@ impl StatusBitmap {
     pub fn runnable(&self) -> RunnableIter<'_> {
         RunnableIter { words: &self.run, word: self.run.first().copied().unwrap_or(0), at: 0 }
     }
-
-    /// The raw runnable words (64 pids per word, ragged tail zeroed) —
-    /// what [`SlotSnapshot::capture`] copies.
-    pub fn run_words(&self) -> &[u64] {
-        &self.run
-    }
 }
 
 /// Iterator over running pids; see [`StatusBitmap::runnable`].
@@ -300,35 +294,31 @@ impl Iterator for RunnableIter<'_> {
     }
 }
 
-/// A rank-indexed snapshot of the runnable words at a capture point —
-/// the observational replacement for the historical executor's
+/// The slot roster at a capture point: the pids runnable then, ascending
+/// — the observational replacement for the historical executor's
 /// tombstoned `active: Vec<Pid>`.
 ///
 /// The old vector started as `[0..n]`, kept halted pids as tombstones,
 /// and was compacted (retaining the then-runnable pids, in order) when
 /// more than half were dead. Between compactions it never changed. So
 /// at every decision point it equaled *the sorted runnable set as of
-/// the last compaction* — which is exactly what capturing the runnable
-/// words reproduces:
+/// the last compaction* — which is exactly what this flat list holds:
 ///
 /// * [`SlotSnapshot::len`] ≡ the tombstoned `active.len()`,
-/// * [`SlotSnapshot::select`]`(i)` ≡ `active[i]` (rank search over the
-///   captured words, narrowed by a hint sampled every 64 slots),
+/// * [`SlotSnapshot::select`]`(i)` ≡ `active[i]`, one load,
 ///
 /// and the executor recaptures under the old compaction trigger
 /// (`len() > 2 · live`). Adversaries that rejection-sample slot indices
 /// (`random`, the fuzzer's perturbation draw) therefore consume RNG
 /// bit-identically to the historical executor.
+///
+/// A capture walks the runnable words once: O(n / 64 + live). The
+/// trigger halves the roster between captures, so over a run in which
+/// every process halts the captures cost O(1) amortised per halt. The
+/// price is 4 B per slot (a [`Pid`] is a `u32`), 1 MiB at 2¹⁸ pids.
 #[derive(Debug, Default, Clone)]
 pub struct SlotSnapshot {
-    bits: Vec<u64>,
-    /// `ranks[w]` = set bits in `bits[..w]`; `ranks.len() == bits.len() + 1`.
-    ranks: Vec<u32>,
-    /// `hint[k]` = the word holding slot `64·k`, for every slot `64·k <
-    /// len`, then one last entry: the last word. A word holds at most 64
-    /// slots, so slot `i` lies in `hint[i / 64] ..= hint[i / 64 + 1]`.
-    hint: Vec<u32>,
-    len: usize,
+    pids: Vec<Pid>,
 }
 
 impl SlotSnapshot {
@@ -337,82 +327,39 @@ impl SlotSnapshot {
         Self::default()
     }
 
-    /// Copies `status`'s runnable words and rebuilds the rank index and
-    /// its hint — O(n / 64), versus the old O(n) `retain` compaction.
+    /// Replaces the roster with `status`'s runnable pids, ascending.
     pub fn capture(&mut self, status: &StatusBitmap) {
-        self.bits.clear();
-        self.bits.extend_from_slice(status.run_words());
-        self.ranks.clear();
-        self.ranks.reserve(self.bits.len() + 1);
-        self.hint.clear();
-        let mut total = 0u32;
-        self.ranks.push(0);
-        for (w, &word) in self.bits.iter().enumerate() {
-            total += word.count_ones();
-            self.ranks.push(total);
-            // Every slot 64·k below the new total and not yet hinted lies
-            // in this word.
-            while self.hint.len() * RUN_BITS < total as usize {
-                self.hint.push(w as u32);
-            }
-        }
-        self.hint.push(self.bits.len().saturating_sub(1) as u32);
-        self.len = total as usize;
+        self.pids.clear();
+        self.pids.reserve(status.runnable_count());
+        self.pids.extend(status.runnable());
     }
 
     /// Number of slots (the tombstoned length the old `active.len()`
     /// exposed).
     pub fn len(&self) -> usize {
-        self.len
+        self.pids.len()
     }
 
     /// Whether the snapshot holds zero slots.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pids.is_empty()
     }
 
-    /// The pid in slot `i` (what the old `active[i]` returned): rank
-    /// binary search to the word over the hinted range, then an in-word
-    /// popcount-halving select.
+    /// The pid in slot `i` (what the old `active[i]` returned).
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     #[inline]
     pub fn select(&self, i: usize) -> Pid {
-        assert!(i < self.len, "slot {i} out of range {}", self.len);
-        let lo = self.hint[i / RUN_BITS] as usize;
-        let hi = self.hint[i / RUN_BITS + 1] as usize;
-        // Last word whose prefix rank is ≤ i: ranks after slot i's word
-        // exceed i, and `ranks[lo] ≤ i`.
-        let w = lo + self.ranks[lo..=hi].partition_point(|&r| r as usize <= i) - 1;
-        let rank_in = i - self.ranks[w] as usize;
-        Pid::new(w * RUN_BITS + select_in_word(self.bits[w], rank_in))
+        assert!(i < self.pids.len(), "slot {i} out of range {}", self.pids.len());
+        self.pids[i]
     }
 
     /// All slots ascending (tests and diagnostics; the hot paths use
     /// [`SlotSnapshot::select`]).
     pub fn iter(&self) -> impl Iterator<Item = Pid> + '_ {
-        (0..self.len).map(|i| self.select(i))
+        self.pids.iter().copied()
     }
-}
-
-/// Position of the `rank`-th (0-based) set bit of `word`, by
-/// popcount-halving over six halves — branch-light and constant-time.
-#[inline]
-fn select_in_word(word: u64, mut rank: usize) -> usize {
-    debug_assert!(rank < word.count_ones() as usize);
-    let mut pos = 0usize;
-    let mut w = word;
-    for half in [32u32, 16, 8, 4, 2, 1] {
-        let low = w & ((1u64 << half) - 1);
-        let c = low.count_ones() as usize;
-        if rank >= c {
-            rank -= c;
-            pos += half as usize;
-            w >>= half;
-        }
-    }
-    pos
 }
 
 #[cfg(test)]
@@ -441,7 +388,7 @@ mod tests {
         bm.reset(65);
         assert_eq!(bm.len(), 65);
         assert_eq!(bm.runnable_count(), 65);
-        assert_eq!(bm.run_words(), &[!0u64, 1]);
+        assert_eq!(bm.runnable().last(), Some(Pid::new(64)), "no phantom pid past the tail");
         for i in 0..65 {
             assert_eq!(bm.get(Pid::new(i)), Status::Running);
             assert!(bm.is_runnable(Pid::new(i)));
@@ -522,16 +469,6 @@ mod tests {
         assert!(snap.is_empty());
     }
 
-    #[test]
-    fn select_in_word_matches_naive_scan() {
-        for word in [1u64, 0b1010_1100, !0u64, 1u64 << 63, 0x8000_0000_0000_0001] {
-            let naive: Vec<usize> = (0..64).filter(|&b| word >> b & 1 != 0).collect();
-            for (rank, &pos) in naive.iter().enumerate() {
-                assert_eq!(select_in_word(word, rank), pos, "word {word:#x} rank {rank}");
-            }
-        }
-    }
-
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -598,12 +535,12 @@ mod tests {
                 }
             }
 
-            /// The hinted `select` equals a naive scan of the captured
+            /// The roster's `select` equals a naive scan of the captured
             /// runnable set, over dense (1 in 20 halted), sparse (1 in
             /// 30 running), full (every ragged tail exposed) and
             /// long-empty-run (1 000-pid gaps) bitmaps.
             #[test]
-            fn hinted_select_matches_naive_scan(
+            fn roster_select_matches_naive_scan(
                 n in 1usize..4000,
                 shape in 0u8..4,
                 seed in any::<u64>(),

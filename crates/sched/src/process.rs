@@ -43,7 +43,10 @@ pub trait TauBatchHost {}
 ///   the same access. Coin flips happen on the *first* announce after a
 ///   step, then stick.
 /// * `step` performs exactly one shared-memory access — the announced one.
-/// * After `Done` is returned, neither method is called again.
+/// * `touch` changes nothing: no coin flip, no write, no access an
+///   adversary could see. Executors may call it any number of times
+///   between steps, or never.
+/// * After `Done` is returned, none of these methods is called again.
 pub trait Process: Send {
     /// Publish the next shared-memory access.
     fn announce(&mut self) -> Access;
@@ -53,6 +56,17 @@ pub trait Process: Send {
 
     /// The process id (stable, `0..n`).
     fn pid(&self) -> Pid;
+
+    /// Loads what the next [`Process::step`] will read, and nothing
+    /// else: a cache hint, not a step. The arena calls it on every
+    /// grantee of a scattered batch before the first of them steps, so
+    /// their cache and TLB misses overlap instead of each waiting behind
+    /// the previous step's locked read-modify-write (see
+    /// [`crate::shard::Arena::run`]). The default does nothing, which is
+    /// always correct; a process whose step reads shared memory it has
+    /// not announced yet (a register chosen by its state) gains by
+    /// loading it here, but must never draw a coin to find it.
+    fn touch(&self) {}
 
     /// Kept only because the standalone `stepbench` package calls it;
     /// the next change to that benchmark removes it. Always `None`:
@@ -93,6 +107,10 @@ impl<P: Process + ?Sized> Process for Box<P> {
 
     fn pid(&self) -> Pid {
         (**self).pid()
+    }
+
+    fn touch(&self) {
+        (**self).touch()
     }
 
     fn rng_words(&self) -> Option<u64> {

@@ -41,6 +41,17 @@
 //! one decision per view. An adversary cannot tell which backend is
 //! driving it, so step counts, crash patterns and RNG consumption all
 //! reproduce exactly.
+//!
+//! **The touch pass.** A batch whose pids do not strictly ascend (the
+//! `random` schedule's) lands on processes scattered over the whole
+//! array. Before any of it runs, [`Arena::run`] makes one loads-only
+//! pass over the grantees ([`Process::touch`] plus their `announced`
+//! and `steps` entries), so the batch's cache and TLB misses overlap
+//! instead of each waiting behind the previous step's locked
+//! read-modify-write. The pass changes no state, so it cannot change a
+//! schedule. Ascending batches skip it: they walk the process array in
+//! address order, which the hardware prefetcher already streams, so the
+//! pass would add work there without hiding a miss.
 
 use crate::adversary::{Adversary, Decision, RunView};
 use crate::bits::{SlotSnapshot, Status, StatusBitmap};
@@ -153,7 +164,7 @@ impl Arena {
 
         // The slot roster keeps stale entries: halted pids stay in the
         // captured snapshot until more than half the slots are dead,
-        // then one O(n/64) recapture reclaims them. The `RunView`
+        // then one O(n/64 + live) recapture reclaims them. The `RunView`
         // contract reflects this: `slots` is a sorted superset of the
         // runnable pids; the status bitmap (≡ `announced[pid].is_some()`)
         // is the ground truth. The recapture threshold is observable
@@ -170,6 +181,15 @@ impl Arena {
         // `DECISION_BATCH` decisions from one view, and the straight-line
         // process segments run back to back without re-entering the
         // dispatch loop.
+        //
+        // A batch whose pids do not strictly ascend (`random`'s) is
+        // touched before it runs, so its grantees' cache misses overlap
+        // instead of each waiting behind the previous step's locked
+        // read-modify-write. Ascending batches (`fair`, the ascending zoo
+        // strategies, every one-decision batch) walk the process array in
+        // address order, which the prefetcher already streams, and skip
+        // the pass (see the module docs). The pass writes nothing, and
+        // the step loop below keeps every check.
         let mut live = n;
         let mut batch: Vec<Decision> = Vec::with_capacity(DECISION_BATCH);
         while live > 0 {
@@ -184,6 +204,9 @@ impl Arena {
             }
             if batch.is_empty() {
                 return Err(ExecError::BadDecision { decision: "empty decision batch".into() });
+            }
+            if !ascending(&batch) {
+                self.touch(processes, &batch);
             }
             for &decision in &batch {
                 decisions += 1;
@@ -234,6 +257,22 @@ impl Arena {
         Ok(self.outcome(decisions))
     }
 
+    /// The touch pass over a scattered batch (see [`Arena::run`]): loads
+    /// what each grantee's step will read, so the misses of the whole
+    /// batch are in flight at once. Pids are looked up with `get`, so a
+    /// bad decision is left for the step loop to report.
+    fn touch<P: Process>(&self, processes: &[P], batch: &[Decision]) {
+        for &decision in batch {
+            if let Decision::Grant(pid) = decision {
+                if let Some(p) = processes.get(pid.index()) {
+                    p.touch();
+                }
+                std::hint::black_box(self.announced.get(pid).copied());
+                std::hint::black_box(self.steps.get(pid).copied());
+            }
+        }
+    }
+
     /// Kept only because the standalone `stepbench` package calls it;
     /// the next change to that benchmark removes it. Always `(0, 0)`:
     /// every τ-request runs through [`Process::step`].
@@ -255,6 +294,16 @@ impl Arena {
             decisions,
         }
     }
+}
+
+/// Whether the batch's pids strictly ascend, as every batch of `fair`
+/// and of the ascending zoo strategies does (and every one-decision
+/// batch).
+fn ascending(batch: &[Decision]) -> bool {
+    let pid = |d: &Decision| match *d {
+        Decision::Grant(pid) | Decision::Crash(pid) => pid,
+    };
+    batch.windows(2).all(|w| pid(&w[0]) < pid(&w[1]))
 }
 
 /// Per-shard seed derivation: shard 0 keeps the run seed unchanged (so a
@@ -540,6 +589,132 @@ mod tests {
                     "recorded, n {n} seed {seed}"
                 );
             }
+        }
+    }
+
+    /// Takes `left` steps, then claims name `pid`. Counts `touch` calls
+    /// through a `Cell` and logs, at each step, `(pid, touches since its
+    /// previous step)` in global step order.
+    struct Touchy {
+        pid: usize,
+        left: usize,
+        touches: std::cell::Cell<u32>,
+        log: StepLog,
+    }
+
+    /// `(pid, touches since its previous step)` per step, in step order.
+    type StepLog = Arc<std::sync::Mutex<Vec<(Pid, u32)>>>;
+
+    impl Process for Touchy {
+        fn announce(&mut self) -> Access {
+            Access::Local
+        }
+
+        fn step(&mut self) -> StepOutcome {
+            self.log.lock().unwrap().push((Pid::new(self.pid), self.touches.replace(0)));
+            if self.left == 0 {
+                return StepOutcome::Done(self.pid);
+            }
+            self.left -= 1;
+            StepOutcome::Continue
+        }
+
+        fn pid(&self) -> Pid {
+            Pid::new(self.pid)
+        }
+
+        fn touch(&self) {
+            self.touches.set(self.touches.get() + 1);
+        }
+    }
+
+    /// Records every batch the inner strategy hands the arena.
+    struct Batches<A> {
+        inner: A,
+        batches: Vec<Vec<Decision>>,
+    }
+
+    impl<A: Adversary> Adversary for Batches<A> {
+        fn decide(&mut self, view: &RunView<'_>) -> Decision {
+            self.inner.decide(view)
+        }
+
+        fn decide_batch(&mut self, view: &RunView<'_>, out: &mut Vec<Decision>, max: usize) {
+            let start = out.len();
+            self.inner.decide_batch(view, out, max);
+            self.batches.push(out[start..].to_vec());
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// One run's step log and the batches its adversary handed out.
+    type TouchRun = (Vec<(Pid, u32)>, Vec<Vec<Decision>>);
+
+    /// Runs `Touchy` processes typed and boxed under `adversary()`.
+    fn touch_logs<A: Adversary>(n: usize, adversary: impl Fn() -> A) -> Vec<TouchRun> {
+        let build = |log: &StepLog| -> Vec<Touchy> {
+            (0..n)
+                .map(|pid| Touchy {
+                    pid,
+                    left: pid % 5,
+                    touches: std::cell::Cell::new(0),
+                    log: Arc::clone(log),
+                })
+                .collect()
+        };
+        let mut runs = Vec::new();
+        for boxed in [false, true] {
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut adv = Batches { inner: adversary(), batches: Vec::new() };
+            let out = if boxed {
+                let mut procs: Vec<Box<dyn Process>> =
+                    build(&log).into_iter().map(|p| Box::new(p) as Box<dyn Process>).collect();
+                Arena::new().run(&mut procs, &mut adv, 1 << 20).unwrap()
+            } else {
+                Arena::new().run(&mut build(&log), &mut adv, 1 << 20).unwrap()
+            };
+            out.verify_renaming(n).unwrap();
+            let log = std::mem::take(&mut *log.lock().unwrap());
+            runs.push((log, adv.batches));
+        }
+        runs
+    }
+
+    #[test]
+    fn scattered_batches_touch_each_grantee_once_before_its_step() {
+        for seed in 0..3u64 {
+            for (log, batches) in touch_logs(300, || RandomAdversary::new(seed)) {
+                // Every grant of a batch whose pids do not strictly ascend
+                // saw exactly one touch since its previous step; every
+                // other grant saw none.
+                let mut expected = Vec::new();
+                let mut scattered = 0;
+                for batch in &batches {
+                    let touched = !batch.windows(2).all(|w| match (w[0], w[1]) {
+                        (Decision::Grant(a), Decision::Grant(b)) => a < b,
+                        _ => unreachable!("random only grants"),
+                    });
+                    scattered += usize::from(touched);
+                    for &d in batch {
+                        let Decision::Grant(pid) = d else { unreachable!("random only grants") };
+                        expected.push((pid, u32::from(touched)));
+                    }
+                }
+                assert!(scattered > 10, "seed {seed}: only {scattered} scattered batches");
+                assert_eq!(log, expected, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_batches_are_never_touched() {
+        for (log, batches) in touch_logs(300, FairAdversary::default) {
+            assert!(batches.iter().any(|b| b.len() > 1), "fair batches several grants");
+            assert!(log.iter().all(|&(_, touches)| touches == 0), "fair batches skip the pass");
+            assert_eq!(log.len(), batches.iter().map(Vec::len).sum::<usize>());
         }
     }
 

@@ -114,20 +114,33 @@ impl RunOutcome {
 
     /// Checks the three renaming properties for survivors: completeness
     /// (all named, unless the process legitimately gave up), uniqueness,
-    /// and the name-space bound `< m`.
+    /// and the name-space bound `< m`. Survivors are checked in pid
+    /// order and the first violation is returned.
+    ///
+    /// Names seen are kept in a bit set grown to the largest name so far;
+    /// each name is checked `< m` before it is inserted, so the set never
+    /// outgrows the names actually produced.
     pub fn verify_renaming(&self, m: usize) -> Result<(), String> {
-        let mut seen = std::collections::HashSet::new();
-        for pid in self.survivors() {
-            match self.names[pid] {
+        let mut seen: Vec<u64> = Vec::new();
+        for (pid, &name) in self.names.iter_enumerated() {
+            if self.crashed[pid] {
+                continue;
+            }
+            match name {
                 None if self.gave_up[pid] => {}
                 None => return Err(format!("surviving process {pid} got no name")),
                 Some(name) => {
                     if name >= m {
                         return Err(format!("process {pid} got name {name} ≥ m={m}"));
                     }
-                    if !seen.insert(name) {
+                    let (word, bit) = (name / 64, 1u64 << (name % 64));
+                    if word >= seen.len() {
+                        seen.resize(word + 1, 0);
+                    }
+                    if seen[word] & bit != 0 {
                         return Err(format!("name {name} assigned twice"));
                     }
+                    seen[word] |= bit;
                 }
             }
         }
@@ -256,6 +269,47 @@ mod tests {
             decisions: 1,
         };
         assert!(out.verify_renaming(2).unwrap_err().contains("≥ m"));
+    }
+
+    /// All three error kinds, with their exact messages, reported for
+    /// the first offending survivor in pid order; crashed processes are
+    /// skipped, names are bounded before they are recorded.
+    #[test]
+    fn verify_reports_the_first_violation_in_pid_order() {
+        let outcome = |names: Vec<Option<usize>>, crashed: Vec<bool>, gave_up: Vec<bool>| {
+            let n = names.len();
+            RunOutcome {
+                names: names.into(),
+                steps: vec![1; n].into(),
+                crashed: crashed.into(),
+                gave_up: gave_up.into(),
+                decisions: n as u64,
+            }
+        };
+        let names = vec![Some(3), Some(1), Some(3), None, Some(9), Some(130)];
+        let mut crashed = vec![false; 6];
+        let mut gave_up = vec![false; 6];
+        let verify = |crashed: &[bool], gave_up: &[bool]| {
+            outcome(names.clone(), crashed.to_vec(), gave_up.to_vec()).verify_renaming(200)
+        };
+        assert_eq!(verify(&crashed, &gave_up).unwrap_err(), "name 3 assigned twice");
+        crashed[2] = true;
+        assert_eq!(verify(&crashed, &gave_up).unwrap_err(), "surviving process 3 got no name");
+        gave_up[3] = true;
+        assert_eq!(verify(&crashed, &gave_up), Ok(()));
+        let bounded = outcome(names.clone(), crashed.clone(), gave_up.clone());
+        assert_eq!(bounded.verify_renaming(5).unwrap_err(), "process 4 got name 9 ≥ m=5");
+        // A crashed holder's name is not recorded, so a survivor may hold
+        // it too; a huge name fails the bound before it sizes the set.
+        let out = outcome(
+            vec![Some(7), Some(7), Some(usize::MAX)],
+            vec![true, false, false],
+            vec![false; 3],
+        );
+        assert_eq!(
+            out.verify_renaming(8).unwrap_err(),
+            format!("process 2 got name {} ≥ m=8", usize::MAX)
+        );
     }
 
     #[test]
