@@ -14,7 +14,6 @@ use rr_renaming::aagw::{AagwProcess, SpareShared};
 use rr_renaming::adaptive::AdaptiveRenaming;
 use rr_renaming::longlived::{LongLivedClient, ReleasableTasArray};
 use rr_renaming::params::FinisherPlan;
-use rr_renaming::phase::AlmostTight;
 use rr_renaming::tight::TightRenaming;
 use rr_renaming::traits::RenamingAlgorithm;
 use rr_sched::adversary::FairAdversary;
@@ -504,9 +503,7 @@ fn ablate_finisher(em: &mut Emitter<'_, '_>, k: usize, spare: usize, seeds: u64)
             let random_budget = plan.max_random_probes();
             let shared = Arc::new(SpareShared::new(0, spare));
             let mut procs: Vec<_> = (0..k)
-                .map(|pid| {
-                    AlmostTight(AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone()))
-                })
+                .map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone()))
                 .collect();
             let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 30).unwrap();
             out.verify_renaming(spare).unwrap();

@@ -15,10 +15,11 @@
 //! released, so a pass that fails at every register certifies that all
 //! `spare` names were taken — impossible while stragglers number at most
 //! `spare/2` (the w.h.p. regime). Outside that regime the process reports
-//! `Exhausted` and the run is counted as a w.h.p. failure.
+//! `GaveUp` and the run is counted as a w.h.p. failure.
 
 use crate::params::FinisherPlan;
-use crate::phase::{PhaseOutcome, PhaseProcess};
+use rr_sched::ids::Pid;
+use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
@@ -94,7 +95,7 @@ impl AagwProcess {
         }
     }
 
-    /// A finisher that reports `Exhausted` instead of falling back to the
+    /// A finisher that gives up instead of falling back to the
     /// deterministic sweep (used by the adaptive guess ladder on
     /// non-final segments).
     pub fn without_sweep(
@@ -125,7 +126,7 @@ impl AagwProcess {
     }
 }
 
-impl PhaseProcess for AagwProcess {
+impl Process for AagwProcess {
     fn announce(&mut self) -> Access {
         if !self.sweep && matches!(self.state, State::Sweep { .. }) {
             return Access::Local;
@@ -137,9 +138,9 @@ impl PhaseProcess for AagwProcess {
         Access::Tas { array: 2, index: self.pending.unwrap() }
     }
 
-    fn poll(&mut self) -> PhaseOutcome {
+    fn step(&mut self) -> StepOutcome {
         if !self.sweep && matches!(self.state, State::Sweep { .. }) {
-            return PhaseOutcome::Exhausted;
+            return StepOutcome::GaveUp;
         }
         let idx = match self.pending.take() {
             Some(i) => i,
@@ -147,7 +148,7 @@ impl PhaseProcess for AagwProcess {
         };
         let won = self.shared.registers.tas(idx);
         if won {
-            return PhaseOutcome::Done(self.shared.base + idx);
+            return StepOutcome::Done(self.shared.base + idx);
         }
         self.state = match self.state {
             State::Segment { seg, spent } => {
@@ -166,16 +167,16 @@ impl PhaseProcess for AagwProcess {
                     // One full pass failed: the spare space is (or was,
                     // at each probe instant) fully claimed — the w.h.p.
                     // straggler bound did not hold.
-                    return PhaseOutcome::Exhausted;
+                    return StepOutcome::GaveUp;
                 }
                 State::Sweep { cursor: (cursor + 1) % self.shared.registers.len(), start, visited }
             }
         };
-        PhaseOutcome::Continue
+        StepOutcome::Continue
     }
 
-    fn pid(&self) -> usize {
-        self.pid
+    fn pid(&self) -> Pid {
+        Pid::new(self.pid)
     }
 
     fn rng_words(&self) -> Option<u64> {
@@ -186,7 +187,6 @@ impl PhaseProcess for AagwProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase::AlmostTight;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::shard::Arena;
 
@@ -194,7 +194,7 @@ mod tests {
         let shared = Arc::new(SpareShared::new(1000, spare));
         let plan = FinisherPlan::new(spare);
         let mut procs: Vec<_> = (0..k)
-            .map(|pid| AlmostTight(AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone())))
+            .map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone()))
             .collect();
         Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap()
     }
@@ -245,7 +245,7 @@ mod tests {
         let shared = Arc::new(SpareShared::new(0, 128));
         let plan = FinisherPlan::new(128);
         let mut procs: Vec<_> = (0..64)
-            .map(|pid| AlmostTight(AagwProcess::new(pid, 3, Arc::clone(&shared), plan.clone())))
+            .map(|pid| AagwProcess::new(pid, 3, Arc::clone(&shared), plan.clone()))
             .collect();
         let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(8), 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();

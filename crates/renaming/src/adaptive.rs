@@ -10,10 +10,11 @@
 //! segments*; segment `j` is sized for the guess `k̂ = 2^j` and laid out
 //! as a Corollary-9-style area (primary `2^j` names + finisher spare).
 //! A process starts at segment `j₀ = 0` and runs the loose protocol
-//! sized for `2^j` inside segment `j`; if the segment is exhausted
-//! (more than `2^j` participants — the guess was too low), it moves to
-//! segment `j+1`. With `k` actual participants every process succeeds by
-//! segment `⌈log₂ k⌉ + O(1)` w.h.p., so
+//! sized for `2^j` inside segment `j` (a [`Chain`] of Lemma 6 and the
+//! finisher); if the chain gives up (more than `2^j` participants — the
+//! guess was too low), it moves to segment `j+1`. With `k` actual
+//! participants every process succeeds by segment `⌈log₂ k⌉ + O(1)`
+//! w.h.p., so
 //!
 //! * names come from `[0, O(k))` — the segments up to the successful one
 //!   total `Σ_{j≤log k+O(1)} c·2^j = O(k)` names (adaptive name space);
@@ -26,7 +27,7 @@
 use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
 use crate::params::{FinisherPlan, Lemma6Schedule};
-use crate::phase::{PhaseOutcome, PhaseProcess};
+use crate::phase::Chain;
 use crate::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
@@ -85,11 +86,11 @@ impl AdaptiveLayout {
 #[derive(Debug)]
 struct Segment {
     primary: Arc<LooseShared>,
+    /// The finisher area, based at the segment's primary size so the
+    /// segment's [`Chain`] returns names relative to the segment.
     spare: Arc<SpareShared>,
     schedule: Lemma6Schedule,
     plan: FinisherPlan,
-    /// First name of the primary area (names are offset by this).
-    base: usize,
 }
 
 /// Shared memory for an adaptive run: all segments.
@@ -111,10 +112,9 @@ impl AdaptiveShared {
                 let sched_n = primary_size.max(4);
                 Segment {
                     primary: Arc::new(LooseShared::new(primary_size)),
-                    spare: Arc::new(SpareShared::new(0, spare_size)),
+                    spare: Arc::new(SpareShared::new(primary_size, spare_size)),
                     schedule: Lemma6Schedule::new(sched_n, 1),
                     plan: FinisherPlan::new(spare_size),
-                    base: layout.bases[j],
                 }
             })
             .collect();
@@ -125,12 +125,25 @@ impl AdaptiveShared {
     pub fn layout(&self) -> &AdaptiveLayout {
         &self.layout
     }
-}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Primary,
-    Finisher,
+    /// Process `pid`'s Lemma 6 stage in segment `j`, chained to the
+    /// segment's finisher.
+    fn chain(&self, pid: usize, seed: u64, j: usize) -> Chain<L6Process, AagwProcess> {
+        let seg = &self.segments[j];
+        // Distinct stream per (process, segment) so ladder retries are
+        // independent.
+        let seed = seed ^ ((j as u64 + 1) << 32);
+        let primary = L6Process::new(pid, seed, Arc::clone(&seg.primary), seg.schedule.clone());
+        let (spare, plan) = (Arc::clone(&seg.spare), seg.plan.clone());
+        // Only the top segment keeps the deterministic sweep (it is the
+        // global termination guarantee); lower segments climb instead.
+        let finisher = if j + 1 == self.segments.len() {
+            AagwProcess::new(pid, seed ^ 0x5eed, spare, plan)
+        } else {
+            AagwProcess::without_sweep(pid, seed ^ 0x5eed, spare, plan)
+        };
+        Chain::new(primary, finisher)
+    }
 }
 
 /// One adaptive process: walks the guess ladder.
@@ -139,10 +152,9 @@ pub struct AdaptiveProcess {
     seed: u64,
     shared: Arc<AdaptiveShared>,
     segment: usize,
-    stage: Stage,
-    inner_primary: Option<L6Process>,
-    inner_finisher: Option<AagwProcess>,
-    /// RNG draws spent in segments already left (the live inners hold
+    /// The current segment's stages.
+    chain: Chain<L6Process, AagwProcess>,
+    /// RNG draws spent in segments already left (the live chain holds
     /// only the current segment's counts).
     words_spent: u64,
 }
@@ -150,92 +162,39 @@ pub struct AdaptiveProcess {
 impl AdaptiveProcess {
     /// Process `pid` starting at segment 0.
     pub fn new(pid: usize, seed: u64, shared: Arc<AdaptiveShared>) -> Self {
-        let mut p = Self {
-            pid,
-            seed,
-            shared,
-            segment: 0,
-            stage: Stage::Primary,
-            inner_primary: None,
-            inner_finisher: None,
-            words_spent: 0,
-        };
-        p.enter_segment(0);
-        p
+        let chain = shared.chain(pid, seed, 0);
+        Self { pid, seed, shared, segment: 0, chain, words_spent: 0 }
     }
 
     /// Segment the process is currently working in (experiments read it).
     pub fn current_segment(&self) -> usize {
         self.segment
     }
-
-    fn enter_segment(&mut self, j: usize) {
-        self.words_spent += self.inner_primary.as_ref().and_then(|p| p.rng_words()).unwrap_or(0)
-            + self.inner_finisher.as_ref().and_then(|p| p.rng_words()).unwrap_or(0);
-        self.segment = j;
-        self.stage = Stage::Primary;
-        let seg = &self.shared.segments[j];
-        // Distinct stream per (process, segment) so ladder retries are
-        // independent.
-        let seed = self.seed ^ ((j as u64 + 1) << 32);
-        self.inner_primary =
-            Some(L6Process::new(self.pid, seed, Arc::clone(&seg.primary), seg.schedule.clone()));
-        let last = j + 1 == self.shared.segments.len();
-        // Only the top segment keeps the deterministic sweep (it is the
-        // global termination guarantee); lower segments climb instead.
-        self.inner_finisher = Some(if last {
-            AagwProcess::new(self.pid, seed ^ 0x5eed, Arc::clone(&seg.spare), seg.plan.clone())
-        } else {
-            AagwProcess::without_sweep(
-                self.pid,
-                seed ^ 0x5eed,
-                Arc::clone(&seg.spare),
-                seg.plan.clone(),
-            )
-        });
-    }
-
-    fn segment_base(&self) -> usize {
-        self.shared.segments[self.segment].base
-    }
-
-    fn spare_base(&self) -> usize {
-        self.segment_base() + self.shared.layout.primaries[self.segment]
-    }
 }
 
 impl Process for AdaptiveProcess {
     fn announce(&mut self) -> Access {
-        match self.stage {
-            Stage::Primary => self.inner_primary.as_mut().unwrap().announce(),
-            Stage::Finisher => self.inner_finisher.as_mut().unwrap().announce(),
-        }
+        self.chain.announce()
     }
 
     fn step(&mut self) -> StepOutcome {
-        match self.stage {
-            Stage::Primary => match self.inner_primary.as_mut().unwrap().poll() {
-                PhaseOutcome::Continue => StepOutcome::Continue,
-                PhaseOutcome::Done(local) => StepOutcome::Done(self.segment_base() + local),
-                PhaseOutcome::Exhausted => {
-                    self.stage = Stage::Finisher;
-                    StepOutcome::Continue
-                }
-            },
-            Stage::Finisher => match self.inner_finisher.as_mut().unwrap().poll() {
-                PhaseOutcome::Continue => StepOutcome::Continue,
-                PhaseOutcome::Done(local) => StepOutcome::Done(self.spare_base() + local),
-                PhaseOutcome::Exhausted => {
-                    // Segment full: the guess was too low; climb.
-                    let next = self.segment + 1;
-                    assert!(
-                        next < self.shared.segments.len(),
-                        "guess ladder exhausted: layout sized for fewer participants"
-                    );
-                    self.enter_segment(next);
-                    StepOutcome::Continue
-                }
-            },
+        match self.chain.step() {
+            StepOutcome::Continue => StepOutcome::Continue,
+            StepOutcome::Done(local) => {
+                StepOutcome::Done(self.shared.layout.bases[self.segment] + local)
+            }
+            StepOutcome::GaveUp => {
+                // Segment full: the guess was too low; climb.
+                let next = self.segment + 1;
+                assert!(
+                    next < self.shared.segments.len(),
+                    "guess ladder exhausted: layout sized for fewer participants"
+                );
+                self.words_spent += self.chain.rng_words().unwrap_or(0);
+                self.segment = next;
+                self.chain = self.shared.chain(self.pid, self.seed, next);
+                StepOutcome::Continue
+            }
         }
     }
 
@@ -244,9 +203,7 @@ impl Process for AdaptiveProcess {
     }
 
     fn rng_words(&self) -> Option<u64> {
-        let live = self.inner_primary.as_ref().and_then(|p| p.rng_words()).unwrap_or(0)
-            + self.inner_finisher.as_ref().and_then(|p| p.rng_words()).unwrap_or(0);
-        Some(self.words_spent + live)
+        Some(self.words_spent + self.chain.rng_words().unwrap_or(0))
     }
 }
 
@@ -366,6 +323,36 @@ mod tests {
         // log k · polyloglog k: 64× more participants ⇒ comfortably less
         // than a 64× step increase.
         assert!(steps_big < steps_small * 16, "{steps_small} -> {steps_big}");
+    }
+
+    /// Each name lies in the segment its process finished in, and the
+    /// per-segment name counts of a fixed-seed run are pinned, split
+    /// into the segment's primary area (from `bases[j]`) and its
+    /// finisher area (after the primary): the segment-to-name offset is
+    /// what this checks.
+    #[test]
+    fn names_fall_in_the_finishing_segment() {
+        let (shared, mut procs) = AdaptiveRenaming.instantiate_participants(100, 1024, 3);
+        let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
+        let layout = shared.layout();
+        out.verify_renaming(layout.total).unwrap();
+        let mut per_segment = vec![(0, 0); layout.segments()];
+        for (p, name) in procs.iter().zip(out.names.iter()) {
+            let (j, name) = (p.current_segment(), name.expect("everyone is named"));
+            assert!(
+                (layout.bases[j]..layout.names_through(j)).contains(&name),
+                "pid {} named {name} outside segment {j}",
+                p.pid()
+            );
+            if name < layout.bases[j] + layout.primaries[j] {
+                per_segment[j].0 += 1;
+            } else {
+                per_segment[j].1 += 1;
+            }
+        }
+        // All 100 names are in segments 0..=6.
+        let pinned = [(1, 0), (2, 0), (4, 0), (8, 0), (16, 8), (32, 24), (5, 0)];
+        assert_eq!(per_segment[..pinned.len()], pinned);
     }
 
     #[test]

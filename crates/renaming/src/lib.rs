@@ -10,10 +10,12 @@
 //! * [`loose_l8`] — Lemma 8: `n/(log n)^ℓ`-almost-tight renaming in
 //!   `2ℓ(log log n)²` steps via geometric clusters.
 //! * [`aagw`] — the \[8\]-style finisher for the stragglers.
-//! * [`traits`] — Corollaries 7 and 9 as [`phase::Chain`]
-//!   compositions, plus the interface: each protocol implements
-//!   [`RenamingProtocol`] (one typed `build`) and is thereby a
-//!   [`RenamingAlgorithm`], the object-safe face the registry serves.
+//! * [`phase`] — [`Chain`]: run a second stage for the processes the
+//!   first leaves unnamed.
+//! * [`traits`] — Corollaries 7 and 9 as [`Chain`] compositions, plus
+//!   the interface: each protocol implements [`RenamingProtocol`] (one
+//!   typed `build`) and is thereby a [`RenamingAlgorithm`], the
+//!   object-safe face the registry serves.
 //! * [`params`] — every parameterization (Definition 2, schedules, spare
 //!   sizes) as pure, unit-tested arithmetic.
 //! * [`registry`] — string-keyed [`AlgorithmRegistry`] so experiment
@@ -23,8 +25,10 @@
 //! * [`longlived`] — long-lived acquire/release renaming (related work
 //!   \[13\] context), on TAS registers with owner release.
 //!
-//! All protocols are [`rr_sched::Process`] state machines: run them in
-//! the adversary-scheduled arena ([`rr_sched::shard::Arena`]) or on
+//! All protocols, and every stage a composition chains, are
+//! [`rr_sched::Process`] state machines: a stage that runs out of budget
+//! without a name returns `StepOutcome::GaveUp`. Run them in the
+//! adversary-scheduled arena ([`rr_sched::shard::Arena`]) or on
 //! free-running threads.
 //!
 //! ```
@@ -58,7 +62,7 @@ pub use longlived::{LongLivedClient, ReleasableTasArray};
 pub use loose_l6::{L6Process, LooseShared};
 pub use loose_l8::L8Process;
 pub use params::{spare, FinisherPlan, Lemma6Schedule, Lemma8Schedule, TightPlan, TightVariant};
-pub use phase::{AlmostTight, Chain, PhaseOutcome, PhaseProcess};
+pub use phase::Chain;
 pub use registry::{AlgorithmRegistry, BoxedAlgorithm};
 pub use tight::{TightProcess, TightRenaming, TightShared};
 pub use traits::{

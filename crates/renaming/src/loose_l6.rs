@@ -14,7 +14,8 @@
 //! unnamed counts against the `n/2^i` target.
 
 use crate::params::Lemma6Schedule;
-use crate::phase::{PhaseOutcome, PhaseProcess};
+use rr_sched::ids::Pid;
+use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
@@ -47,7 +48,7 @@ pub struct L6Process {
     schedule: Lemma6Schedule,
     /// Probes spent so far (drives the round bookkeeping).
     spent: u64,
-    /// Pending random target (announce/poll idempotency).
+    /// Pending random target (announce/step idempotency).
     pending: Option<usize>,
 }
 
@@ -70,19 +71,19 @@ impl L6Process {
     }
 }
 
-impl PhaseProcess for L6Process {
+impl Process for L6Process {
     fn announce(&mut self) -> Access {
         if self.spent >= self.schedule.total_steps {
-            // Exhausted; poll() will report it. Announce a no-op.
+            // Exhausted; step() will report it. Announce a no-op.
             return Access::Local;
         }
         let idx = *self.pending.get_or_insert_with(|| self.rng.index(self.shared.registers.len()));
         Access::Tas { array: 0, index: idx }
     }
 
-    fn poll(&mut self) -> PhaseOutcome {
+    fn step(&mut self) -> StepOutcome {
         if self.spent >= self.schedule.total_steps {
-            return PhaseOutcome::Exhausted;
+            return StepOutcome::GaveUp;
         }
         let idx = match self.pending.take() {
             Some(i) => i,
@@ -90,18 +91,18 @@ impl PhaseProcess for L6Process {
         };
         self.spent += 1;
         if self.shared.registers.tas(idx) {
-            PhaseOutcome::Done(idx)
+            StepOutcome::Done(idx)
         } else if self.spent >= self.schedule.total_steps {
             // The losing final probe doubles as the exhaustion report, so
             // step complexity is exactly the schedule's probe count.
-            PhaseOutcome::Exhausted
+            StepOutcome::GaveUp
         } else {
-            PhaseOutcome::Continue
+            StepOutcome::Continue
         }
     }
 
-    fn pid(&self) -> usize {
-        self.pid
+    fn pid(&self) -> Pid {
+        Pid::new(self.pid)
     }
 
     fn rng_words(&self) -> Option<u64> {
@@ -112,17 +113,14 @@ impl PhaseProcess for L6Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase::AlmostTight;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::shard::Arena;
 
-    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<AlmostTight<L6Process>>) {
+    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<L6Process>) {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma6Schedule::new(n, ell);
         let procs = (0..n)
-            .map(|pid| {
-                AlmostTight(L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
-            })
+            .map(|pid| L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
             .collect();
         (shared, procs)
     }
@@ -201,12 +199,12 @@ mod tests {
         let mut p = L6Process::new(0, 0, Arc::clone(&shared), schedule.clone());
         for _ in 0..schedule.total_steps - 1 {
             let _ = p.announce();
-            assert_eq!(p.poll(), PhaseOutcome::Continue);
+            assert_eq!(p.step(), StepOutcome::Continue);
         }
         let _ = p.announce();
-        assert_eq!(p.poll(), PhaseOutcome::Exhausted);
-        // Further polls keep reporting exhaustion; announce is a no-op.
+        assert_eq!(p.step(), StepOutcome::GaveUp);
+        // Further steps keep reporting exhaustion; announce is a no-op.
         assert_eq!(p.announce(), Access::Local);
-        assert_eq!(p.poll(), PhaseOutcome::Exhausted);
+        assert_eq!(p.step(), StepOutcome::GaveUp);
     }
 }

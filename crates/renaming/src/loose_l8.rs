@@ -11,7 +11,8 @@
 
 use crate::loose_l6::LooseShared;
 use crate::params::Lemma8Schedule;
-use crate::phase::{PhaseOutcome, PhaseProcess};
+use rr_sched::ids::Pid;
+use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::rng::ProcessRng;
 use rr_shmem::tas::TasMemory;
 use rr_shmem::Access;
@@ -61,7 +62,7 @@ impl L8Process {
     }
 }
 
-impl PhaseProcess for L8Process {
+impl Process for L8Process {
     fn announce(&mut self) -> Access {
         if self.exhausted() {
             return Access::Local;
@@ -73,9 +74,9 @@ impl PhaseProcess for L8Process {
         Access::Tas { array: 0, index: self.pending.unwrap() }
     }
 
-    fn poll(&mut self) -> PhaseOutcome {
+    fn step(&mut self) -> StepOutcome {
         if self.exhausted() {
-            return PhaseOutcome::Exhausted;
+            return StepOutcome::GaveUp;
         }
         let idx = match self.pending.take() {
             Some(i) => i,
@@ -87,17 +88,17 @@ impl PhaseProcess for L8Process {
             self.spent_in_phase = 0;
         }
         if self.shared.registers.tas(idx) {
-            PhaseOutcome::Done(idx)
+            StepOutcome::Done(idx)
         } else if self.exhausted() {
             // The losing final probe doubles as the exhaustion report.
-            PhaseOutcome::Exhausted
+            StepOutcome::GaveUp
         } else {
-            PhaseOutcome::Continue
+            StepOutcome::Continue
         }
     }
 
-    fn pid(&self) -> usize {
-        self.pid
+    fn pid(&self) -> Pid {
+        Pid::new(self.pid)
     }
 
     fn rng_words(&self) -> Option<u64> {
@@ -108,17 +109,14 @@ impl PhaseProcess for L8Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase::AlmostTight;
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::shard::Arena;
 
-    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<AlmostTight<L8Process>>) {
+    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<L8Process>) {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma8Schedule::new(n, ell);
         let procs = (0..n)
-            .map(|pid| {
-                AlmostTight(L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
-            })
+            .map(|pid| L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
             .collect();
         (shared, procs)
     }
@@ -171,7 +169,7 @@ mod tests {
                 Access::Local => break,
                 other => panic!("unexpected access {other}"),
             }
-            if p.poll() == PhaseOutcome::Exhausted {
+            if p.step() == StepOutcome::GaveUp {
                 break;
             }
         }

@@ -3,75 +3,21 @@
 //! The paper's loose-renaming results compose two stages: an
 //! *almost-tight* stage (Lemma 6 or Lemma 8) that names all but `o(n)`
 //! processes in the primary space `[0, n)`, and the algorithm of \[8\] run
-//! on a spare space to finish the stragglers (Corollaries 7 and 9). A
-//! [`PhaseProcess`] is a stage that can end in `Exhausted`; the adapters
-//! here turn stages into full [`Process`]es:
-//!
-//! * [`AlmostTight`] — `Exhausted` becomes [`StepOutcome::GaveUp`]: the
-//!   process ends unnamed, which is the measured quantity of Lemmas 6/8.
-//! * [`Chain`] — `Exhausted` hands the process to a second stage (the
-//!   finisher), yielding the full loose renaming of the corollaries.
+//! on a spare space to finish the stragglers (Corollaries 7 and 9). Every
+//! stage is a plain [`Process`]; one that runs out of budget without a
+//! name returns [`StepOutcome::GaveUp`], which is the measured quantity
+//! of Lemmas 6/8 when the stage runs alone. [`Chain`] hands such a
+//! process to a second stage (the finisher), yielding the full loose
+//! renaming of the corollaries.
 
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::Access;
 
-/// Result of one stage step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseOutcome {
-    /// More steps needed.
-    Continue,
-    /// Acquired this name.
-    Done(usize),
-    /// Step budget exhausted without a name; stage is over.
-    Exhausted,
-}
-
-/// A renaming stage: like [`Process`] but allowed to exhaust its budget.
-pub trait PhaseProcess: Send {
-    /// Publish the next access (idempotent until the next `poll`).
-    fn announce(&mut self) -> Access;
-    /// Execute the announced access.
-    fn poll(&mut self) -> PhaseOutcome;
-    /// Process id.
-    fn pid(&self) -> usize;
-    /// Raw RNG draws so far (see [`Process::rng_words`]); `None` for
-    /// deterministic stages.
-    fn rng_words(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Adapter: run a stage as a standalone almost-tight protocol.
-#[derive(Debug)]
-pub struct AlmostTight<P>(pub P);
-
-impl<P: PhaseProcess> Process for AlmostTight<P> {
-    fn announce(&mut self) -> Access {
-        self.0.announce()
-    }
-
-    fn step(&mut self) -> StepOutcome {
-        match self.0.poll() {
-            PhaseOutcome::Continue => StepOutcome::Continue,
-            PhaseOutcome::Done(name) => StepOutcome::Done(name),
-            PhaseOutcome::Exhausted => StepOutcome::GaveUp,
-        }
-    }
-
-    fn pid(&self) -> Pid {
-        Pid::new(self.0.pid())
-    }
-
-    fn rng_words(&self) -> Option<u64> {
-        self.0.rng_words()
-    }
-}
-
-/// Adapter: run stage `A`, then stage `B` for processes `A` leaves
-/// unnamed. `B`'s own `Exhausted` becomes `GaveUp` (for the finishers in
-/// this workspace that means the w.h.p. spare-space guarantee failed; the
-/// experiments count it as a run failure).
+/// Run stage `A`, then stage `B` for processes `A` leaves unnamed. `B`'s
+/// own `GaveUp` ends the process (for the finishers in this workspace
+/// that means the w.h.p. spare-space guarantee failed; the experiments
+/// count it as a run failure).
 #[derive(Debug)]
 pub struct Chain<A, B> {
     first: A,
@@ -79,7 +25,7 @@ pub struct Chain<A, B> {
     in_second: bool,
 }
 
-impl<A: PhaseProcess, B: PhaseProcess> Chain<A, B> {
+impl<A: Process, B: Process> Chain<A, B> {
     /// Chains `first` then `second`.
     ///
     /// # Panics
@@ -95,7 +41,7 @@ impl<A: PhaseProcess, B: PhaseProcess> Chain<A, B> {
     }
 }
 
-impl<A: PhaseProcess, B: PhaseProcess> Process for Chain<A, B> {
+impl<A: Process, B: Process> Process for Chain<A, B> {
     fn announce(&mut self) -> Access {
         if self.in_second {
             self.second.announce()
@@ -106,27 +52,22 @@ impl<A: PhaseProcess, B: PhaseProcess> Process for Chain<A, B> {
 
     fn step(&mut self) -> StepOutcome {
         if self.in_second {
-            return match self.second.poll() {
-                PhaseOutcome::Continue => StepOutcome::Continue,
-                PhaseOutcome::Done(name) => StepOutcome::Done(name),
-                PhaseOutcome::Exhausted => StepOutcome::GaveUp,
-            };
+            return self.second.step();
         }
-        match self.first.poll() {
-            PhaseOutcome::Continue => StepOutcome::Continue,
-            PhaseOutcome::Done(name) => StepOutcome::Done(name),
-            PhaseOutcome::Exhausted => {
+        match self.first.step() {
+            StepOutcome::GaveUp => {
                 // The step consumed by the failed last probe of stage A
                 // has been charged; the switch itself is free (local
                 // computation), matching the paper's accounting.
                 self.in_second = true;
                 StepOutcome::Continue
             }
+            outcome => outcome,
         }
     }
 
     fn pid(&self) -> Pid {
-        Pid::new(self.first.pid())
+        self.first.pid()
     }
 
     fn rng_words(&self) -> Option<u64> {
@@ -138,87 +79,55 @@ impl<A: PhaseProcess, B: PhaseProcess> Process for Chain<A, B> {
 }
 
 #[cfg(test)]
-pub(crate) mod testutil {
+mod tests {
     use super::*;
+    use rr_sched::process::run_to_completion;
 
-    /// Stage that fails `fail_steps` probes then either succeeds with
-    /// `name` or exhausts.
-    pub struct FixedStage {
-        pub pid: usize,
-        pub fail_steps: u32,
-        pub then: PhaseOutcome,
-        pub taken: u32,
+    /// Stage that fails `fail_steps` probes then returns `then`
+    /// (`Done(name)` or `GaveUp`).
+    struct FixedStage {
+        pid: usize,
+        fail_steps: u32,
+        then: StepOutcome,
+        taken: u32,
     }
 
-    impl PhaseProcess for FixedStage {
+    impl Process for FixedStage {
         fn announce(&mut self) -> Access {
             Access::Local
         }
 
-        fn poll(&mut self) -> PhaseOutcome {
+        fn step(&mut self) -> StepOutcome {
             if self.taken < self.fail_steps {
                 self.taken += 1;
-                PhaseOutcome::Continue
+                StepOutcome::Continue
             } else {
                 self.then
             }
         }
 
-        fn pid(&self) -> usize {
-            self.pid
+        fn pid(&self) -> Pid {
+            Pid::new(self.pid)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::testutil::FixedStage;
-    use super::*;
-    use rr_sched::process::run_to_completion;
-
-    #[test]
-    fn almost_tight_maps_exhausted_to_gave_up() {
-        let mut p = AlmostTight(FixedStage {
-            pid: 0,
-            fail_steps: 3,
-            then: PhaseOutcome::Exhausted,
-            taken: 0,
-        });
-        let (name, steps) = run_to_completion(&mut p, 100);
-        assert_eq!(name, None);
-        assert_eq!(steps, 4);
-    }
-
-    #[test]
-    fn almost_tight_passes_names_through() {
-        let mut p = AlmostTight(FixedStage {
-            pid: 0,
-            fail_steps: 2,
-            then: PhaseOutcome::Done(7),
-            taken: 0,
-        });
-        let (name, steps) = run_to_completion(&mut p, 100);
-        assert_eq!(name, Some(7));
-        assert_eq!(steps, 3);
     }
 
     #[test]
     fn chain_switches_to_finisher() {
-        let a = FixedStage { pid: 1, fail_steps: 2, then: PhaseOutcome::Exhausted, taken: 0 };
-        let b = FixedStage { pid: 1, fail_steps: 1, then: PhaseOutcome::Done(42), taken: 0 };
+        let a = FixedStage { pid: 1, fail_steps: 2, then: StepOutcome::GaveUp, taken: 0 };
+        let b = FixedStage { pid: 1, fail_steps: 1, then: StepOutcome::Done(42), taken: 0 };
         let mut p = Chain::new(a, b);
         assert!(!p.in_finisher());
         let (name, steps) = run_to_completion(&mut p, 100);
         assert_eq!(name, Some(42));
-        // 2 failed probes + 1 exhaust-step + 1 finisher fail + 1 win.
+        // 2 failed probes + 1 give-up step + 1 finisher fail + 1 win.
         assert_eq!(steps, 5);
         assert!(p.in_finisher());
     }
 
     #[test]
     fn chain_skips_finisher_when_first_succeeds() {
-        let a = FixedStage { pid: 2, fail_steps: 0, then: PhaseOutcome::Done(9), taken: 0 };
-        let b = FixedStage { pid: 2, fail_steps: 0, then: PhaseOutcome::Done(1), taken: 0 };
+        let a = FixedStage { pid: 2, fail_steps: 0, then: StepOutcome::Done(9), taken: 0 };
+        let b = FixedStage { pid: 2, fail_steps: 0, then: StepOutcome::Done(1), taken: 0 };
         let mut p = Chain::new(a, b);
         let (name, steps) = run_to_completion(&mut p, 100);
         assert_eq!(name, Some(9));
@@ -228,8 +137,8 @@ mod tests {
 
     #[test]
     fn chain_double_exhaust_gives_up() {
-        let a = FixedStage { pid: 0, fail_steps: 1, then: PhaseOutcome::Exhausted, taken: 0 };
-        let b = FixedStage { pid: 0, fail_steps: 1, then: PhaseOutcome::Exhausted, taken: 0 };
+        let a = FixedStage { pid: 0, fail_steps: 1, then: StepOutcome::GaveUp, taken: 0 };
+        let b = FixedStage { pid: 0, fail_steps: 1, then: StepOutcome::GaveUp, taken: 0 };
         let (name, _) = run_to_completion(&mut Chain::new(a, b), 100);
         assert_eq!(name, None);
     }
@@ -237,8 +146,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "share a pid")]
     fn chain_pid_mismatch_panics() {
-        let a = FixedStage { pid: 0, fail_steps: 0, then: PhaseOutcome::Exhausted, taken: 0 };
-        let b = FixedStage { pid: 1, fail_steps: 0, then: PhaseOutcome::Exhausted, taken: 0 };
+        let a = FixedStage { pid: 0, fail_steps: 0, then: StepOutcome::GaveUp, taken: 0 };
+        let b = FixedStage { pid: 1, fail_steps: 0, then: StepOutcome::GaveUp, taken: 0 };
         Chain::new(a, b);
     }
 }

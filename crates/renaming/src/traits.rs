@@ -11,7 +11,7 @@ use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
 use crate::loose_l8::L8Process;
 use crate::params::{spare, FinisherPlan, Lemma6Schedule, Lemma8Schedule};
-use crate::phase::{AlmostTight, Chain};
+use crate::phase::Chain;
 use crate::tight::{TightProcess, TightRenaming};
 use rr_sched::adversary::Adversary;
 use rr_sched::process::Process;
@@ -198,7 +198,7 @@ pub struct LooseL6 {
 }
 
 impl RenamingProtocol for LooseL6 {
-    type Proc = AlmostTight<L6Process>;
+    type Proc = L6Process;
 
     fn name(&self) -> String {
         format!("loose-L6(l={})", self.ell)
@@ -215,11 +215,7 @@ impl RenamingProtocol for LooseL6 {
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma6Schedule::new(n, self.ell);
-        (0..n)
-            .map(|pid| {
-                AlmostTight(L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
-            })
-            .collect()
+        (0..n).map(|pid| L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone())).collect()
     }
 }
 
@@ -231,7 +227,7 @@ pub struct LooseL8 {
 }
 
 impl RenamingProtocol for LooseL8 {
-    type Proc = AlmostTight<L8Process>;
+    type Proc = L8Process;
 
     fn name(&self) -> String {
         format!("loose-L8(l={})", self.ell)
@@ -248,11 +244,7 @@ impl RenamingProtocol for LooseL8 {
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(LooseShared::new(n));
         let schedule = Lemma8Schedule::new(n, self.ell);
-        (0..n)
-            .map(|pid| {
-                AlmostTight(L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
-            })
-            .collect()
+        (0..n).map(|pid| L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone())).collect()
     }
 }
 
@@ -330,7 +322,7 @@ impl RenamingProtocol for Cor9 {
 pub struct AagwLoose;
 
 impl RenamingProtocol for AagwLoose {
-    type Proc = AlmostTight<AagwProcess>;
+    type Proc = AagwProcess;
 
     fn name(&self) -> String {
         "aagw-style(m=2n)".into()
@@ -343,9 +335,7 @@ impl RenamingProtocol for AagwLoose {
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(SpareShared::new(0, 2 * n));
         let plan = FinisherPlan::new(2 * n);
-        (0..n)
-            .map(|pid| AlmostTight(AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone())))
-            .collect()
+        (0..n).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone())).collect()
     }
 }
 

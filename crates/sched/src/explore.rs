@@ -64,6 +64,19 @@ fn redirect(view: &RunView<'_>, want: Pid) -> Pid {
     view.next_runnable(want.index()).unwrap_or_else(|| first_runnable(view))
 }
 
+/// The tolerant-replay rule for one tape entry `want` (`None` once the
+/// tape is exhausted), shared by [`TolerantReplay`] and the unperturbed
+/// decisions of [`MutatingReplay`].
+fn tolerate(view: &RunView<'_>, want: Option<Decision>) -> Decision {
+    match want {
+        Some(Decision::Grant(p)) => Decision::Grant(redirect(view, p)),
+        Some(Decision::Crash(p)) if at_least_two_runnable(view) => {
+            Decision::Crash(redirect(view, p))
+        }
+        _ => Decision::Grant(first_runnable(view)),
+    }
+}
+
 /// The canonical choice list at one decision point: grant each runnable
 /// pid ascending, then — crash budget permitting, and never for the last
 /// runnable process — crash each runnable pid ascending. Identical views
@@ -418,13 +431,7 @@ impl Adversary for TolerantReplay {
     fn decide(&mut self, view: &RunView<'_>) -> Decision {
         let want = self.tape.decisions().get(self.at).copied();
         self.at += 1;
-        match want {
-            Some(Decision::Grant(p)) => Decision::Grant(redirect(view, p)),
-            Some(Decision::Crash(p)) if at_least_two_runnable(view) => {
-                Decision::Crash(redirect(view, p))
-            }
-            _ => Decision::Grant(first_runnable(view)),
-        }
+        tolerate(view, want)
     }
 
     fn name(&self) -> &'static str {
@@ -526,13 +533,7 @@ impl Adversary for MutatingReplay {
                 }
             }
         } else {
-            match want {
-                Some(Decision::Grant(p)) => Decision::Grant(redirect(view, p)),
-                Some(Decision::Crash(p)) if at_least_two_runnable(view) => {
-                    Decision::Crash(redirect(view, p))
-                }
-                _ => Decision::Grant(first_runnable(view)),
-            }
+            tolerate(view, want)
         };
         self.decisions.push(d);
         d

@@ -60,11 +60,12 @@ impl Tape {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut decisions = Vec::new();
         for tok in text.split_whitespace() {
-            let (kind, pid) = tok.split_at(1);
-            let pid: usize = pid.parse().map_err(|_| tok.to_string())?;
+            let mut chars = tok.chars();
+            let kind = chars.next();
+            let pid: usize = chars.as_str().parse().map_err(|_| tok.to_string())?;
             decisions.push(match kind {
-                "g" => Decision::Grant(Pid::new(pid)),
-                "c" => Decision::Crash(Pid::new(pid)),
+                Some('g') => Decision::Grant(Pid::new(pid)),
+                Some('c') => Decision::Crash(Pid::new(pid)),
                 _ => return Err(tok.to_string()),
             });
         }
@@ -201,6 +202,17 @@ mod tests {
         assert!(Tape::from_text("gg").is_err());
         assert_eq!(Tape::from_text("").unwrap().len(), 0);
         assert!(Tape::from_text("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_text_names_the_bad_token() {
+        // A token opening with a multi-byte character is an error, not a
+        // split inside that character.
+        for bad in ["é3", "→", "g", "x3"] {
+            assert_eq!(Tape::from_text(&format!("g0 {bad} c1")), Err(bad.to_string()));
+        }
+        let tape = Tape::from_text("g0 c12 g3").unwrap();
+        assert_eq!(Tape::from_text(&tape.to_text()), Ok(tape));
     }
 
     #[test]

@@ -360,3 +360,39 @@ mod tests {
         assert_eq!(reg.quota_and_bits(), (0, device.confirmed()));
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Against any admission order, every admitted process claims a
+        /// distinct in-range name, never more than τ are admitted, and
+        /// slot probes stay ≤ τ.
+        #[test]
+        fn admitted_claims_are_distinct(
+            width in 2u32..=64,
+            tau_raw in 1u32..=64,
+            bits in proptest::collection::vec(0u32..64, 1..80),
+        ) {
+            let tau = tau_raw.min(width);
+            let reg = ConcurrentTauRegister::new(width, tau, 1000);
+            let mut names = Vec::new();
+            for bit in bits {
+                if let Ok((name, steps)) = reg.acquire((bit % width) as usize) {
+                    prop_assert!((1000..1000 + tau as usize).contains(&name));
+                    prop_assert!(steps - 1 <= tau, "{} slot probes", steps - 1);
+                    names.push(name);
+                }
+            }
+            let mut sorted = names.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            prop_assert_eq!(sorted.len(), names.len(), "duplicate names");
+            prop_assert!(names.len() <= tau as usize);
+            prop_assert_eq!(reg.slots.load(Ordering::Relaxed).count_ones() as usize, names.len());
+            prop_assert_eq!(reg.confirmed_count() as usize, names.len());
+        }
+    }
+}

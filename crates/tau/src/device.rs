@@ -510,5 +510,27 @@ mod proptests {
             let r = d.clock_cycle(&reqs);
             prop_assert_eq!(r.win_count(), k as usize);
         }
+
+        /// Batched cycles and single-request cycles admit the same
+        /// *number* of processes when all requested bits are distinct.
+        #[test]
+        fn batching_preserves_admission_count(
+            width in 4u32..=64,
+            tau_raw in 1u32..=64,
+            k in 1usize..64,
+        ) {
+            let tau = tau_raw.min(width);
+            let k = k.min(width as usize);
+            // Batch: all k distinct bits in one cycle.
+            let mut batched = CountingDevice::new(width, tau);
+            let reqs: Vec<_> = (0..k).map(|p| (p, p)).collect();
+            let batch_wins = batched.clock_cycle(&reqs).win_count();
+            // Serial: one request per cycle.
+            let mut serial = CountingDevice::new(width, tau);
+            let serial_wins =
+                (0..k).map(|p| serial.clock_cycle(&[(p, p)]).win_count()).sum::<usize>();
+            prop_assert_eq!(batch_wins, k.min(tau as usize));
+            prop_assert_eq!(serial_wins, k.min(tau as usize));
+        }
     }
 }

@@ -10,11 +10,11 @@
 //!   population never exceeds τ, implemented with the two-phase cycle
 //!   (request, discard) from the paper, including a literal transcription
 //!   of the shift/`popcnt`/bit-test selection ([`device::rtl`]).
-//! * [`register`] — [`TauRegister`]: the device plus τ name slots and the
-//!   systematic slot search a winner performs.
-//! * [`concurrent`] — [`ConcurrentTauRegister`]: lock-free front end
-//!   so free-running OS threads share a register; concurrent requests are
-//!   answered at cycle boundaries exactly like the asynchronous hardware.
+//! * [`concurrent`] — [`ConcurrentTauRegister`]: the register itself, the
+//!   device's confirmed bits plus τ name slots and the systematic slot
+//!   search a winner performs, in one lock-free word each so free-running
+//!   OS threads share it; every request is its own device cycle, a
+//!   schedule the asynchronous hardware also allows.
 //! * [`trace`] — cycle-by-cycle rendering for demos and experiments.
 //!
 //! ```
@@ -34,9 +34,7 @@
 
 pub mod concurrent;
 pub mod device;
-pub mod register;
 pub mod trace;
 
 pub use concurrent::ConcurrentTauRegister;
 pub use device::{BitOutcome, CountingDevice, CycleReport};
-pub use register::TauRegister;

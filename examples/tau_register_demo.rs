@@ -6,7 +6,7 @@
 
 use randomized_renaming::tau::device::CountingDevice;
 use randomized_renaming::tau::trace::{bits, render_cycle};
-use randomized_renaming::tau::TauRegister;
+use randomized_renaming::tau::ConcurrentTauRegister;
 
 fn main() {
     // A small device so the bit strings are readable: 8 TAS bits, τ = 3.
@@ -38,12 +38,13 @@ fn main() {
 
     // Now the full τ-register: admitted processes claim names.
     println!("\nτ-register with base name 100:");
-    let mut reg = TauRegister::new(8, 3, 100);
+    let reg = ConcurrentTauRegister::new(8, 3, 100);
     for (pid, bit) in [(0usize, 1usize), (1, 6), (2, 4), (3, 5)] {
-        match reg.request_and_claim(pid, bit) {
-            (_, Some(name)) => println!("  p{pid} won bit {bit} and claimed name {name}"),
-            (_, None) => println!("  p{pid} lost at bit {bit} (quota or bit taken)"),
+        match reg.acquire(bit) {
+            Ok((name, _)) => println!("  p{pid} won bit {bit} and claimed name {name}"),
+            Err(_) => println!("  p{pid} lost at bit {bit} (quota or bit taken)"),
         }
     }
-    println!("  slots claimed: {}/{}", reg.claimed_slots(), reg.tau());
+    // Every admitted process claims exactly one slot.
+    println!("  slots claimed: {}/{}", reg.confirmed_count(), reg.tau());
 }
