@@ -1,66 +1,36 @@
 //! The execution-backend shoot-out: the same batch on the flat dense
 //! arena and the sharded arenas, bit-checked and wall-clocked.
 //!
-//! ```text
-//! exp_backends [--quick] [--json PATH]
-//!              [--algo KEY] [--adversary KEY] [--n N] [--seeds N]
-//! ```
-//!
 //! Defaults: `tight-tau:c=4` under `fair` at n = 2²⁰ with 3 seeds
-//! (`--quick`: n = 2¹², 2 seeds). The committed `BENCH_backends.json`
+//! (`--quick`: n = 2¹², 2 seeds); `n` must be at least 4, one process
+//! per shard of the `shard:s=4` row. The committed `BENCH_backends.json`
 //! is this binary's `--json` output — the workspace's speed trajectory.
+//!
+//! `--help` lists the flags, declared in [`rr_bench::cli::BACKENDS`].
 
-use rr_bench::runner::RunConfig;
-use rr_bench::scenario::specs::{backends, BackendsOptions};
-use rr_bench::scenario::{drive, registry};
+use rr_bench::cli::{self, BACKENDS};
+use rr_bench::scenario::specs::{backends, BackendsOptions, RACED};
+use rr_bench::scenario::{registry, run_checked};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    drive(|cfg: &RunConfig| {
-        let mut opts = BackendsOptions::defaults(cfg);
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--algo" => {
-                    if let Some(v) = it.next() {
-                        opts.algorithm = v.clone();
-                    }
-                }
-                "--adversary" => {
-                    if let Some(v) = it.next() {
-                        opts.adversary = v.clone();
-                    }
-                }
-                "--n" => {
-                    if let Some(v) = it.next() {
-                        opts.n = v.parse().unwrap_or_else(|_| {
-                            eprintln!("exp_backends: bad size `{v}`");
-                            std::process::exit(2);
-                        });
-                    }
-                }
-                "--seeds" => {
-                    if let Some(v) = it.next() {
-                        opts.seeds = v.parse().unwrap_or_else(|_| {
-                            eprintln!("exp_backends: bad seed count `{v}`");
-                            std::process::exit(2);
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
+fn main() -> ExitCode {
+    cli::main(&BACKENDS, |args| {
+        let defaults = BackendsOptions::defaults(&args.cfg);
+        let opts = BackendsOptions {
+            algorithm: args.text("--algo").map_or(defaults.algorithm, String::from),
+            adversary: args.text("--adversary").map_or(defaults.adversary, String::from),
+            n: args.count("--n").unwrap_or(defaults.n),
+            seeds: args.count("--seeds").map_or(defaults.seeds, |s| s as u64),
+        };
         if opts.seeds == 0 {
-            eprintln!("exp_backends: --seeds must be ≥ 1");
-            std::process::exit(2);
+            return Err("--seeds must be ≥ 1".into());
         }
         let reg = registry();
-        let checked =
-            reg.build(&opts.algorithm).and_then(|_| reg.check_size(&opts.algorithm, opts.n));
-        if let Err(e) = checked {
-            eprintln!("exp_backends: {e}");
-            std::process::exit(2);
-        }
-        backends(&opts)
-    });
+        reg.build(&opts.algorithm)?;
+        reg.check_size(&opts.algorithm, opts.n)?;
+        rr_sched::registry::standard().prepare(&opts.adversary).map(drop)?;
+        RACED.iter().try_for_each(|backend| backend.check_n(opts.n))?;
+        run_checked(backends(&opts), &args.cfg)?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

@@ -2,6 +2,6 @@
 //! networks vs loose baselines. See
 //! [`rr_bench::scenario::specs::baselines`] for details.
 
-fn main() {
-    rr_bench::scenario::drive(rr_bench::scenario::specs::baselines);
+fn main() -> std::process::ExitCode {
+    rr_bench::scenario::drive(rr_bench::scenario::specs::baselines)
 }

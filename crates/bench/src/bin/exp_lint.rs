@@ -3,27 +3,15 @@
 //! raw pid indexing, stray thread spawns, uncommented `unsafe`) and
 //! fails unless each firing is covered by the committed allowlist.
 //!
-//! ```text
-//! exp_lint [--root DIR] [--allowlist FILE] [--list-rules] [--help]
-//! ```
-//!
 //! Exit status: 0 clean, 1 on un-excused violations or stale allowlist
 //! entries, 2 on usage errors.
+//!
+//! `--help` lists the flags, declared in [`rr_bench::cli::LINT`].
 
+use rr_bench::cli::{self, LINT};
 use rr_lint::{apply, scan_workspace, Allowlist, Rule};
 use std::path::{Path, PathBuf};
-
-const USAGE: &str = "\
-exp_lint — source-level determinism lint for the workspace
-
-usage: exp_lint [--root DIR] [--allowlist FILE] [--list-rules] [--help]
-
-  --root DIR        workspace root to scan (default: nearest ancestor
-                    of the current directory containing LINT_ALLOW.txt,
-                    else the current directory)
-  --allowlist FILE  allowlist path (default: <root>/LINT_ALLOW.txt;
-                    missing file = empty allowlist)
-  --list-rules      print the rule table and exit";
+use std::process::ExitCode;
 
 fn default_root() -> PathBuf {
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
@@ -38,77 +26,51 @@ fn default_root() -> PathBuf {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
-    }
-    if args.iter().any(|a| a == "--list-rules") {
-        for rule in Rule::ALL {
-            println!("{:<14} {}", rule.key(), rule.summary());
-        }
-        return;
-    }
-    let mut root: Option<PathBuf> = None;
-    let mut allowlist_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |flag: &str| {
-            it.next().map(PathBuf::from).unwrap_or_else(|| {
-                eprintln!("exp_lint: {flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--root" => root = Some(next("--root")),
-            "--allowlist" => allowlist_path = Some(next("--allowlist")),
-            other => {
-                eprintln!("exp_lint: unknown argument `{other}` (see --help)");
-                std::process::exit(2);
+fn main() -> ExitCode {
+    cli::main(&LINT, |args| {
+        if args.has("--list-rules") {
+            for rule in Rule::ALL {
+                println!("{:<14} {}", rule.key(), rule.summary());
             }
+            return Ok(ExitCode::SUCCESS);
         }
-    }
-    let root = root.unwrap_or_else(default_root);
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("LINT_ALLOW.txt"));
-    let allow = if allowlist_path.is_file() {
-        Allowlist::load(&allowlist_path).unwrap_or_else(|e| {
-            eprintln!("exp_lint: {e}");
-            std::process::exit(2);
-        })
-    } else {
-        Allowlist::default()
-    };
-    let violations = scan_workspace(&root).unwrap_or_else(|e| {
-        eprintln!("exp_lint: {e}");
-        std::process::exit(2);
-    });
-    let found = violations.len();
-    let out = apply(violations, &allow);
-    for v in &out.violations {
-        println!("{v}");
-    }
-    for e in &out.stale {
+        let root = args.text("--root").map_or_else(default_root, PathBuf::from);
+        let allowlist_path =
+            args.text("--allowlist").map_or_else(|| root.join("LINT_ALLOW.txt"), PathBuf::from);
+        let allow = if allowlist_path.is_file() {
+            Allowlist::load(&allowlist_path)?
+        } else {
+            Allowlist::default()
+        };
+        let violations = scan_workspace(&root)?;
+        let found = violations.len();
+        let out = apply(violations, &allow);
+        for v in &out.violations {
+            println!("{v}");
+        }
+        for e in &out.stale {
+            println!(
+                "{}:{}: stale allowlist entry [{}] for `{}` — nothing fires there any more",
+                rel_display(&allowlist_path, &root),
+                e.line,
+                e.rule,
+                e.path
+            );
+        }
         println!(
-            "{}:{}: stale allowlist entry [{}] for `{}` — nothing fires there any more",
-            rel_display(&allowlist_path, &root),
-            e.line,
-            e.rule,
-            e.path
+            "exp_lint: {found} firing(s) scanned, {} suppressed by allowlist, {} violation(s), {} stale entrie(s)",
+            out.suppressed,
+            out.violations.len(),
+            out.stale.len()
         );
-    }
-    println!(
-        "exp_lint: {found} firing(s) scanned, {} suppressed by allowlist, {} violation(s), {} stale entrie(s)",
-        out.suppressed,
-        out.violations.len(),
-        out.stale.len()
-    );
-    if !out.clean() {
-        eprintln!(
-            "exp_lint: determinism lint failed — fix the source or review into the allowlist"
-        );
-        std::process::exit(1);
-    }
+        if !out.clean() {
+            eprintln!(
+                "exp_lint: determinism lint failed — fix the source or review into the allowlist"
+            );
+            return Ok(ExitCode::from(1));
+        }
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 fn rel_display(path: &Path, root: &Path) -> String {

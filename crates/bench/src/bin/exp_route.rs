@@ -2,136 +2,47 @@
 //! swept over topologies, sizes and crash-free schedules, measuring
 //! total steps against network depth.
 //!
-//! ```text
-//! exp_route [--quick] [--json PATH] [--help]
-//!           [--nets k1,k2,…] [--sizes n1,n2,…] [--adversaries a1,a2,…]
-//! ```
-//!
 //! Defaults: butterfly, Beneš, the PAPERS.md Beneš variant and a
 //! `stages=4` override at n = 48, 256 and 1024 under the fair, random
 //! and collision-maximizing schedules (`--quick`: n = 48 and 256 under
 //! fair only — the CI smoke configuration). The family is geometric —
 //! total steps equal `n × depth` under every crash-free schedule — so
 //! one audited run per cell is exact, not sampled; the spec is always
-//! dense and serial, and `--backend` is ignored here.
+//! dense and serial.
 //!
 //! The JSON records carry both `steps` and `depth` per cell; the
 //! `exp_report` depth-vs-steps cross-check re-derives the identity and
 //! the closed-form depth ordering from them.
+//!
+//! `--help` lists the flags, declared in [`rr_bench::cli::ROUTE`].
 
-use rr_bench::runner::RunConfig;
+use rr_bench::cli::{self, ROUTE};
 use rr_bench::scenario::specs::{route, RouteOptions};
-use rr_bench::scenario::{drive, registry};
+use rr_bench::scenario::{registry, run_checked};
+use std::process::ExitCode;
 
-const USAGE: &str = "\
-exp_route — topology-routed renaming: steps vs switching-network depth
-
-usage: exp_route [--quick] [--json PATH] [--help]
-                 [--nets k1,k2,…] [--sizes n1,n2,…] [--adversaries a1,a2,…]
-
-  --quick        CI-sized sweep (n = 48 and 256, fair schedule only)
-  --json PATH    also write structured records (one coverage row per
-                 cell with steps + depth, plus kind:\"throughput\" rows)
-  --nets         comma-separated `route:` registry keys to sweep
-  --sizes        comma-separated process counts (width = next power of two)
-  --adversaries  comma-separated adversary registry keys (crash-free
-                 schedules keep the steps = n × depth identity exact)";
-
-fn parse_or_die<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("exp_route: bad value `{v}` for {flag}");
-        std::process::exit(2);
-    })
-}
-
-/// Splits a comma-separated key list, re-joining bare `k=v` fragments
-/// with the preceding key — the key grammar itself uses commas between
-/// parameters, so `route:net=benes,stages=4,route:net=variant` is two
-/// keys, not three (same rule as `exp_matrix`).
-fn split_keys(raw: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for part in raw.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        match out.last_mut() {
-            Some(last) if part.contains('=') && !part.contains(':') => {
-                last.push(',');
-                last.push_str(part);
-            }
-            _ => out.push(part.to_string()),
-        }
-    }
-    out
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
-    }
-    drive(move |cfg: &RunConfig| {
-        let mut opts = RouteOptions::defaults(cfg);
-        let mut it = args.iter().peekable();
-        while let Some(arg) = it.next() {
-            let mut next = |flag: &str| {
-                it.next().map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("exp_route: {flag} needs a value");
-                    std::process::exit(2);
-                })
-            };
-            match arg.as_str() {
-                "--nets" => {
-                    opts.networks = split_keys(next("--nets"));
-                }
-                "--sizes" => {
-                    opts.sizes = next("--sizes")
-                        .split(',')
-                        .map(|s| parse_or_die("--sizes", s.trim()))
-                        .collect();
-                }
-                "--adversaries" => {
-                    opts.adversaries = split_keys(next("--adversaries"));
-                }
-                // RunConfig's own flags, already consumed by from_env —
-                // mirror its peek rule: a following `--flag` is not a
-                // value, so leave it in the stream.
-                "--quick" => {}
-                "--json" | "--backend" => {
-                    if it.peek().is_some_and(|v| !v.starts_with("--")) {
-                        it.next();
-                    }
-                }
-                other => {
-                    eprintln!("exp_route: unknown argument `{other}` (see --help)");
-                    std::process::exit(2);
-                }
-            }
-        }
+fn main() -> ExitCode {
+    cli::main(&ROUTE, |args| {
+        let defaults = RouteOptions::defaults(&args.cfg);
+        let opts = RouteOptions {
+            networks: args.keys("--nets").unwrap_or(defaults.networks),
+            sizes: args.counts("--sizes").unwrap_or(defaults.sizes),
+            adversaries: args.keys("--adversaries").unwrap_or(defaults.adversaries),
+        };
         let reg = registry();
         for key in &opts.networks {
             if !key.starts_with("route") {
-                eprintln!("exp_route: `{key}` is not a `route:` key");
-                std::process::exit(2);
+                return Err(format!("`{key}` is not a `route:` key"));
             }
-            if let Err(e) = reg.build(key) {
-                eprintln!("exp_route: {e}");
-                std::process::exit(2);
-            }
+            reg.build(key)?;
         }
         for key in &opts.adversaries {
-            if let Err(e) = rr_sched::registry::standard().prepare(key) {
-                eprintln!("exp_route: {e}");
-                std::process::exit(2);
-            }
+            rr_sched::registry::standard().prepare(key).map(drop)?;
         }
-        if let Some(bad) = opts.sizes.iter().find(|&&n| n == 0) {
-            let _ = bad;
-            eprintln!("exp_route: --sizes entries must be ≥ 1");
-            std::process::exit(2);
+        if opts.sizes.contains(&0) {
+            return Err("--sizes entries must be ≥ 1".into());
         }
-        route(cfg, &opts)
-    });
+        run_checked(route(&args.cfg, &opts), &args.cfg)?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

@@ -1,9 +1,12 @@
 //! # rr-bench — the experiment harness
 //!
 //! One binary per quantitative claim of the paper (plus the extensions);
-//! see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-//! claimed-vs-measured tables. All binaries accept `--quick` (CI-sized
-//! sweeps) and `--json <path>` (structured records next to the tables).
+//! see README.md for the experiment tour and REPRODUCTION.md for the
+//! claimed-vs-measured verdicts. Every binary parses its command line
+//! through [`cli`]: `--help` prints its flags, and a bad argument exits
+//! 2 with one `{bin}: {message}` line. The claim binaries accept
+//! `--quick` (CI-sized sweeps), `--json <path>` (structured records next
+//! to the tables) and `--backend <key>`.
 //!
 //! | binary | claim |
 //! |---|---|
@@ -23,8 +26,12 @@
 //! | `exp_ablation` | E14 — design-constant ablations |
 //! | `exp_progress` | E15 — named-fraction progress curves |
 //! | `exp_matrix` | any algorithm × adversary × n, by registry key |
+//! | `exp_backends` | one batch raced on `dense`, `shard:s=1` and `shard:s=4` |
 //! | `exp_explore` | schedule-space search: exhaustive DFS + fuzz, tape shrinking |
+//! | `exp_route` | `route:` switching networks: steps against depth |
 //! | `exp_report` | REPRODUCTION.md generator: statistical claim verdicts + SVG charts |
+//! | `exp_model` | exhaustive interleaving checker for the lock-free core |
+//! | `exp_lint` | source-level determinism lint |
 //!
 //! Every binary is a thin `main` over the [`scenario`] engine: the
 //! experiment itself is a declarative [`scenario::ScenarioSpec`] in
@@ -57,6 +64,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod listing;
 pub mod modelcheck;
 pub mod runner;

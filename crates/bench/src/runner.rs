@@ -518,9 +518,10 @@ fn parse_threads(raw: Option<&str>) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// The experiment layer's environment, read **once** per binary: the
-/// single home of every knob that used to be re-implemented per binary
-/// (`--quick` parsing, seed scaling, `RR_RUNNER_THREADS`).
+/// The experiment layer's environment, read **once** per binary by
+/// [`crate::cli::main`]: the single home of every knob that used to be
+/// re-implemented per binary (`--quick` parsing, seed scaling,
+/// `RR_RUNNER_THREADS`).
 ///
 /// | knob | source | effect |
 /// |---|---|---|
@@ -552,57 +553,6 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Reads the process's CLI arguments and environment.
-    pub fn from_env() -> Self {
-        Self::from_args(std::env::args().skip(1), std::env::var("RR_RUNNER_THREADS").ok())
-    }
-
-    /// Testable core of [`RunConfig::from_env`]: `--quick`,
-    /// `--json <path>` and `--backend <key>` are recognized, anything
-    /// else is ignored (the experiment binaries have always tolerated
-    /// stray arguments). A `--json` or `--backend` without a value, an
-    /// invalid backend key, or the removed `--rng` flag exits with a
-    /// friendly message (code 2) — the flag is user input, not
-    /// programmer error.
-    pub fn from_args(args: impl IntoIterator<Item = String>, threads_env: Option<String>) -> Self {
-        let mut cfg = Self {
-            quick: false,
-            threads: parse_threads(threads_env.as_deref()),
-            json_path: None,
-            backend: ExecBackend::default(),
-        };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            // A following `--flag` is not a value: reject it rather than
-            // swallow it or silently fall back to the default.
-            let mut value = |flag: &str| {
-                args.next().filter(|v| !v.starts_with("--")).unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-            };
-            match arg.as_str() {
-                "--quick" => cfg.quick = true,
-                "--json" => cfg.json_path = Some(value("--json").into()),
-                "--backend" => {
-                    let key = value("--backend");
-                    cfg.backend = ExecBackend::parse(&key).unwrap_or_else(|e| {
-                        eprintln!("--backend {key}: {e}");
-                        std::process::exit(2);
-                    });
-                }
-                // Rejected rather than ignored, so that a script asking
-                // for another generator cannot silently run ChaCha8.
-                "--rng" => {
-                    eprintln!("--rng: RNG modes were removed; every process draws from ChaCha8");
-                    std::process::exit(2);
-                }
-                _ => {}
-            }
-        }
-        cfg
-    }
-
     /// Picks the full or the `--quick` variant of a sweep parameter.
     pub fn pick<T>(&self, full: T, quick: T) -> T {
         if self.quick {
@@ -846,29 +796,28 @@ mod tests {
 
     #[test]
     fn run_config_parses_args_and_env() {
-        let cfg = RunConfig::from_args(
-            ["--quick", "--json", "out.json", "extra"].map(String::from),
-            Some("3".into()),
-        );
-        assert!(cfg.quick);
-        assert_eq!(cfg.threads, 3);
-        assert_eq!(cfg.json_path.as_deref(), Some(std::path::Path::new("out.json")));
-        assert_eq!(cfg.pick(10, 2), 2);
+        use crate::cli::{parse, Parsed, SCENARIO};
+        let cfg = |argv: &[&str]| match parse("exp", &SCENARIO, argv) {
+            Ok(Parsed::Run(args)) => args.cfg,
+            other => panic!("{argv:?} gave {other:?}"),
+        };
+        let quick = cfg(&["--quick", "--json", "out.json"]);
+        assert!(quick.quick);
+        assert_eq!(quick.json_path.as_deref(), Some(std::path::Path::new("out.json")));
+        assert_eq!(quick.pick(10, 2), 2);
 
-        let cfg = RunConfig::from_args(std::iter::empty(), Some("0".into()));
-        assert!(!cfg.quick);
-        assert!(cfg.threads >= 1, "zero threads must fall back to parallelism");
-        assert!(cfg.json_path.is_none());
-        assert_eq!(cfg.pick(10, 2), 10);
+        let plain = cfg(&[]);
+        assert!(!plain.quick);
+        assert!(plain.json_path.is_none());
+        assert_eq!(plain.pick(10, 2), 10);
+        assert_eq!(parse_threads(Some("3")), 3);
+        assert!(parse_threads(Some("0")) >= 1, "zero threads must fall back to parallelism");
 
         // `--backend` selects the execution core; default is dense.
-        assert_eq!(cfg.backend, ExecBackend::Dense);
-        let cfg = RunConfig::from_args(["--backend", "dense"].map(String::from), None);
-        assert_eq!(cfg.backend, ExecBackend::Dense);
-        let cfg = RunConfig::from_args(["--backend", "threads:t=3"].map(String::from), None);
-        assert_eq!(cfg.backend, ExecBackend::Threads { t: 3 });
-        let cfg = RunConfig::from_args(["--backend", "shard:s=2"].map(String::from), None);
-        assert_eq!(cfg.backend, ExecBackend::Shard { s: 2 });
+        assert_eq!(plain.backend, ExecBackend::Dense);
+        assert_eq!(cfg(&["--backend", "dense"]).backend, ExecBackend::Dense);
+        assert_eq!(cfg(&["--backend", "threads:t=3"]).backend, ExecBackend::Threads { t: 3 });
+        assert_eq!(cfg(&["--backend", "shard:s=2"]).backend, ExecBackend::Shard { s: 2 });
     }
 
     /// The `RngMode` marker that `instantiate_shared_rng` still takes

@@ -28,10 +28,12 @@ pub use spec::{
     BatchSection, CellFn, ClaimCheck, Column, CustomSection, RowCtx, RowSpec, ScenarioSpec, Section,
 };
 
+use crate::cli::{self, Cli};
 use crate::runner::{BatchRun, BatchTiming, ExecBackend, RunConfig};
 use rr_analysis::stats::upper_median;
 use rr_renaming::registry::{AlgorithmRegistry, BoxedAlgorithm};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
 /// The full algorithm registry the engine resolves keys against: the
 /// paper's protocols plus every baseline.
@@ -41,29 +43,34 @@ pub fn registry() -> AlgorithmRegistry {
     reg
 }
 
-/// Builds the spec from the process environment and executes it against
-/// stdout (and the `--json` sink when requested) — the whole `main` of
-/// every `exp_*` binary.
+/// The whole `main` of each claim binary: parses the command line
+/// against [`crate::cli::SCENARIO`], builds the spec for it and runs it
+/// with [`run_checked`].
+pub fn drive(build: impl Fn(&RunConfig) -> ScenarioSpec) -> ExitCode {
+    let sample = build(&RunConfig::default());
+    let about = format!("scenario {}: {}", sample.id, sample.claim);
+    cli::main(&Cli { about: &about, ..cli::SCENARIO }, |args| {
+        run_checked(build(&args.cfg), &args.cfg)?;
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+/// Executes `spec` against stdout, and the `--json` sink when
+/// requested, once [`check_spec`] accepts it.
 ///
-/// A spec that [`check_spec`] refuses exits 2 with one line on stderr
-/// before any row runs.
-pub fn drive(build: impl FnOnce(&RunConfig) -> ScenarioSpec) {
-    let cfg = RunConfig::from_env();
-    let spec = build(&cfg);
-    if let Err(e) = check_spec(&spec, &cfg) {
-        let arg0 = std::env::args().next().unwrap_or_default();
-        let name = std::path::Path::new(&arg0).file_stem().map(|s| s.to_string_lossy());
-        eprintln!("{}: {e}", name.as_deref().unwrap_or("scenario"));
-        std::process::exit(2);
-    }
+/// # Errors
+/// [`check_spec`]'s refusal, before any row runs, or a failed write.
+pub fn run_checked(spec: ScenarioSpec, cfg: &RunConfig) -> Result<(), String> {
+    check_spec(&spec, cfg)?;
     let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(TableSink::stdout())];
     if let Some(path) = &cfg.json_path {
         sinks.push(Box::new(JsonSink::new(path.clone())));
     }
-    run_spec(spec, &cfg, &mut sinks);
-    for sink in &mut sinks {
-        sink.finish().expect("scenario sink finish failed");
-    }
+    run_spec(spec, cfg, &mut sinks);
+    sinks
+        .iter_mut()
+        .try_for_each(|sink| sink.finish())
+        .map_err(|e| format!("cannot write output: {e}"))
 }
 
 /// Checks that `cfg.backend` can run every batch row of `spec`, before

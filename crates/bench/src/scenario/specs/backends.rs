@@ -35,6 +35,10 @@ impl BackendsOptions {
     }
 }
 
+/// The backends every shoot-out races, in table order.
+pub const RACED: [ExecBackend; 3] =
+    [ExecBackend::Dense, ExecBackend::Shard { s: 1 }, ExecBackend::Shard { s: 4 }];
+
 /// The shoot-out scenario: `dense`, `shard:s=1` and `shard:s=4` over
 /// the identical batch, wall-clocked, with the speedup over `dense` in
 /// the last column. `shard:s=1` promises bit-identity to `dense` and
@@ -78,9 +82,7 @@ pub fn backends(opts: &BackendsOptions) -> ScenarioSpec {
                 "speedup",
             ]);
             let mut reference: Option<(BatchStats, f64)> = None;
-            for backend in
-                [ExecBackend::Dense, ExecBackend::Shard { s: 1 }, ExecBackend::Shard { s: 4 }]
-            {
+            for backend in RACED {
                 let (stats, timing) = BatchRun::new(algo.as_ref(), opts.n)
                     .seeds(opts.seeds)
                     .adversary(&opts.adversary)

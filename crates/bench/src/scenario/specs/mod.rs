@@ -36,7 +36,7 @@ mod matrix;
 mod micro;
 mod route;
 
-pub use backends::{backends, BackendsOptions};
+pub use backends::{backends, BackendsOptions, RACED};
 pub use claims::{cor7, cor9, lemma6, lemma8, theorem5};
 pub use compare::{adversary, baselines, deterministic_gap, progress};
 pub use explore::{explore, ExploreOptions};

@@ -1,14 +1,26 @@
-//! Error-path coverage for the key grammar: `ExecBackend::parse`,
-//! `ParsedKey::parse` and both registries must turn malformed user input
-//! (`threads:t=0`, unknown keys, trailing commas, …) into a
-//! **descriptive `Err`** — never a panic. The exact messages are pinned:
-//! they are user-facing CLI output (`--backend`, `--json`, `--algos`,
+//! Error-path coverage for the key grammar and the command line:
+//! `ExecBackend::parse`, `ParsedKey::parse` and both registries must
+//! turn malformed user input (`threads:t=0`, unknown keys, trailing
+//! commas, …) into a **descriptive `Err`** — never a panic — and every
+//! `exp_*` binary must turn a bad argument into exit 2 with one
+//! `{bin}: {message}` line. The exact messages are pinned: they are
+//! user-facing CLI output (`--backend`, `--json`, `--algos`,
 //! `--adversaries`, the removed `--rng`) and experiment scripts grep
 //! them.
 
+use rr_bench::cli::{self, Cli, Takes};
 use rr_bench::runner::ExecBackend;
 use rr_bench::scenario::registry;
 use rr_sched::registry::{standard, ParsedKey};
+
+/// Runs `exe args`, expects exit 2 with nothing on stdout, and returns
+/// the stderr line.
+fn usage_error(exe: &str, args: &[&str]) -> String {
+    let out = std::process::Command::new(exe).args(args).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}");
+    assert!(out.stdout.is_empty(), "{exe} {args:?} printed to stdout before refusing");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
 
 #[test]
 fn backend_rejects_zero_threads_with_a_named_bound() {
@@ -227,14 +239,9 @@ fn uniform_rejects_a_name_space_too_large_to_allocate() {
     assert!(reg.build("uniform:eps=1024").is_ok());
     let args =
         ["--quick", "--sizes", "64", "--algos", "uniform:eps=1e300", "--adversaries", "fair"];
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_matrix"))
-        .args(args)
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "exp_matrix {args:?}");
     assert_eq!(
-        String::from_utf8_lossy(&out.stderr).trim(),
-        "exp_matrix: parameter `eps` of `uniform` must be ≤ 1024"
+        usage_error(env!("CARGO_BIN_EXE_exp_matrix"), &args),
+        "exp_matrix: parameter `eps` of `uniform` must be ≤ 1024\n"
     );
 }
 
@@ -242,7 +249,7 @@ fn uniform_rejects_a_name_space_too_large_to_allocate() {
 fn experiment_binaries_exit_2_on_sizes_below_an_algorithm_minimum() {
     // Each binary rejects the size up front with exit 2 (never a panic
     // from the protocol's parameter assertions, never a silent clamp).
-    let cases: [(&str, &str, &[&str], &str); 6] = [
+    let cases: [(&str, &str, &[&str], &str); 8] = [
         (
             env!("CARGO_BIN_EXE_exp_matrix"),
             "exp_matrix",
@@ -279,12 +286,24 @@ fn experiment_binaries_exit_2_on_sizes_below_an_algorithm_minimum() {
             &["--algo", "loose-l8", "--n", "2"],
             "algorithm `loose-l8` needs n ≥ 4, got n = 2",
         ),
+        // The shoot-out always races `shard:s=4`, so n < 4 is refused
+        // for every algorithm, and the adversary key is checked too.
+        (
+            env!("CARGO_BIN_EXE_exp_backends"),
+            "exp_backends",
+            &["--algo", "aagw", "--n", "1"],
+            "shard backend needs s ≤ n (got s=4, n=1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_backends"),
+            "exp_backends",
+            &["--adversary", "nosuch"],
+            "unknown adversary `nosuch` (registered: bursty, collisions, crash, diurnal, \
+             explore, fair, fuzz, lookahead, random, stall, victim)",
+        ),
     ];
     for (exe, name, args, message) in cases {
-        let out = std::process::Command::new(exe).args(args).output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(stderr.trim(), format!("{name}: {message}"), "{name} {args:?}");
+        assert_eq!(usage_error(exe, args), format!("{name}: {message}\n"), "{name} {args:?}");
     }
 }
 
@@ -304,14 +323,10 @@ fn backend_taking_binaries_list_every_backend_key_in_their_help() {
             assert!(help.contains(key), "{name} --help omits backend `{key}`:\n{help}");
         }
     }
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_matrix"))
-        .args(["--backend", "virtual"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
     assert_eq!(
-        String::from_utf8_lossy(&out.stderr).trim(),
-        "--backend virtual: unknown backend `virtual` (known: dense, threads:t=N, shard:s=N)"
+        usage_error(env!("CARGO_BIN_EXE_exp_matrix"), &["--backend", "virtual"]),
+        "exp_matrix: --backend virtual: unknown backend `virtual` (known: dense, threads:t=N, \
+         shard:s=N)\n"
     );
 }
 
@@ -364,14 +379,7 @@ fn shard_backend_is_refused_up_front_by_claim_scenarios_and_small_rows() {
         ),
     ];
     for (exe, name, args, message) in cases {
-        let out = std::process::Command::new(exe).args(args).output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr),
-            format!("{name}: {message}\n"),
-            "{name} {args:?}"
-        );
-        assert!(out.stdout.is_empty(), "{name} {args:?} ran rows before refusing");
+        assert_eq!(usage_error(exe, args), format!("{name}: {message}\n"), "{name} {args:?}");
     }
 }
 
@@ -380,14 +388,9 @@ fn shard_backend_is_refused_up_front_by_claim_scenarios_and_small_rows() {
 #[test]
 fn removed_rng_flag_exits_2_naming_the_removal() {
     for args in [&["--rng", "counter"][..], &["--quick", "--rng", "chacha8"], &["--rng"]] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_backends"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert_eq!(
-            String::from_utf8_lossy(&out.stderr).trim(),
-            "--rng: RNG modes were removed; every process draws from ChaCha8",
+            usage_error(env!("CARGO_BIN_EXE_exp_backends"), args),
+            "exp_backends: --rng: RNG modes were removed; every process draws from ChaCha8\n",
             "{args:?}"
         );
     }
@@ -404,14 +407,9 @@ fn valueless_json_and_backend_flags_exit_2() {
         (&["--quick", "--backend"], "--backend"),
         (&["--backend", "--quick"], "--backend"),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_matrix"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert_eq!(
-            String::from_utf8_lossy(&out.stderr).trim(),
-            format!("{flag} needs a value"),
+            usage_error(env!("CARGO_BIN_EXE_exp_matrix"), args),
+            format!("exp_matrix: {flag} needs a value\n"),
             "{args:?}"
         );
     }
@@ -472,21 +470,124 @@ fn lint_allowlist_errors_name_the_offending_line() {
     );
 }
 
+/// Every `exp_*` binary with the flag table it parses against.
+fn binaries() -> [(&'static str, &'static str, Cli<'static>); 22] {
+    [
+        (env!("CARGO_BIN_EXE_exp_theorem5"), "exp_theorem5", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_lemma3"), "exp_lemma3", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_lemma4"), "exp_lemma4", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_lemma6"), "exp_lemma6", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_cor7"), "exp_cor7", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_lemma8"), "exp_lemma8", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_cor9"), "exp_cor9", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_baselines"), "exp_baselines", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_adversary"), "exp_adversary", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_tau"), "exp_tau", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_deterministic_gap"), "exp_deterministic_gap", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_adaptive"), "exp_adaptive", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_longlived"), "exp_longlived", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_ablation"), "exp_ablation", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_progress"), "exp_progress", cli::SCENARIO),
+        (env!("CARGO_BIN_EXE_exp_matrix"), "exp_matrix", cli::MATRIX),
+        (env!("CARGO_BIN_EXE_exp_backends"), "exp_backends", cli::BACKENDS),
+        (env!("CARGO_BIN_EXE_exp_route"), "exp_route", cli::ROUTE),
+        (env!("CARGO_BIN_EXE_exp_explore"), "exp_explore", cli::EXPLORE),
+        (env!("CARGO_BIN_EXE_exp_report"), "exp_report", cli::REPORT),
+        (env!("CARGO_BIN_EXE_exp_model"), "exp_model", cli::MODEL),
+        (env!("CARGO_BIN_EXE_exp_lint"), "exp_lint", cli::LINT),
+    ]
+}
+
 #[test]
 fn new_cli_binaries_exit_2_on_unknown_flags() {
     // Same convention as every exp_* binary: unknown argument → exit 2
     // with a one-line hint on stderr; never a panic, never exit 1
     // (which means real violations / non-linearizable traces).
-    for (exe, name) in [
-        (env!("CARGO_BIN_EXE_exp_model"), "exp_model"),
-        (env!("CARGO_BIN_EXE_exp_lint"), "exp_lint"),
-        (env!("CARGO_BIN_EXE_exp_route"), "exp_route"),
-    ] {
-        let out =
-            std::process::Command::new(exe).arg("--frobnicate").output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{name} must exit 2 on unknown flags");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(stderr.trim(), format!("{name}: unknown argument `--frobnicate` (see --help)"));
+    for (exe, name, _) in binaries() {
+        assert_eq!(
+            usage_error(exe, &["--frobnicate"]),
+            format!("{name}: unknown argument `--frobnicate` (see --help)\n")
+        );
+    }
+}
+
+/// `--help` and `-h` print the usage, naming every declared flag, and
+/// exit 0 without running anything — even after a flag that would
+/// start a sweep.
+#[test]
+fn every_binary_prints_its_usage_on_help_and_runs_nothing() {
+    for (exe, name, table) in binaries() {
+        let switch = table.flags.iter().find(|f| f.takes == Takes::Nothing).expect("a switch");
+        for args in [&["--help"][..], &["-h"], &[switch.name, "--help"]] {
+            let out = std::process::Command::new(exe).args(args).output().expect("binary runs");
+            assert_eq!(out.status.code(), Some(0), "{name} {args:?}");
+            assert!(out.stderr.is_empty(), "{name} {args:?}");
+            let help = String::from_utf8_lossy(&out.stdout);
+            let synopsis = help
+                .split("\n\n")
+                .find(|p| p.starts_with(&format!("usage: {name} ")))
+                .unwrap_or_else(|| panic!("{name} {args:?} has no usage line:\n{help}"));
+            for flag in table.flags {
+                assert!(synopsis.contains(&format!("[{}", flag.name)), "{name}: {synopsis}");
+            }
+            assert!(!help.contains("==="), "{name} {args:?} ran a table:\n{help}");
+        }
+    }
+}
+
+/// Every value flag of every binary: given last, or followed by a
+/// `--flag`, it exits 2 naming the flag; a number flag given a
+/// non-number exits 2 too.
+#[test]
+fn every_value_flag_needs_a_value_and_every_number_flag_a_number() {
+    for (exe, name, table) in binaries() {
+        for flag in table.flags.iter().filter(|f| f.takes != Takes::Nothing) {
+            let needs = format!("{name}: {} needs a value\n", flag.name);
+            assert_eq!(usage_error(exe, &[flag.name]), needs);
+            assert_eq!(usage_error(exe, &[flag.name, "--x"]), needs);
+            if matches!(flag.takes, Takes::Count(_) | Takes::Counts) {
+                assert_eq!(
+                    usage_error(exe, &[flag.name, "é3"]),
+                    format!("{name}: bad value `é3` for {}\n", flag.name)
+                );
+            }
+        }
+    }
+}
+
+/// A list flag whose entries are all empty exits 2 instead of running
+/// an empty table under the renaming-safety audit line.
+#[test]
+fn list_flags_reject_lists_with_no_entries() {
+    for (exe, name, table) in binaries() {
+        for flag in table.flags {
+            if matches!(flag.takes, Takes::Keys | Takes::Counts) {
+                for list in [",", " , "] {
+                    assert_eq!(
+                        usage_error(exe, &[flag.name, list]),
+                        format!("{name}: {} needs at least one entry\n", flag.name)
+                    );
+                }
+            }
+        }
+    }
+    let matrix = env!("CARGO_BIN_EXE_exp_matrix");
+    assert_eq!(
+        usage_error(matrix, &["--quick", "--algos", ",", "--sizes", "8"]),
+        "exp_matrix: --algos needs at least one entry\n"
+    );
+}
+
+/// Nothing runs under `--ingest`, so the flags that only steer a run are
+/// refused rather than ignored.
+#[test]
+fn report_ingest_rejects_run_only_flags() {
+    let report = env!("CARGO_BIN_EXE_exp_report");
+    for (flag, value) in [("--json", "x.json"), ("--backend", "dense")] {
+        assert_eq!(
+            usage_error(report, &["--ingest", "--from", "BENCH_route.json", flag, value]),
+            format!("exp_report: {flag} has no effect with --ingest (nothing is executed)\n")
+        );
     }
 }
 

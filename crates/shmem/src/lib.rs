@@ -6,15 +6,14 @@
 //! but that exactly one process can *win*. This crate provides that
 //! substrate for the rest of the workspace:
 //!
-//! * [`tas`] — the [`TasMemory`] trait and its implementations:
-//!   [`AtomicTasArray`] (bit-packed `AtomicU64` words, the real lock-free
-//!   substrate) and instrumented wrappers such as [`CountingTas`] that
-//!   record per-register contention for the experiments.
+//! * [`tas`] — the [`TasMemory`] trait and [`AtomicTasArray`], its
+//!   bit-packed `AtomicU64` implementation: the real lock-free substrate.
 //! * [`namespace`] — [`NameSpaceAudit`], an always-on referee that detects
 //!   any violation of the renaming safety property (two processes holding
 //!   the same name) the moment it happens.
-//! * [`stats`] — cache-padded per-process step counters and the summary
-//!   statistics (max = the paper's *step complexity*, total work, …).
+//! * [`stats`] — cache-padded per-process step counters and their
+//!   summary statistics. No run path records into them: the arena keeps
+//!   its own per-process step table.
 //! * [`rng`] — seed-stable per-process random streams so that experiment
 //!   tables are reproducible run-to-run regardless of thread scheduling.
 //! * [`intent`] — the vocabulary of *announced accesses*. Algorithms
@@ -53,4 +52,4 @@ pub use intent::Access;
 pub use namespace::{AuditError, NameSpaceAudit};
 pub use rng::ProcessRng;
 pub use stats::{StepCounters, StepSummary};
-pub use tas::{AtomicTasArray, CountingTas, TasMemory};
+pub use tas::{AtomicTasArray, TasMemory};

@@ -153,117 +153,6 @@ impl<W: AtomicWord> TasMemory for AtomicTasArray<W> {
     }
 }
 
-/// Instrumented TAS array that counts *attempts* per register.
-///
-/// The experiments for Lemma 4 need the number of requests each register
-/// received in a round; this wrapper records exactly that with a relaxed
-/// per-register counter (counts need not be ordered with the TAS itself).
-#[derive(Debug)]
-pub struct CountingTas<M: TasMemory> {
-    inner: M,
-    attempts: Box<[AtomicU64]>,
-}
-
-impl<M: TasMemory> CountingTas<M> {
-    /// Wraps `inner`, starting all attempt counters at zero.
-    pub fn new(inner: M) -> Self {
-        let attempts = (0..inner.len()).map(|_| AtomicU64::new(0)).collect();
-        Self { inner, attempts }
-    }
-
-    /// Attempts recorded against register `index` so far.
-    pub fn attempts(&self, index: usize) -> u64 {
-        self.attempts[index].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all attempt counters.
-    pub fn attempts_snapshot(&self) -> Vec<u64> {
-        self.attempts.iter().map(|a| a.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Clears the attempt counters (not the underlying registers).
-    pub fn reset_attempts(&self) {
-        for a in self.attempts.iter() {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// The wrapped memory.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-}
-
-impl<M: TasMemory> TasMemory for CountingTas<M> {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn tas(&self, index: usize) -> bool {
-        self.attempts[index].fetch_add(1, Ordering::Relaxed);
-        self.inner.tas(index)
-    }
-
-    fn is_set(&self, index: usize) -> bool {
-        self.inner.is_set(index)
-    }
-
-    fn count_set(&self) -> usize {
-        self.inner.count_set()
-    }
-}
-
-/// A contiguous window `[base, base + len)` of a larger TAS array,
-/// re-indexed from zero.
-///
-/// The loose-renaming algorithms partition the name space into clusters;
-/// a `TasSlice` lets a round address "cluster j" as its own array while
-/// all names still live in one shared namespace.
-#[derive(Debug, Clone, Copy)]
-pub struct TasSlice<'a, M: TasMemory> {
-    mem: &'a M,
-    base: usize,
-    len: usize,
-}
-
-impl<'a, M: TasMemory> TasSlice<'a, M> {
-    /// Window `[base, base + len)` of `mem`.
-    ///
-    /// # Panics
-    /// Panics if the window exceeds `mem.len()`.
-    pub fn new(mem: &'a M, base: usize, len: usize) -> Self {
-        assert!(
-            base.checked_add(len).is_some_and(|end| end <= mem.len()),
-            "slice [{base}, {base}+{len}) out of bounds (len {})",
-            mem.len()
-        );
-        Self { mem, base, len }
-    }
-
-    /// Translates a slice-local index into the underlying array's index —
-    /// i.e. the *name* this slot corresponds to.
-    pub fn global_index(&self, index: usize) -> usize {
-        assert!(index < self.len);
-        self.base + index
-    }
-}
-
-impl<M: TasMemory> TasMemory for TasSlice<'_, M> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn tas(&self, index: usize) -> bool {
-        assert!(index < self.len);
-        self.mem.tas(self.base + index)
-    }
-
-    fn is_set(&self, index: usize) -> bool {
-        assert!(index < self.len);
-        self.mem.is_set(self.base + index)
-    }
-}
-
 impl<M: TasMemory + ?Sized> TasMemory for &M {
     fn len(&self) -> usize {
         (**self).len()
@@ -367,47 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_wrapper_tracks_attempts() {
-        let arr = CountingTas::new(AtomicTasArray::new(8));
-        arr.tas(1);
-        arr.tas(1);
-        arr.tas(1);
-        arr.tas(7);
-        assert_eq!(arr.attempts(1), 3);
-        assert_eq!(arr.attempts(7), 1);
-        assert_eq!(arr.attempts(0), 0);
-        assert_eq!(arr.attempts_snapshot(), vec![0, 3, 0, 0, 0, 0, 0, 1]);
-        arr.reset_attempts();
-        assert_eq!(arr.attempts(1), 0);
-        // Underlying registers unchanged by the counter reset.
-        assert!(arr.is_set(1));
-        assert_eq!(arr.count_set(), 2);
-    }
-
-    #[test]
-    fn slice_translates_indices() {
-        let arr = AtomicTasArray::new(100);
-        let slice = TasSlice::new(&arr, 40, 20);
-        assert_eq!(slice.len(), 20);
-        assert!(slice.tas(0));
-        assert!(slice.tas(19));
-        assert!(arr.is_set(40));
-        assert!(arr.is_set(59));
-        assert!(!arr.is_set(39));
-        assert!(!arr.is_set(60));
-        assert_eq!(slice.global_index(5), 45);
-        assert!(slice.is_set(0));
-        assert!(!slice.is_set(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_bounds_checked() {
-        let arr = AtomicTasArray::new(10);
-        TasSlice::new(&arr, 5, 6);
-    }
-
-    #[test]
     fn trait_object_through_reference() {
         fn takes_mem<M: TasMemory>(m: M) -> usize {
             m.len()
@@ -445,42 +293,6 @@ mod proptests {
             }
             prop_assert_eq!(arr.count_set(), model.len());
             prop_assert_eq!(arr.set_indices(), model.into_iter().collect::<Vec<_>>());
-        }
-
-        /// Slices behave like offset views of the base array.
-        #[test]
-        fn slice_view_consistent(
-            len in 2usize..200,
-            base_frac in 0usize..100,
-            ops in proptest::collection::vec(0usize..200, 0..64),
-        ) {
-            let arr = AtomicTasArray::new(len);
-            let base = base_frac % len;
-            let slen = len - base;
-            let slice = TasSlice::new(&arr, base, slen);
-            for idx in ops {
-                let idx = idx % slen;
-                let before = arr.is_set(base + idx);
-                let won = slice.tas(idx);
-                prop_assert_eq!(won, !before);
-                prop_assert!(arr.is_set(base + idx));
-            }
-        }
-
-        /// The counting wrapper counts every attempt exactly once.
-        #[test]
-        fn counting_wrapper_exact(
-            len in 1usize..100,
-            ops in proptest::collection::vec(0usize..100, 0..200),
-        ) {
-            let arr = CountingTas::new(AtomicTasArray::new(len));
-            let mut expected = vec![0u64; len];
-            for idx in ops {
-                let idx = idx % len;
-                arr.tas(idx);
-                expected[idx] += 1;
-            }
-            prop_assert_eq!(arr.attempts_snapshot(), expected);
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! One-stop re-export of the whole workspace reproducing *Berenbrink,
 //! Brinkmann, Elsässer, Friedetzky, Nagel: "Randomized Renaming in
-//! Shared Memory Systems" (IPDPS 2015)*. See README.md for the tour,
-//! DESIGN.md for the system inventory and fidelity notes, and
-//! EXPERIMENTS.md for claimed-vs-measured on every result.
+//! Shared Memory Systems" (IPDPS 2015)*. See README.md for the tour
+//! and the workspace map, and REPRODUCTION.md for the claim-by-claim
+//! verdicts measured against the paper.
 //!
 //! ```
 //! use randomized_renaming::renaming::traits::{Cor9, RenamingAlgorithm};
