@@ -1,7 +1,7 @@
 //! Minimal aligned-table printer for the experiment binaries. Every
 //! `exp_*` binary prints the rows the paper's (hypothetical) evaluation
 //! table would contain; this keeps the formatting consistent and
-//! greppable for EXPERIMENTS.md.
+//! greppable.
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

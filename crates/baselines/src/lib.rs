@@ -2,7 +2,8 @@
 //!
 //! * [`network`] — comparator-network renaming (Alistarh et al. \[7\]):
 //!   TAS splitters over Batcher's bitonic network, the buildable stand-in
-//!   for AKS (see DESIGN.md for the substitution argument).
+//!   for AKS (README "Deviations from the paper", item 6, gives the
+//!   substitution argument).
 //! * [`aks_model`] — analytic AKS depth, for the crossover tables.
 //! * [`uniform`] — uniform random probing into `(1+ε)n` names.
 //! * [`linear`] — deterministic Θ(n) scan (the lower-bound witness).

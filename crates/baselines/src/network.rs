@@ -16,7 +16,8 @@
 //! (depth `O(log n)`, galactic constants); we instantiate with
 //! **Batcher's bitonic network** (depth `log W·(log W+1)/2`, constant 1)
 //! — same code path, buildable — and provide the analytic AKS depth in
-//! [`crate::aks_model`] for the crossover tables. See DESIGN.md.
+//! [`crate::aks_model`] for the crossover tables. See README "Deviations
+//! from the paper", item 6.
 
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;

@@ -24,7 +24,7 @@
 //! `--help` lists the flags, declared in [`rr_bench::cli::REPORT`].
 
 use rr_bench::cli::{self, REPORT};
-use rr_bench::scenario::{self, specs, JsonSink, ReportSink, Sink, TableSink};
+use rr_bench::scenario::{self, check_writable, specs, JsonSink, ReportSink, Sink, TableSink};
 use rr_report::records::Rec;
 use rr_report::Verdict;
 use std::process::ExitCode;
@@ -45,7 +45,10 @@ fn main() -> ExitCode {
                 return Err(format!("{flag} has no effect with --ingest (nothing is executed)"));
             }
         }
-        // Every --from file is read before anything runs.
+        // Both output paths are checked, and every --from file is read,
+        // before anything runs.
+        let out_path = args.text("--out").unwrap_or("REPRODUCTION.md");
+        check_writable(out_path.as_ref())?;
         let mut from_recs: Vec<Rec> = Vec::new();
         for file in &from {
             let body = std::fs::read_to_string(file)
@@ -67,6 +70,7 @@ fn main() -> ExitCode {
                 let mut sinks: Vec<Box<dyn Sink + '_>> =
                     vec![Box::new(TableSink::stdout()), Box::new(&mut report_sink)];
                 if let Some(path) = &cfg.json_path {
+                    check_writable(path)?;
                     sinks.push(Box::new(JsonSink::new(path.clone())));
                 }
                 for spec in claim_specs {
@@ -86,7 +90,6 @@ fn main() -> ExitCode {
         recs.extend(from_recs);
         inputs.extend(from);
 
-        let out_path = args.text("--out").unwrap_or("REPRODUCTION.md");
         let report = rr_report::generate(&recs, inputs);
         std::fs::write(out_path, report.to_markdown())
             .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;

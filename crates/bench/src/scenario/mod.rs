@@ -23,7 +23,7 @@ pub mod sink;
 pub mod spec;
 pub mod specs;
 
-pub use sink::{Emitter, JsonSink, Record, ReportSink, Sink, TableSink, Value};
+pub use sink::{check_writable, Emitter, JsonSink, Record, ReportSink, Sink, TableSink, Value};
 pub use spec::{
     BatchSection, CellFn, ClaimCheck, Column, CustomSection, RowCtx, RowSpec, ScenarioSpec, Section,
 };
@@ -56,14 +56,17 @@ pub fn drive(build: impl Fn(&RunConfig) -> ScenarioSpec) -> ExitCode {
 }
 
 /// Executes `spec` against stdout, and the `--json` sink when
-/// requested, once [`check_spec`] accepts it.
+/// requested, once [`check_spec`] accepts it and the `--json` path
+/// passes [`check_writable`].
 ///
 /// # Errors
-/// [`check_spec`]'s refusal, before any row runs, or a failed write.
+/// [`check_spec`]'s or [`check_writable`]'s refusal, before any row
+/// runs, or a failed write.
 pub fn run_checked(spec: ScenarioSpec, cfg: &RunConfig) -> Result<(), String> {
     check_spec(&spec, cfg)?;
     let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(TableSink::stdout())];
     if let Some(path) = &cfg.json_path {
+        check_writable(path)?;
         sinks.push(Box::new(JsonSink::new(path.clone())));
     }
     run_spec(spec, cfg, &mut sinks);

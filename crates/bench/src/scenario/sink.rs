@@ -168,6 +168,28 @@ impl<W: Write> Sink for TableSink<W> {
     fn record(&mut self, _record: &Record) {}
 }
 
+/// Checks that `path` can be written, so a bad `--json` or `--out` path
+/// is refused before anything runs instead of after the whole sweep.
+/// The probe opens the file for appending, which leaves an existing
+/// file's contents as they are, and removes the file again if the probe
+/// created it.
+///
+/// # Errors
+/// `cannot write `PATH`: REASON` when the file cannot be opened.
+pub fn check_writable(path: &Path) -> Result<(), String> {
+    let existed = path.symlink_metadata().is_ok();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+    if !existed {
+        // Another probe of the same path may have removed it already.
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
+}
+
 /// Buffers records and writes them as a JSON array on finish. Ignores
 /// text.
 #[derive(Debug)]
@@ -345,6 +367,22 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(body, "[]\n");
+    }
+
+    #[test]
+    fn check_writable_keeps_existing_files_and_leaves_no_new_ones() {
+        let dir = std::env::temp_dir();
+        let kept = dir.join(format!("rr_sink_kept_{}.json", std::process::id()));
+        std::fs::write(&kept, "keep").unwrap();
+        check_writable(&kept).unwrap();
+        assert_eq!(std::fs::read_to_string(&kept).unwrap(), "keep");
+        std::fs::remove_file(&kept).ok();
+        let fresh = dir.join(format!("rr_sink_fresh_{}.json", std::process::id()));
+        check_writable(&fresh).unwrap();
+        assert!(!fresh.exists(), "the probe removes the file it created");
+        let missing = dir.join(format!("rr_sink_missing_{}", std::process::id())).join("x.json");
+        let err = check_writable(&missing).unwrap_err();
+        assert!(err.starts_with(&format!("cannot write `{}`: ", missing.display())), "{err}");
     }
 
     #[test]

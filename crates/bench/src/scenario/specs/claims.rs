@@ -117,7 +117,7 @@ pub fn lemma6(cfg: &RunConfig) -> ScenarioSpec {
 
 /// E6 — Lemma 8: `n/(log n)^ℓ`-almost-tight renaming with step
 /// complexity `2ℓ(log log n)²` (the corrected schedule: `ℓ·⌈loglog n⌉`
-/// phases; see DESIGN.md, gap 4).
+/// phases; README "Deviations from the paper", item 4).
 pub fn lemma8(cfg: &RunConfig) -> ScenarioSpec {
     let (sizes, seeds) = cfg.pick(
         (vec![1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20], 30),
@@ -220,8 +220,8 @@ pub fn cor7(cfg: &RunConfig) -> ScenarioSpec {
         })],
         claim_check: "claim check: 'unnamed' identically 0 (full renaming); \
                       'max/(lln)^2' bounded (poly-log-log steps; our finisher costs \
-                      O((loglog)^2), see DESIGN.md); m/n → 1 as n or l grows \
-                      ((1+o(1))·n name space)."
+                      O((loglog)^2), see README, Deviations from the paper, item 3); \
+                      m/n → 1 as n or l grows ((1+o(1))·n name space)."
             .into(),
         reproduces: vec![ClaimCheck {
             claim: "cor7",

@@ -25,24 +25,13 @@ pub struct MatrixOptions {
 impl MatrixOptions {
     /// Quick mode: every registered algorithm once, under the fair
     /// schedule at one small size — the CI smoke configuration. Full
-    /// mode: every algorithm under every *stateless* registered
-    /// adversary over a small sweep. The stateful schedule-space
-    /// searchers (`explore`, `fuzz`) are excluded from the defaults:
-    /// their shared DFS/corpus hands schedules to parallel seed-workers
-    /// in lock order, so their non-throughput records would not be
-    /// run-to-run deterministic — pass them explicitly (ideally with
-    /// `RR_RUNNER_THREADS=1`) or use `exp_explore`, whose drivers are
-    /// serial by construction.
+    /// mode: every algorithm under every registered adversary over a
+    /// small sweep.
     pub fn defaults(cfg: &RunConfig) -> Self {
         let reg = registry();
         let algorithms = reg.keys().iter().map(|k| k.to_string()).collect();
         let adversaries = cfg.pick(
-            rr_sched::registry::standard()
-                .keys()
-                .iter()
-                .filter(|k| !matches!(**k, "explore" | "fuzz"))
-                .map(|k| k.to_string())
-                .collect(),
+            rr_sched::registry::standard().keys().iter().map(|k| k.to_string()).collect(),
             vec!["fair".to_string()],
         );
         Self {
@@ -106,12 +95,11 @@ pub fn matrix(cfg: &RunConfig, opts: &MatrixOptions) -> ScenarioSpec {
 mod tests {
     use super::*;
 
-    /// Full-mode defaults must stay run-to-run deterministic: the
-    /// stateful searchers are opt-in, never swept implicitly.
+    /// Full mode sweeps the whole adversary registry; quick mode runs
+    /// only the fair schedule.
     #[test]
-    fn defaults_exclude_the_stateful_searchers() {
+    fn defaults_sweep_every_registry_adversary() {
         let full = MatrixOptions::defaults(&RunConfig::default());
-        assert!(full.adversaries.iter().all(|k| k != "explore" && k != "fuzz"), "{full:?}");
         assert_eq!(
             full.adversaries,
             vec![
@@ -125,7 +113,7 @@ mod tests {
                 "stall",
                 "victim",
             ],
-            "every stateless registry adversary, in key order"
+            "every registry adversary, in key order"
         );
         let quick = MatrixOptions::defaults(&RunConfig { quick: true, ..RunConfig::default() });
         assert_eq!(quick.adversaries, vec!["fair"]);

@@ -188,7 +188,8 @@ pub fn lemma4(cfg: &RunConfig) -> ScenarioSpec {
         claim_check: "claim check: calibrated rows keep 'req mean' ≈ 4cL and every \
                       register full; paper-exact rows oversaturate (mean ≫ 4cL) — \
                       saturation holds a fortiori, but most names are only reachable \
-                      through the final-round sweep (DESIGN.md, gap 1)."
+                      through the final-round sweep (README, Deviations from the paper, \
+                      item 1)."
             .into(),
         reproduces: vec![ClaimCheck {
             claim: "lemma4",
@@ -521,9 +522,9 @@ fn ablate_finisher(em: &mut Emitter<'_, '_>, k: usize, spare: usize, seeds: u64)
     em.text(table.to_string());
 }
 
-/// E14 — ablations of the design constants DESIGN.md calls out: the
-/// Lemma 3 constant `c`, the device width factor, and the finisher probe
-/// budgets.
+/// E14 — ablations of the design constants README "Deviations from the
+/// paper" calls out: the Lemma 3 constant `c`, the device width factor,
+/// and the finisher probe budgets.
 pub fn ablation(cfg: &RunConfig) -> ScenarioSpec {
     let (n, seeds) = cfg.pick((1 << 14, 15u64), (1 << 10, 5u64));
     let body = Section::custom(move |em| {

@@ -4,9 +4,9 @@
 //! * Boxed processes (`Box<dyn Process>`, what the `threads` backend
 //!   and heterogeneous workloads run) must reproduce the typed dense
 //!   run **bit for bit** for every registry algorithm under every
-//!   adversary family the engine schedules deterministically — same
-//!   outcome, same RNG draws. This pins the `Box<P>` forwarding of
-//!   `announce`, `step` and `rng_words` against typed dispatch.
+//!   registry adversary — same outcome, same RNG draws. This pins the
+//!   `Box<P>` forwarding of `announce`, `step` and `rng_words` against
+//!   typed dispatch.
 //! * `shard:s=1` is the degenerate partition (one shard, identity
 //!   sub-seed, identity pid map) and must be bit-identical to `dense`.
 //! * `threads` is free-running (the machine schedules), so its step
@@ -16,13 +16,8 @@
 //! Both key axes are enumerated **from the registries**, never from a
 //! hand-written list: a future algorithm or adversary key lands in the
 //! sweep the moment it is registered and can never be silently skipped.
-//! The only exclusions are the schedule-space searchers `explore` and
-//! `fuzz`, whose builders are stateful across a prepared batch (each
-//! seed continues one shared walk), so two separately-prepared batches
-//! are *defined* to diverge — there is no cross-backend identity to
-//! assert. Every other adversary is swept through its registry
-//! `example` key, so parameterized strategies are exercised with their
-//! parameters bound.
+//! Every adversary is swept through its registry `example` key, so
+//! parameterized strategies are exercised with their parameters bound.
 
 mod common;
 

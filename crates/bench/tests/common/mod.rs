@@ -3,22 +3,13 @@
 
 use rr_sched::registry::standard;
 
-/// Every deterministically-schedulable adversary, as its registry
-/// example key — the full registry minus the stateful searchers
-/// `explore` and `fuzz`, whose builders continue one shared walk across
-/// the seeds of a prepared batch, so two separately-prepared batches are
-/// defined to diverge.
+/// Every registry adversary, as its registry example key, so a new
+/// registry key is swept automatically.
 pub fn swept_adversary_keys() -> Vec<&'static str> {
-    let swept: Vec<&'static str> = standard()
-        .entries()
-        .iter()
-        .filter(|(name, ..)| !matches!(*name, "explore" | "fuzz"))
-        .map(|&(_, _, example)| example)
-        .collect();
-    // The exclusion list is exactly the two searchers: a new registry
-    // key is swept automatically, and this guard makes shrinking the
-    // sweep a loud, deliberate edit.
-    assert_eq!(swept.len(), standard().keys().len() - 2, "unexpected sweep exclusion");
-    assert!(swept.len() >= 9, "adversary registry shrank: {swept:?}");
+    let swept: Vec<&'static str> =
+        standard().entries().iter().map(|&(_, _, example)| example).collect();
+    // Shrinking the registry (and with it the sweep) must be a loud,
+    // deliberate edit.
+    assert_eq!(swept.len(), 9, "adversary registry changed size: {swept:?}");
     swept
 }

@@ -103,8 +103,8 @@ fn parsed_key_rejects_empty_and_nameless_keys() {
 fn adversary_registry_lists_every_strategy_on_unknown_names() {
     assert_eq!(
         standard().prepare("livelock").err().unwrap(),
-        "unknown adversary `livelock` (registered: bursty, collisions, crash, diurnal, explore, \
-         fair, fuzz, lookahead, random, stall, victim)"
+        "unknown adversary `livelock` (registered: bursty, collisions, crash, diurnal, fair, \
+         lookahead, random, stall, victim)"
     );
 }
 
@@ -170,25 +170,27 @@ fn route_keys_pin_their_parse_errors() {
     );
 }
 
+/// The schedule-space searchers are not registry keys: their
+/// parameters are `exp_explore` flags, validated there.
 #[test]
 fn adversary_registry_validates_searcher_parameters() {
-    assert_eq!(standard().prepare("explore:depth=0").err().unwrap(), "explore needs depth ≥ 1");
-    assert_eq!(
-        standard().prepare("explore:d=3").err().unwrap(),
-        "unknown parameter `d` for `explore` (allowed: depth, crashes)"
-    );
-    assert_eq!(
-        standard().prepare("fuzz:strength=1500").err().unwrap(),
-        "fuzz strength 1500 exceeds 1000 permille"
-    );
-    assert_eq!(standard().prepare("fuzz:rounds=0").err().unwrap(), "fuzz needs rounds ≥ 1");
     assert_eq!(
         standard().prepare("crash:p=2000").err().unwrap(),
         "crash probability p=2000 exceeds 1000 permille"
     );
     assert_eq!(
-        standard().prepare("explore:depth=x").err().unwrap(),
-        "parameter `depth=x` of `explore` is invalid"
+        usage_error(
+            env!("CARGO_BIN_EXE_exp_matrix"),
+            &["--quick", "--adversaries", "explore:depth=4"]
+        ),
+        "exp_matrix: unknown adversary `explore` (registered: bursty, collisions, crash, \
+         diurnal, fair, lookahead, random, stall, victim)\n"
+    );
+    let explore = env!("CARGO_BIN_EXE_exp_explore");
+    assert_eq!(usage_error(explore, &["--depth", "0"]), "exp_explore: --depth must be ≥ 1\n");
+    assert_eq!(
+        usage_error(explore, &["--strengths", "1500"]),
+        "exp_explore: strength 1500 exceeds 1000 permille\n"
     );
 }
 
@@ -299,7 +301,7 @@ fn experiment_binaries_exit_2_on_sizes_below_an_algorithm_minimum() {
             "exp_backends",
             &["--adversary", "nosuch"],
             "unknown adversary `nosuch` (registered: bursty, collisions, crash, diurnal, \
-             explore, fair, fuzz, lookahead, random, stall, victim)",
+             fair, lookahead, random, stall, victim)",
         ),
     ];
     for (exe, name, args, message) in cases {
@@ -413,6 +415,26 @@ fn valueless_json_and_backend_flags_exit_2() {
             "{args:?}"
         );
     }
+}
+
+/// An output path that cannot be written exits 2 before any row runs:
+/// `--json` on every binary that takes it, and `exp_report --out`.
+#[test]
+fn unwritable_output_paths_exit_2_before_any_row_runs() {
+    let path = "/nonexistent/dir/x.json";
+    let refusal = format!("cannot write `{path}`: No such file or directory (os error 2)");
+    for (exe, name, table) in binaries() {
+        if table.flags.iter().any(|f| f.name == "--json") {
+            let quick = table.flags.iter().find(|f| f.name == "--quick");
+            let args: Vec<&str> =
+                quick.map(|f| f.name).into_iter().chain(["--json", path]).collect();
+            assert_eq!(usage_error(exe, &args), format!("{name}: {refusal}\n"), "{name}");
+        }
+    }
+    assert_eq!(
+        usage_error(env!("CARGO_BIN_EXE_exp_report"), &["--quick", "--out", path]),
+        format!("exp_report: {refusal}\n")
+    );
 }
 
 #[test]

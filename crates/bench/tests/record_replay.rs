@@ -1,26 +1,26 @@
-//! Property tests over the tape machinery: for every registry adversary,
-//! (1) recording a run's decision tape and replaying it through
-//! [`ReplayAdversary`] reproduces a bit-identical [`BatchStats`] —
-//! schedules are faithful, storable artifacts (the f64 fields are
-//! compared by bits, not tolerance) — and (2) ddmin-shrunk tapes keep
-//! failing and replay to identical [`RunOutcome`]s, so a shrunk
-//! counterexample is as trustworthy an artifact as the original.
+//! Property tests over the tape machinery: for registry adversaries and
+//! the schedule-space searchers' schedules, (1) recording a run's
+//! decision tape and replaying it through [`ReplayAdversary`] reproduces
+//! a bit-identical [`BatchStats`] — schedules are faithful, storable
+//! artifacts (the f64 fields are compared by bits, not tolerance) — and
+//! (2) ddmin-shrunk tapes keep failing and replay to identical
+//! [`RunOutcome`]s, so a shrunk counterexample is as trustworthy an
+//! artifact as the original.
 
 use proptest::prelude::*;
 use rr_bench::runner::{run_once, BatchStats, ExecBackend};
 use rr_renaming::traits::{LooseL6, RenamingAlgorithm};
 use rr_renaming::TightRenaming;
-use rr_sched::explore::{shrink_tape, TolerantReplay};
-use rr_sched::registry::standard;
+use rr_sched::explore::{shrink_tape, ExhaustiveExplorer, FuzzExplorer, TolerantReplay};
+use rr_sched::registry::{standard, ParsedKey};
 use rr_sched::replay::{RecordingAdversary, ReplayAdversary, Tape};
 use rr_sched::shard::Arena;
 use rr_sched::virtual_exec::RunOutcome;
 use rr_sched::Adversary;
 
-/// Adversary keys covering every registered strategy, the crash one in
-/// both a light and a heavy parameterization, and the schedule-space
-/// searchers (a fresh `build` starts each searcher at its first
-/// schedule, so the recorded tape is deterministic).
+/// Five registry strategies (crash in both a light and a heavy
+/// parameterization) and the schedule-space searchers' first schedules
+/// (see [`adversary`]).
 const ADVERSARIES: &[&str] = &[
     "fair",
     "random",
@@ -32,6 +32,29 @@ const ADVERSARIES: &[&str] = &[
     "explore:depth=4,crashes=2",
     "fuzz:rounds=8,strength=400",
 ];
+
+/// A fresh adversary for one `ADVERSARIES` entry at `(n, seed)`. A
+/// registry key builds through the registry; `explore:depth=D,crashes=C`
+/// is an `ExhaustiveExplorer`'s first schedule and
+/// `fuzz:rounds=R,strength=S` a fresh `FuzzExplorer`'s round for `seed`
+/// — the schedules a searcher hands out first, so each tape is
+/// deterministic.
+fn adversary(key: &str, n: usize, seed: u64) -> Box<dyn Adversary> {
+    let parsed = ParsedKey::parse(key).expect("well-formed key");
+    let get = |name, default| parsed.get(name, default).expect("numeric parameter");
+    match parsed.name.as_str() {
+        "explore" => Box::new(
+            ExhaustiveExplorer::new(get("depth", 6), get("crashes", 0))
+                .next_adversary()
+                .expect("a fresh explorer has a first schedule"),
+        ),
+        "fuzz" => Box::new(
+            FuzzExplorer::new(0, get("strength", 250) as u32, get("rounds", 64))
+                .next_adversary(seed),
+        ),
+        _ => standard().build(key, n, seed).expect("registry key"),
+    }
+}
 
 fn assert_bit_identical(a: &BatchStats, b: &BatchStats, what: &str) {
     assert_eq!(a.step_complexity, b.step_complexity, "{what}: step_complexity");
@@ -56,8 +79,7 @@ fn audited_run(
 }
 
 fn record_then_replay(algo: &dyn RenamingAlgorithm, n: usize, seed: u64, key: &str) {
-    let mut recorder =
-        RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
+    let mut recorder = RecordingAdversary::new(adversary(key, n, seed));
     let recorded_out = audited_run(algo, n, seed, &mut recorder);
     let tape = recorder.into_tape();
     assert_eq!(tape.len() as u64, recorded_out.decisions, "{key}: tape covers every decision");
@@ -120,8 +142,7 @@ proptest! {
     fn shrunk_tapes_keep_failing_and_replay_identically(n in 12usize..40, seed in 0u64..200) {
         let algo = TightRenaming::calibrated(4);
         for key in ADVERSARIES {
-            let mut recorder =
-                RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
+            let mut recorder = RecordingAdversary::new(adversary(key, n, seed));
             let original_out = audited_run(&algo, n, seed, &mut recorder);
             let tape = recorder.into_tape();
             let worst = original_out.step_complexity();
@@ -143,13 +164,12 @@ proptest! {
     /// Shrinking soundness, executor-error flavor: replaying under a
     /// step budget below the recorded run's total work fails with the
     /// budget error; the ddmin-shrunk tape reproduces the **identical**
-    /// failure, deterministically, for every registry adversary.
+    /// failure, deterministically, for every adversary above.
     #[test]
     fn shrunk_tapes_reproduce_identical_budget_failures(n in 12usize..40, seed in 0u64..200) {
         let algo = TightRenaming::calibrated(4);
         for key in ADVERSARIES {
-            let mut recorder =
-                RecordingAdversary::new(standard().build(key, n, seed).expect("registry key"));
+            let mut recorder = RecordingAdversary::new(adversary(key, n, seed));
             let out = audited_run(&algo, n, seed, &mut recorder);
             let tape = recorder.into_tape();
             let budget = out.total_steps() / 2;

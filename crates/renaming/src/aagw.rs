@@ -4,7 +4,7 @@
 //!
 //! Corollaries 7 and 9 name the stragglers of Lemmas 6/8 inside a spare
 //! space of twice their w.h.p. count. Our finisher (the substitution is
-//! documented in DESIGN.md) walks geometric segments of the spare space —
+//! README "Deviations from the paper", item 3) walks geometric segments of the spare space —
 //! segment `j` has `spare/2^j` names and a probe budget of `j + 2` —
 //! so the straggler population decays doubly exponentially across
 //! segments and every process finishes within `O((log log n)²)` probes

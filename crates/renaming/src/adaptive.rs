@@ -21,7 +21,8 @@
 //! * step complexity is `O(log k · (log log k)²)` — a `log k` factor
 //!   above the non-adaptive Corollary 9 because our transform re-runs
 //!   the guess ladder instead of \[8\]'s binary-search-with-backtracking.
-//!   The gap is documented in DESIGN.md; the paper itself notes the
+//!   The gap is README "Deviations from the paper", item 5; the paper
+//!   itself notes the
 //!   transform "would not result in an improvement compared to \[8\]".
 
 use crate::aagw::{AagwProcess, SpareShared};

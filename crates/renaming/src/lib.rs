@@ -4,7 +4,8 @@
 //!
 //! * [`tight`] — §III: tight renaming (`m = n`) with `(log n)`-registers
 //!   in `O(log n)` steps w.h.p. (Theorem 5), in both the paper-exact and
-//!   the calibrated parameterization (see DESIGN.md).
+//!   the calibrated parameterization (README "Deviations from the
+//!   paper", item 1).
 //! * [`loose_l6`] — Lemma 6: `n/(log log n)^ℓ`-almost-tight renaming in
 //!   `O((log log n)^ℓ)` steps.
 //! * [`loose_l8`] — Lemma 8: `n/(log n)^ℓ`-almost-tight renaming in

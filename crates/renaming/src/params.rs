@@ -2,7 +2,7 @@
 //!
 //! * [`TightPlan`] — the cluster layout of §III (Definition 2), in both
 //!   the paper-exact form and the *calibrated* form described in
-//!   DESIGN.md ("Known gaps", item 1) whose cluster sizes track the
+//!   README "Deviations from the paper", item 1, whose cluster sizes track the
 //!   surviving population so that the total auxiliary array is exactly
 //!   the paper's stated `2n` TAS bits and all `n` names get covered.
 //! * [`Lemma6Schedule`] / [`Lemma8Schedule`] — round/step budgets of the
@@ -21,7 +21,8 @@ use rr_analysis::ballsbins::ceil_log2;
 pub enum TightVariant {
     /// Definition 2 verbatim: `c_i = n/(2c)^i`,
     /// `R = (log n − log log n − 1)/(log c + 1)` rounds. Under-provisions
-    /// names (see DESIGN.md); processes rely on the fallback scan.
+    /// names (README "Deviations from the paper", item 1); processes
+    /// rely on the fallback scan.
     PaperExact,
     /// Cluster sizes matched to the surviving population,
     /// `c_i = ρ_i/(2c)` with `ρ_{i+1} = ρ_i(1 − 1/(4c))`, which makes
@@ -107,7 +108,8 @@ impl TightPlan {
     /// Builds the paper-exact plan (Definition 2).
     ///
     /// Registers not reachable through any cluster round (the paper
-    /// under-provisions; see DESIGN.md) still exist and hold names — the
+    /// under-provisions; README "Deviations from the paper", item 1)
+    /// still exist and hold names — the
     /// fallback scan reaches them.
     pub fn paper_exact(n: usize, c: u32) -> Self {
         assert!(n >= Self::MIN_N_PAPER_EXACT, "Definition 2 needs log n ≥ 2");
@@ -230,7 +232,7 @@ impl Lemma6Schedule {
 
 /// Phase/cluster schedule of Lemma 8.
 ///
-/// **Correction over the paper** (documented in DESIGN.md, "Known gaps",
+/// **Correction over the paper** (README "Deviations from the paper",
 /// item 4): the paper runs `log log n` phases over clusters of sizes
 /// `n/2^j`, whose total capacity is `n − n/log n` — so at least
 /// `n/log n` processes must stay unnamed, contradicting the claimed
@@ -319,7 +321,8 @@ pub mod spare {
     }
 }
 
-/// Segment layout of the \[8\]-style finisher (see DESIGN.md): geometric
+/// Segment layout of the \[8\]-style finisher (README "Deviations from
+/// the paper", item 3): geometric
 /// windows with linearly growing probe budgets, then a deterministic
 /// full-scan fallback.
 #[derive(Debug, Clone, PartialEq)]
@@ -370,7 +373,8 @@ impl FinisherPlan {
     /// O((log log spare)²)` … in fact `O((log spare)²)` segments-wise;
     /// the *effective* count is doubly logarithmic because w.h.p. a
     /// process succeeds within the first `O(log log)` segments (contention
-    /// decays doubly exponentially; see DESIGN.md).
+    /// decays doubly exponentially; README "Deviations from the paper",
+    /// item 3).
     pub fn max_random_probes(&self) -> u64 {
         self.probes.iter().map(|&p| p as u64).sum()
     }

@@ -11,7 +11,8 @@
 //! the TAS bits and eventually find a free TAS bit", §III), continuing —
 //! wrapped around the whole array — until it wins. The wrap guarantees
 //! termination: with `n` names for `n` processes, a full failed sweep
-//! would certify `n` other winners, a contradiction (see DESIGN.md).
+//! would certify `n` other winners, a contradiction (README "Deviations
+//! from the paper", item 1).
 //!
 //! Step accounting is exactly the paper's: one step per device-bit
 //! request and one per name-slot TAS.

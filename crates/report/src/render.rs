@@ -25,6 +25,12 @@ pub fn slugify(heading: &str) -> String {
     out
 }
 
+/// The committed record snapshots the report merges in with `--from`:
+/// the matrix, schedule-space and routing cross-checks read them. Every
+/// regeneration command the report prints is built from this list, and
+/// CI's report job passes the same list.
+pub const SNAPSHOTS: [&str; 3] = ["BENCH_scenarios.json", "BENCH_explore.json", "BENCH_route.json"];
+
 fn md_cell(s: &str) -> String {
     s.replace('|', "\\|").replace('\n', " ")
 }
@@ -81,11 +87,12 @@ fn cross_section(out: &mut String, c: &CrossOutcome) {
 pub fn to_markdown(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("# Reproduction report — Berenbrink et al., IPDPS 2015\n\n");
-    out.push_str(
+    let snapshots = SNAPSHOTS.join(",");
+    let _ = write!(
+        out,
         "<!-- GENERATED by exp_report; do not edit by hand. Regenerate with\n     \
          `cargo run --release -p rr-bench --bin exp_report -- --quick \
-         --from BENCH_scenarios.json,BENCH_explore.json \
-         --json BENCH_report.json --out REPRODUCTION.md` -->\n\n",
+         --from {snapshots} --json BENCH_report.json --out REPRODUCTION.md` -->\n\n",
     );
     out.push_str(
         "Per-claim verdicts computed from the deterministic experiment record streams: \
@@ -126,16 +133,17 @@ pub fn to_markdown(report: &Report) -> String {
     for c in &report.cross {
         cross_section(&mut out, c);
     }
-    out.push_str(
+    let _ = write!(
+        out,
         "## Reproducing this report\n\n\
          ```sh\n\
          # Re-run the quick claim tiers and regenerate everything (the CI job):\n\
          cargo run --release -p rr-bench --bin exp_report -- --quick \\\n    \
-         --from BENCH_scenarios.json,BENCH_explore.json \\\n    \
+         --from {snapshots} \\\n    \
          --json BENCH_report.json --out REPRODUCTION.md\n\n\
          # Or regenerate from the committed snapshots without running anything:\n\
          cargo run --release -p rr-bench --bin exp_report -- --ingest \\\n    \
-         --from BENCH_report.json,BENCH_scenarios.json,BENCH_explore.json \\\n    \
+         --from BENCH_report.json,{snapshots} \\\n    \
          --out REPRODUCTION.md\n\
          ```\n\n\
          The binary exits non-zero if any claim FAILs, and CI additionally fails on \
@@ -147,6 +155,31 @@ pub fn to_markdown(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The report's regeneration commands and CI's report job merge the
+    /// same snapshots, so following the committed report's instructions
+    /// reproduces it.
+    #[test]
+    fn regeneration_inputs_match_the_ci_report_job() {
+        let ci = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../.github/workflows/ci.yml"
+        ))
+        .expect("CI workflow");
+        let job = ci.split("\n  report:\n").nth(1).expect("CI has a report job");
+        let from: Vec<&str> = job
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("--from "))
+            .map(|rest| rest.split_whitespace().next().unwrap_or_default())
+            .collect();
+        assert_eq!(from, [SNAPSHOTS.join(",")], "CI report job's --from lists");
+        let markdown = to_markdown(&crate::generate(&[], Vec::new()));
+        assert_eq!(markdown.matches(&format!("--from {}", SNAPSHOTS.join(","))).count(), 2);
+        assert_eq!(
+            markdown.matches(&format!("--from BENCH_report.json,{}", SNAPSHOTS.join(","))).count(),
+            1
+        );
+    }
 
     #[test]
     fn slugs_match_github_style() {

@@ -27,25 +27,20 @@
 //!   to a locally-1-minimal counterexample, replayable via
 //!   [`TolerantReplay`].
 //!
-//! [`SharedExplorer`] and [`SharedFuzzer`] are the registry-facing
-//! handles: [`crate::registry::standard`] registers them under the keys
-//! `explore:depth=…[,crashes=…]` and `fuzz:rounds=…,strength=…`, so any
-//! driver that builds adversaries by string key gets schedule-space
-//! search for free. One caveat is inherent to the design: exploration
-//! state lives **across** runs, so the exactly-once guarantee holds when
-//! seeds execute serially (the batch runners' `workers ≤ 1` path);
-//! concurrent seeds still run and stay safe, they just may revisit
-//! branches.
+//! Callers drive the searchers directly, one searcher per fixed
+//! workload: `exp_explore` runs both over every registry algorithm, and
+//! the exhaustive tests loop on [`ExhaustiveExplorer::next_adversary`].
+//! A fixed workload is what the exactly-once guarantee needs — a
+//! branch point whose arity changes between runs panics instead of
+//! silently skipping schedules.
 
 use crate::adversary::{Adversary, Decision, RunView};
 use crate::ids::Pid;
-use crate::registry::ParsedKey;
 use crate::replay::Tape;
 use crate::virtual_exec::RunOutcome;
 use rand::rngs::ChaCha8Rng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 fn at_least_two_runnable(view: &RunView<'_>) -> bool {
     view.runnable().nth(1).is_some()
@@ -103,26 +98,19 @@ pub struct GuidedAdversary {
     crash_budget: usize,
     crashes_used: usize,
     at: usize,
-    /// Reinterpret out-of-range digits (modulo the observed arity)
-    /// instead of panicking. Strict mode is the fixed-workload DFS
-    /// drivers' determinism guard; clamped mode is what the registry
-    /// hands to the batch runners, whose **seed sweep** legitimately
-    /// reshapes the schedule tree between runs.
-    clamp: bool,
     /// `(digit, arity)` per decision within the horizon.
     trace: Vec<(u32, u32)>,
     decisions: Vec<Decision>,
 }
 
 impl GuidedAdversary {
-    fn new(prefix: Vec<usize>, depth: usize, crash_budget: usize, clamp: bool) -> Self {
+    fn new(prefix: Vec<usize>, depth: usize, crash_budget: usize) -> Self {
         Self {
             prefix,
             depth,
             crash_budget,
             crashes_used: 0,
             at: 0,
-            clamp,
             trace: Vec::new(),
             decisions: Vec::new(),
         }
@@ -138,17 +126,14 @@ impl Adversary for GuidedAdversary {
     fn decide(&mut self, view: &RunView<'_>) -> Decision {
         let d = if self.at < self.depth {
             let cs = choices(view, self.crash_budget - self.crashes_used);
-            let mut digit = self.prefix.get(self.at).copied().unwrap_or(0);
-            if digit >= cs.len() {
-                assert!(
-                    self.clamp,
-                    "schedule tree changed shape at decision {}: digit {digit} of {} choices \
-                     (exhaustive exploration requires a deterministic workload)",
-                    self.at,
-                    cs.len()
-                );
-                digit %= cs.len();
-            }
+            let digit = self.prefix.get(self.at).copied().unwrap_or(0);
+            assert!(
+                digit < cs.len(),
+                "schedule tree changed shape at decision {}: digit {digit} of {} choices \
+                 (exhaustive exploration requires a deterministic workload)",
+                self.at,
+                cs.len()
+            );
             let d = cs[digit];
             self.trace.push((digit as u32, cs.len() as u32));
             d
@@ -211,7 +196,6 @@ pub struct Odometer {
     prefix: Vec<usize>,
     exhausted: bool,
     visited: u64,
-    restarts: u64,
 }
 
 impl Odometer {
@@ -238,18 +222,6 @@ impl Odometer {
     /// Whether the whole tree has been visited.
     pub fn exhausted(&self) -> bool {
         self.exhausted
-    }
-
-    /// Times the DFS wrapped around after exhaustion.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Restarts from the first leaf (statistics are kept).
-    pub fn restart(&mut self) {
-        self.prefix.clear();
-        self.exhausted = false;
-        self.restarts += 1;
     }
 
     /// Consumes a finished descent's `(digit, arity)` branch trace and
@@ -331,23 +303,12 @@ impl ExhaustiveExplorer {
         self.odo.exhausted()
     }
 
-    /// Times the DFS wrapped around after exhaustion (see
-    /// [`SharedExplorer`]).
-    pub fn restarts(&self) -> u64 {
-        self.odo.restarts()
-    }
-
-    /// Restarts the DFS from the first schedule (statistics are kept).
-    pub fn restart(&mut self) {
-        self.odo.restart();
-    }
-
     /// The adversary for the next unvisited schedule, or `None` once the
     /// tree is exhausted. Feed the finished adversary back through
     /// [`ExhaustiveExplorer::record`] to advance the search.
     pub fn next_adversary(&self) -> Option<GuidedAdversary> {
         let prefix = self.odo.prefix()?.to_vec();
-        Some(GuidedAdversary::new(prefix, self.depth, self.crash_budget, false))
+        Some(GuidedAdversary::new(prefix, self.depth, self.crash_budget))
     }
 
     /// Consumes a finished run's branch trace and backtracks to the next
@@ -441,7 +402,7 @@ impl Adversary for TolerantReplay {
 
 /// Minimizes a failing tape by ddmin-style delta debugging: repeatedly
 /// deletes decision chunks (halving the chunk size down to 1) while
-/// `fails` keeps returning `true`, and restarts the sweep after any
+/// `fails` keeps returning `true`, and repeats the sweep after any
 /// progress until a full pass removes nothing — so in the result **no
 /// single decision can be removed** (1-minimal; a later deletion can
 /// enable an earlier one, which a single pass would miss). `fails` is
@@ -726,244 +687,6 @@ impl FuzzExplorer {
     }
 }
 
-/// The registry-facing exhaustive explorer: a cloneable handle whose
-/// adversaries share one DFS. Each [`SharedExplorer::adversary`] call
-/// hands out the next unvisited schedule (wrapping around after
-/// exhaustion, so batches larger than the tree still run); the returned
-/// adversary merges its branch trace back on drop, which in the batch
-/// runners happens right after its run completes.
-///
-/// Exactly-once enumeration holds when runs execute serially; see the
-/// module docs for the concurrent caveat.
-#[derive(Debug, Clone)]
-pub struct SharedExplorer {
-    state: Arc<Mutex<ExhaustiveExplorer>>,
-    clamp: bool,
-}
-
-impl SharedExplorer {
-    /// A shared explorer over the first `depth` decisions with a crash
-    /// budget.
-    ///
-    /// # Panics
-    /// Panics when `depth == 0`.
-    pub fn new(depth: usize, crashes: usize) -> Self {
-        Self { state: Arc::new(Mutex::new(ExhaustiveExplorer::new(depth, crashes))), clamp: true }
-    }
-
-    /// Switches the handle to strict mode: adversaries panic instead of
-    /// clamping when the schedule tree changes shape between runs. Use
-    /// for **fixed-workload** exhaustive sweeps (same algorithm, n and
-    /// seed every run), where a shape change means the workload is
-    /// nondeterministic and clamping would silently degrade the
-    /// exactly-once guarantee. The registry path stays in clamped mode
-    /// because the batch runners legitimately vary the seed per run.
-    #[must_use]
-    pub fn strict(mut self) -> Self {
-        self.clamp = false;
-        self
-    }
-
-    /// Builds from a parsed `explore[:depth=…,crashes=…]` registry key
-    /// (depth default 6, crashes default 0) — the single validation path
-    /// shared with [`crate::registry::standard`].
-    ///
-    /// # Errors
-    /// Returns a message on unknown parameters, unparsable values, or
-    /// `depth = 0`.
-    pub fn from_parsed(key: &ParsedKey) -> Result<Self, String> {
-        key.check_known(&["depth", "crashes"])?;
-        let depth: usize = key.get("depth", 6)?;
-        let crashes: usize = key.get("crashes", 0)?;
-        if depth == 0 {
-            return Err("explore needs depth ≥ 1".into());
-        }
-        Ok(Self::new(depth, crashes))
-    }
-
-    /// Parses and builds from a full key string, e.g.
-    /// `"explore:depth=4,crashes=1"`.
-    ///
-    /// # Errors
-    /// Same conditions as [`SharedExplorer::from_parsed`], plus a
-    /// malformed key or a name other than `explore`.
-    pub fn from_key(key: &str) -> Result<Self, String> {
-        let parsed = ParsedKey::parse(key)?;
-        if parsed.name != "explore" {
-            return Err(format!("`{}` is not an explore key", parsed.name));
-        }
-        Self::from_parsed(&parsed)
-    }
-
-    /// Whether the bounded tree has been fully visited.
-    pub fn exhausted(&self) -> bool {
-        self.state.lock().expect("explorer lock").exhausted()
-    }
-
-    /// Complete schedules executed so far.
-    pub fn schedules(&self) -> u64 {
-        self.state.lock().expect("explorer lock").visited()
-    }
-
-    /// Times the DFS wrapped around after exhaustion.
-    pub fn restarts(&self) -> u64 {
-        self.state.lock().expect("explorer lock").restarts()
-    }
-
-    /// The adversary for the next schedule (restarting the DFS when the
-    /// tree is exhausted). Drop it after its run to advance the search.
-    ///
-    /// Unlike [`ExhaustiveExplorer::next_adversary`], the returned
-    /// adversary (outside [`SharedExplorer::strict`] mode) **clamps**
-    /// digits that fall outside a branch point's observed arity instead
-    /// of panicking: the batch runners drive one shared explorer across
-    /// a *seed sweep*, and different seeds legitimately reshape the
-    /// schedule tree (coin flips move the branch points). With a fixed
-    /// workload the clamp never fires and the serial exactly-once
-    /// guarantee is untouched.
-    pub fn adversary(&self) -> SharedGuided {
-        let mut state = self.state.lock().expect("explorer lock");
-        let inner = match state.next_adversary() {
-            Some(adv) => adv,
-            None => {
-                state.restart();
-                state.next_adversary().expect("restarted explorer yields a schedule")
-            }
-        };
-        let inner = GuidedAdversary { clamp: self.clamp, ..inner };
-        SharedGuided { inner: Some(inner), state: Arc::clone(&self.state) }
-    }
-}
-
-/// One [`SharedExplorer`] run: delegates to its guided adversary and
-/// merges the branch trace back into the shared DFS on drop.
-#[derive(Debug)]
-pub struct SharedGuided {
-    inner: Option<GuidedAdversary>,
-    state: Arc<Mutex<ExhaustiveExplorer>>,
-}
-
-impl SharedGuided {
-    /// The decisions made so far, as a replayable tape.
-    pub fn tape(&self) -> Tape {
-        self.inner.as_ref().expect("guided adversary present until drop").tape()
-    }
-}
-
-impl Adversary for SharedGuided {
-    fn decide(&mut self, view: &RunView<'_>) -> Decision {
-        self.inner.as_mut().expect("guided adversary present until drop").decide(view)
-    }
-
-    fn name(&self) -> &'static str {
-        "explore"
-    }
-}
-
-impl Drop for SharedGuided {
-    fn drop(&mut self) {
-        if let Some(adv) = self.inner.take() {
-            if let Ok(mut state) = self.state.lock() {
-                state.record(&adv);
-            }
-        }
-    }
-}
-
-/// The registry-facing fuzzer: a cloneable handle whose adversaries
-/// share one corpus + signature set. Each
-/// [`SharedFuzzer::adversary`] call is one fuzz round seeded by the
-/// run's `(n, seed)`; the recorded tape is observed (novelty, corpus
-/// retention) on drop.
-#[derive(Debug, Clone)]
-pub struct SharedFuzzer {
-    state: Arc<Mutex<FuzzExplorer>>,
-}
-
-impl SharedFuzzer {
-    /// A shared fuzzer at `strength_permille` with corpus capacity
-    /// `rounds`.
-    ///
-    /// # Panics
-    /// Panics when `strength_permille > 1000` or `rounds == 0`.
-    pub fn new(strength_permille: u32, rounds: usize) -> Self {
-        Self { state: Arc::new(Mutex::new(FuzzExplorer::new(0, strength_permille, rounds))) }
-    }
-
-    /// Builds from a parsed `fuzz[:rounds=…,strength=…]` registry key
-    /// (strength default 250 permille; `rounds`, default 64, caps the
-    /// corpus — on the registry path one batch seed is one round).
-    ///
-    /// # Errors
-    /// Returns a message on unknown parameters, unparsable values,
-    /// `strength > 1000`, or `rounds = 0`.
-    pub fn from_parsed(key: &ParsedKey) -> Result<Self, String> {
-        key.check_known(&["rounds", "strength"])?;
-        let rounds: usize = key.get("rounds", 64)?;
-        let strength: u32 = key.get("strength", 250)?;
-        if strength > 1000 {
-            return Err(format!("fuzz strength {strength} exceeds 1000 permille"));
-        }
-        if rounds == 0 {
-            return Err("fuzz needs rounds ≥ 1".into());
-        }
-        Ok(Self::new(strength, rounds))
-    }
-
-    /// Cumulative novel signatures found.
-    pub fn novel(&self) -> u64 {
-        self.state.lock().expect("fuzzer lock").novel()
-    }
-
-    /// Current corpus size.
-    pub fn corpus_len(&self) -> usize {
-        self.state.lock().expect("fuzzer lock").corpus_len()
-    }
-
-    /// One fuzz round for an `n`-process run with the given seed.
-    pub fn adversary(&self, n: usize, seed: u64) -> SharedFuzz {
-        let state = self.state.lock().expect("fuzzer lock");
-        let inner = state.next_adversary(seed);
-        SharedFuzz { inner: Some(inner), state: Arc::clone(&self.state), n }
-    }
-}
-
-/// One [`SharedFuzzer`] round: delegates to its mutating replay and
-/// feeds the recorded tape back into the shared corpus on drop.
-#[derive(Debug)]
-pub struct SharedFuzz {
-    inner: Option<MutatingReplay>,
-    state: Arc<Mutex<FuzzExplorer>>,
-    n: usize,
-}
-
-impl SharedFuzz {
-    /// The decisions made so far, as a replayable tape.
-    pub fn tape(&self) -> Tape {
-        self.inner.as_ref().expect("mutating replay present until drop").tape()
-    }
-}
-
-impl Adversary for SharedFuzz {
-    fn decide(&mut self, view: &RunView<'_>) -> Decision {
-        self.inner.as_mut().expect("mutating replay present until drop").decide(view)
-    }
-
-    fn name(&self) -> &'static str {
-        "fuzz"
-    }
-}
-
-impl Drop for SharedFuzz {
-    fn drop(&mut self) {
-        if let Some(adv) = self.inner.take() {
-            if let Ok(mut state) = self.state.lock() {
-                state.observe(&adv.tape(), self.n);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1137,7 +860,8 @@ mod tests {
     /// A later deletion can enable an earlier one: with a predicate that
     /// fails on everything except `[g1]`, a single ddmin pass over
     /// `[g0, g1]` would stop at `[g0]` even though the empty tape also
-    /// fails. The fixpoint restart must reach the true 1-minimal `[]`.
+    /// fails. Repeating the sweep to its fixpoint must reach the true
+    /// 1-minimal `[]`.
     #[test]
     fn shrink_restarts_until_one_minimal() {
         let tape = Tape::from_text("g0 g1").unwrap();
@@ -1204,11 +928,11 @@ mod tests {
     #[test]
     fn guided_prefix_addresses_schedules_deterministically() {
         // Empty prefix = canonical serial schedule (lowest pid first).
-        let mut adv = GuidedAdversary::new(vec![], 8, 0, false);
+        let mut adv = GuidedAdversary::new(vec![], 8, 0);
         Arena::new().run(&mut counters(2, 1), &mut adv, 100).unwrap();
         assert_eq!(adv.tape().to_text(), "g0 g0 g1 g1");
         // Digit 1 at the root grants pid 1 first.
-        let mut adv = GuidedAdversary::new(vec![1], 8, 0, false);
+        let mut adv = GuidedAdversary::new(vec![1], 8, 0);
         Arena::new().run(&mut counters(2, 1), &mut adv, 100).unwrap();
         assert_eq!(adv.tape().to_text(), "g1 g0 g0 g1");
     }
@@ -1285,78 +1009,6 @@ mod tests {
         let cx = report.counterexample.expect("budget 2 must fail");
         assert!(cx.reason.contains("step budget"));
         assert!(cx.tape.is_empty());
-    }
-
-    #[test]
-    fn shared_explorer_enumerates_exactly_once_serially() {
-        let shared = SharedExplorer::from_key("explore:depth=8").unwrap();
-        let mut tapes = std::collections::HashSet::new();
-        while !shared.exhausted() {
-            let mut adv = shared.adversary();
-            Arena::new().run(&mut counters(3, 1), &mut adv, 10_000).unwrap();
-            assert!(tapes.insert(adv.tape().to_text()), "schedule revisited");
-        }
-        assert_eq!(tapes.len(), 90);
-        assert_eq!(shared.schedules(), 90);
-        assert_eq!(shared.restarts(), 0);
-    }
-
-    /// The batch runners sweep seeds through one shared explorer, and
-    /// different seeds reshape the schedule tree (coin flips move the
-    /// branch points). Registry-path adversaries must *reinterpret* a
-    /// stale prefix instead of panicking — here the workload alternates
-    /// between 4 and 2 processes, so recorded arities go stale every
-    /// other run.
-    #[test]
-    fn shared_explorer_tolerates_workload_reshaping_across_runs() {
-        let shared = SharedExplorer::new(6, 0);
-        for round in 0..20 {
-            let n = if round % 2 == 0 { 4 } else { 2 };
-            let mut adv = shared.adversary();
-            let out = Arena::new().run(&mut counters(n, 1), &mut adv, 1_000).unwrap();
-            out.verify_renaming(n).unwrap();
-        }
-        assert_eq!(shared.schedules(), 20);
-    }
-
-    #[test]
-    fn shared_explorer_wraps_around_after_exhaustion() {
-        let shared = SharedExplorer::new(8, 0);
-        for _ in 0..5 {
-            let mut adv = shared.adversary();
-            Arena::new().run(&mut counters(2, 0), &mut adv, 100).unwrap();
-        }
-        // 2 schedules, 5 runs: wrapped at least once.
-        assert!(shared.restarts() >= 1);
-        assert_eq!(shared.schedules(), 5);
-    }
-
-    #[test]
-    fn shared_fuzzer_observes_on_drop() {
-        let shared = SharedFuzzer::new(600, 8);
-        for seed in 0..6 {
-            let mut adv = shared.adversary(4, seed);
-            Arena::new().run(&mut counters(4, 2), &mut adv, 1_000).unwrap();
-        }
-        assert!(shared.novel() >= 1);
-        assert!(shared.corpus_len() >= 1);
-    }
-
-    #[test]
-    fn key_validation_errors_are_descriptive() {
-        assert_eq!(
-            SharedExplorer::from_key("explore:depth=0").unwrap_err(),
-            "explore needs depth ≥ 1"
-        );
-        assert!(SharedExplorer::from_key("explore:typo=1").unwrap_err().contains("unknown"));
-        assert!(SharedExplorer::from_key("fair").unwrap_err().contains("not an explore key"));
-        let bad = ParsedKey::parse("fuzz:strength=1500").unwrap();
-        assert_eq!(
-            SharedFuzzer::from_parsed(&bad).unwrap_err(),
-            "fuzz strength 1500 exceeds 1000 permille"
-        );
-        let zero = ParsedKey::parse("fuzz:rounds=0").unwrap();
-        assert_eq!(SharedFuzzer::from_parsed(&zero).unwrap_err(), "fuzz needs rounds ≥ 1");
     }
 
     #[test]

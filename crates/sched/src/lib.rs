@@ -33,7 +33,7 @@
 //! coverage-guided schedule fuzzer, and ddmin tape shrinking for minimal
 //! counterexamples. The [`registry`] names each strategy once so drivers
 //! can build any of them from a string key (`"fair"`,
-//! `"crash:p=20,cap=10"`, `"explore:depth=6"`, …) instead of re-matching
+//! `"crash:p=20,cap=10"`, `"lookahead:k=4"`, …) instead of re-matching
 //! enums.
 //!
 //! ```
@@ -68,8 +68,7 @@ pub use adversary::{
 pub use bits::{SlotSnapshot, Status, StatusBitmap};
 pub use explore::{
     interleaving_signature, shrink_tape, Counterexample, ExhaustiveExplorer, ExploreReport,
-    FuzzExplorer, FuzzReport, GuidedAdversary, MutatingReplay, Odometer, SharedExplorer,
-    SharedFuzzer, TolerantReplay,
+    FuzzExplorer, FuzzReport, GuidedAdversary, MutatingReplay, Odometer, TolerantReplay,
 };
 pub use ids::{EntityVec, LocalIdx, Pid, ShardId, ShardMap};
 pub use model::{ModelReport, ModelRun, ModelTrace, TracedWord};

@@ -19,7 +19,6 @@ use crate::adversary::{
     Adversary, BurstyAdversary, CollisionMaximizer, CrashAdversary, DiurnalAdversary,
     FairAdversary, LookaheadAdversary, RandomAdversary, StallWinners, VictimAdversary,
 };
-use crate::explore::{SharedExplorer, SharedFuzzer};
 use rr_shmem::Access;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -150,32 +149,23 @@ impl AdversaryRegistry {
     /// (params `len` ≥ 1 = fair grants per burst, default 8; `gap` =
     /// front-hammer grants between bursts, default 4), `diurnal` (param
     /// `period` ≥ 2 = duty-cycle length in decisions, default 64) and
-    /// `victim` (param `pid` = the starved process, default 0), and the
-    /// schedule-space searchers `explore` (bounded exhaustive DFS,
-    /// params `depth` = branching horizon, default 6; `crashes` =
-    /// crash-decision budget, default 0) and `fuzz` (params `strength` =
-    /// perturbation permille, default 250; `rounds` = corpus capacity,
-    /// default 64). The searchers keep state across the seeds of one
-    /// prepared builder — see [`crate::explore`] for their serial
-    /// exactly-once guarantee.
-    ///
-    /// The searcher keys, end to end:
+    /// `victim` (param `pid` = the starved process, default 0). Each
+    /// builder call returns a fresh adversary that depends only on its
+    /// `(n, seed)`; the schedule-space searchers of [`crate::explore`]
+    /// are driven directly, not through the registry.
     ///
     /// ```
     /// use rr_sched::adversary::Adversary;
     /// use rr_sched::registry::AdversaryRegistry;
     ///
     /// let reg = AdversaryRegistry::with_standard();
-    /// // Bounded exhaustive DFS with a crash budget, and the
-    /// // coverage-guided schedule fuzzer — ordinary registry keys:
-    /// let dfs = reg.build("explore:depth=3,crashes=1", 4, 0).unwrap();
-    /// let fuzzer = reg.build("fuzz:rounds=8,strength=500", 8, 1).unwrap();
-    /// assert!(!dfs.name().is_empty() && !fuzzer.name().is_empty());
+    /// assert_eq!(reg.keys().len(), 9);
+    /// let adversary = reg.build("bursty:len=2,gap=7", 16, 3).unwrap();
+    /// assert!(!adversary.name().is_empty());
     ///
     /// // Parameters are validated at build time:
-    /// assert!(reg.build("explore:depth=0", 4, 0).is_err());
-    /// assert!(reg.build("fuzz:strength=1500", 4, 0).is_err());
-    /// assert!(reg.build("fuzz:rounds=0", 4, 0).is_err());
+    /// assert!(reg.build("crash:p=2000", 4, 0).is_err());
+    /// assert!(reg.build("lookahead:k=0", 4, 0).is_err());
     /// ```
     pub fn with_standard() -> Self {
         let mut reg = Self::new();
@@ -278,24 +268,6 @@ impl AdversaryRegistry {
                 Ok(Box::new(move |_, _| Box::new(VictimAdversary::new(pid))))
             },
         );
-        reg.register(
-            "explore",
-            "bounded exhaustive DFS over the schedule tree (serial seeds visit it in order)",
-            "explore:depth=6,crashes=0",
-            |key| {
-                let shared = SharedExplorer::from_parsed(key)?;
-                Ok(Box::new(move |_, _| Box::new(shared.adversary())))
-            },
-        );
-        reg.register(
-            "fuzz",
-            "coverage-guided schedule fuzzer (mutates corpus tapes, keeps novel interleavings)",
-            "fuzz:rounds=64,strength=250",
-            |key| {
-                let shared = SharedFuzzer::from_parsed(key)?;
-                Ok(Box::new(move |n, seed| Box::new(shared.adversary(n, seed))))
-            },
-        );
         reg
     }
 
@@ -394,9 +366,6 @@ mod tests {
             "diurnal:period=16",
             "victim",
             "victim:pid=5",
-            "explore:depth=4",
-            "explore:depth=3,crashes=1",
-            "fuzz:rounds=8,strength=500",
         ] {
             let adv = standard().build(key, 16, 3).unwrap();
             assert!(!adv.name().is_empty(), "{key}");
@@ -409,10 +378,6 @@ mod tests {
         assert!(standard().build("fair:x=1", 8, 0).is_err());
         assert!(standard().build("crash:q=1", 8, 0).is_err());
         assert!(standard().build("crash:p=2000", 8, 0).is_err());
-        assert!(standard().build("explore:depth=0", 8, 0).is_err());
-        assert!(standard().build("explore:d=3", 8, 0).is_err());
-        assert!(standard().build("fuzz:strength=1500", 8, 0).is_err());
-        assert!(standard().build("fuzz:rounds=0", 8, 0).is_err());
         assert_eq!(
             standard().build("lookahead:k=0", 8, 0).err().unwrap(),
             "lookahead needs k >= 1, got 0"
@@ -439,45 +404,14 @@ mod tests {
                 "collisions",
                 "crash",
                 "diurnal",
-                "explore",
                 "fair",
-                "fuzz",
                 "lookahead",
                 "random",
                 "stall",
                 "victim",
             ]
         );
-        assert_eq!(standard().entries().len(), 11);
-    }
-
-    /// A prepared `explore` builder shares one DFS across its builds —
-    /// serial seeds enumerate distinct schedules, and a fresh `prepare`
-    /// starts the walk over from the first schedule.
-    #[test]
-    fn prepared_explore_builder_walks_the_schedule_tree() {
-        let fx = ViewFixture::new(crate::entity_vec![Some(Access::Local); 2]);
-        let first_grant = |adv: &mut Box<dyn Adversary>| match adv.decide(&fx.view()) {
-            Decision::Grant(p) => p,
-            d => panic!("unexpected {d:?}"),
-        };
-        let builder = standard().prepare("explore:depth=2").unwrap();
-        let mut first = builder(2, 0);
-        assert_eq!(
-            first_grant(&mut first),
-            Pid::new(0),
-            "first schedule starts at the root choice"
-        );
-        drop(first); // merges the trace, advancing the DFS
-        let mut second = builder(2, 1);
-        assert_eq!(
-            first_grant(&mut second),
-            Pid::new(1),
-            "second schedule takes the sibling branch"
-        );
-        // A fresh prepare is a fresh search.
-        let builder2 = standard().prepare("explore:depth=2").unwrap();
-        assert_eq!(first_grant(&mut builder2(2, 0)), Pid::new(0));
+        assert_eq!(standard().entries().len(), 9);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! `i ≥ 2`), that search has a unique fixed point: *keep the
 //! `allowed_bits` new bits with the lowest index*. [`rtl::shift_select`]
 //! transcribes the search literally and the property tests pin it to the
-//! direct oracle used by [`CountingDevice::clock_cycle`]. See DESIGN.md
-//! ("Known gaps", item 2).
+//! direct oracle used by [`CountingDevice::clock_cycle`]. See README
+//! "Deviations from the paper", item 2.
 
 /// Maximum device width: the registers are simulated in one `u64` word,
 /// exactly like the paper's assumption that all `2·log n` bits can be

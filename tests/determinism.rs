@@ -1,6 +1,6 @@
 //! Reproducibility: the arena executor is a deterministic function of
-//! (algorithm, n, seed, adversary) — the property EXPERIMENTS.md numbers
-//! rely on.
+//! (algorithm, n, seed, adversary) — the property every committed
+//! `BENCH_*.json` snapshot and `REPRODUCTION.md` rely on.
 
 use randomized_renaming::renaming::traits::{Cor7, Cor9, LooseL6, LooseL8, RenamingAlgorithm};
 use randomized_renaming::renaming::TightRenaming;

@@ -3,7 +3,8 @@
 //! REPRODUCTION.md must point to an existing file, and every `#anchor`
 //! must resolve to a heading (using the same GitHub-style slugs the
 //! report renderer emits, so `REPRODUCTION.md`'s generated summary
-//! table is verified too).
+//! table is verified too). Rust sources may cite only root-level
+//! markdown files that exist.
 
 use rr_report::slugify;
 use std::path::{Path, PathBuf};
@@ -130,6 +131,72 @@ fn reproduction_report_summary_anchors_cover_every_section() {
     for anchor in summary_anchors {
         assert!(slugs.iter().any(|s| s == anchor), "summary anchor `#{anchor}` dangles");
     }
+}
+
+/// Bare file names ending in `.md` in `body`, not part of a longer path
+/// such as `crates/x/README.md`: the root-level markdown files a source
+/// cites.
+fn root_markdown_mentions(body: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for (at, _) in body.match_indices(".md") {
+        if body[at + 3..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_') {
+            continue;
+        }
+        let stem = body[..at]
+            .chars()
+            .rev()
+            .take_while(|&c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+            .count();
+        let start = at - stem;
+        if stem > 0 && !body[..start].ends_with('/') {
+            out.push(&body[start..at + 3]);
+        }
+    }
+    out
+}
+
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|name| name != "target") {
+                rust_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A doc comment that cites a root-level markdown file (`README.md`,
+/// `ROADMAP.md`, …) must cite one that exists.
+#[test]
+fn rust_sources_cite_only_existing_root_markdown_files() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "source walk found only {} files", files.len());
+    let mut errors = Vec::new();
+    for file in &files {
+        let body = std::fs::read_to_string(file).expect("readable source");
+        for name in root_markdown_mentions(&body) {
+            if !root.join(name).is_file() {
+                let file = file.strip_prefix(&root).unwrap_or(file);
+                errors.push(format!("{}: cites missing `{name}`", file.display()));
+            }
+        }
+    }
+    assert!(errors.is_empty(), "dead markdown citations:\n  {}", errors.join("\n  "));
+}
+
+#[test]
+fn root_markdown_mentions_skip_paths_and_extensions() {
+    assert_eq!(
+        root_markdown_mentions("see README.md, crates/x/NOTES.md, `.md`, a.mdx and (ROADMAP.md)"),
+        ["README.md", "ROADMAP.md"]
+    );
 }
 
 #[test]

@@ -14,7 +14,7 @@ use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::adversary::{
     Adversary, CollisionMaximizer, CrashAdversary, FairAdversary, RandomAdversary,
 };
-use randomized_renaming::sched::explore::{shrink_tape, SharedExplorer, TolerantReplay};
+use randomized_renaming::sched::explore::ExhaustiveExplorer;
 use randomized_renaming::sched::Arena;
 
 fn all_algorithms() -> Vec<Box<dyn RenamingAlgorithm>> {
@@ -98,38 +98,35 @@ fn full_registry() -> AlgorithmRegistry {
     reg
 }
 
-/// Exhausts the bounded schedule tree named by an `explore:…` registry
-/// key against `algo` at size `n` (seed fixed, dense arena), auditing
-/// every run. Any violation panics with the ddmin-minimal replayable
-/// tape. Returns the number of schedules visited.
+/// Exhausts the bounded schedule tree that branches over the first
+/// `depth` decisions (with up to `crashes` crash decisions) against
+/// `algo` at size `n` (seed fixed, dense arena), auditing every run. Any
+/// violation panics with the ddmin-minimal replayable tape. Returns the
+/// number of schedules visited.
 fn exhaust_schedules(
     algo: &dyn RenamingAlgorithm,
     n: usize,
-    explore_key: &str,
+    depth: usize,
+    crashes: usize,
     arena: &mut Arena,
 ) -> u64 {
-    // Strict mode: the workload here is fixed (same algo, n, seed every
-    // run), so a schedule-tree shape change means nondeterminism and
-    // must panic rather than silently degrade exactly-once enumeration.
-    let explorer = SharedExplorer::from_key(explore_key).expect("explore key").strict();
-    let audit = |adv: &mut dyn Adversary, arena: &mut Arena| -> Result<(), String> {
+    // The workload is fixed (same algo, n, seed every run), so a
+    // schedule-tree shape change means nondeterminism, and the guided
+    // adversary panics on it rather than skip schedules.
+    let report = ExhaustiveExplorer::new(depth, crashes).explore(u64::MAX, |adv| {
         let out = algo.run_dense(n, 11, adv, arena).map_err(|e| e.to_string())?;
-        out.verify_renaming(algo.m(n)).map_err(|v| format!("renaming violation: {v}"))
-    };
-    while !explorer.exhausted() {
-        let mut adv = explorer.adversary();
-        if let Err(reason) = audit(&mut adv, arena) {
-            let minimal = shrink_tape(&adv.tape(), |t| {
-                audit(&mut TolerantReplay::new(t.clone()), arena).is_err()
-            });
-            panic!(
-                "{} at n={n} under `{explore_key}`: {reason}\n  minimal tape: `{}`",
-                algo.name(),
-                minimal.to_text()
-            );
-        }
+        out.verify_renaming(algo.m(n)).map_err(|v| format!("renaming violation: {v}"))?;
+        Ok(out)
+    });
+    if let Some(cx) = report.counterexample {
+        panic!(
+            "{} at n={n} under depth={depth}, crashes={crashes}: {}\n  minimal tape: `{}`",
+            algo.name(),
+            cx.reason,
+            cx.tape.to_text()
+        );
     }
-    explorer.schedules()
+    report.schedules
 }
 
 /// The tier-1 promotion of `every_algorithm_under_every_adversary_is_safe`:
@@ -146,13 +143,12 @@ fn every_algorithm_exhaustive_small_n_is_safe() {
     for key in reg.keys() {
         let algo = reg.build(key).unwrap();
         for n in [4usize, 5] {
-            let visited = exhaust_schedules(algo.as_ref(), n, "explore:depth=4", &mut arena);
+            let visited = exhaust_schedules(algo.as_ref(), n, 4, 0, &mut arena);
             // The tree has at least one schedule per runnable-pid choice
             // at the root and is fully enumerated (n! interleavings of
             // the first `depth` grants bound it below loosely).
             assert!(visited >= n as u64, "{key} at n={n}: only {visited} schedules");
-            let with_crashes =
-                exhaust_schedules(algo.as_ref(), n, "explore:depth=3,crashes=1", &mut arena);
+            let with_crashes = exhaust_schedules(algo.as_ref(), n, 3, 1, &mut arena);
             // The crash-enabled root alone has 2n choices (grant or
             // crash each pid), so the tree is at least that wide.
             assert!(
@@ -163,26 +159,26 @@ fn every_algorithm_exhaustive_small_n_is_safe() {
     }
 }
 
-/// Like [`exhaust_schedules`], but also tracks the extreme total-step
-/// counts over the exhausted tree.
+/// Like [`exhaust_schedules`] without crashes, but also tracks the
+/// extreme total-step counts over the exhausted tree.
 fn exhaust_schedules_tracking_steps(
     algo: &dyn RenamingAlgorithm,
     n: usize,
-    explore_key: &str,
+    depth: usize,
     arena: &mut Arena,
 ) -> (u64, u64, u64) {
-    let explorer = SharedExplorer::from_key(explore_key).expect("explore key").strict();
+    let mut explorer = ExhaustiveExplorer::new(depth, 0);
     let (mut worst, mut best) = (0u64, u64::MAX);
-    while !explorer.exhausted() {
-        let mut adv = explorer.adversary();
+    while let Some(mut adv) = explorer.next_adversary() {
         let out = algo
             .run_dense(n, 11, &mut adv, arena)
             .unwrap_or_else(|e| panic!("{} at n={n}: {e}", algo.name()));
         out.verify_renaming(algo.m(n)).unwrap_or_else(|v| panic!("{}: {v}", algo.name()));
         worst = worst.max(out.total_steps());
         best = best.min(out.total_steps());
+        explorer.record(&adv);
     }
-    (explorer.schedules(), worst, best)
+    (explorer.visited(), worst, best)
 }
 
 /// The route family's defining property, certified over **all**
@@ -209,8 +205,7 @@ fn route_worst_case_over_all_schedules_is_pinned() {
     let mut arena = Arena::new();
     for &(topology, schedules, worst_steps) in pinned {
         let algo = RouteRenaming { topology, stages: None };
-        let (visited, worst, best) =
-            exhaust_schedules_tracking_steps(&algo, n, "explore:depth=4", &mut arena);
+        let (visited, worst, best) = exhaust_schedules_tracking_steps(&algo, n, 4, &mut arena);
         assert_eq!(
             (visited, worst),
             (schedules, worst_steps),

@@ -33,23 +33,22 @@ fn theorem5_step_complexity_is_logarithmic_quick() {
 
 /// The tier-1 promotion of `theorem5_step_complexity_is_logarithmic`:
 /// instead of sampling a few seeds under the fair schedule, exhaust
-/// **every** schedule of a bounded tree (`explore:depth=…` via the
-/// adversary registry) at n ≤ 6 and bound the *worst-case* step
-/// complexity over all of them. The large randomized sweep stays
-/// `slow-tests`-gated below.
+/// **every** schedule of a bounded tree (an `ExhaustiveExplorer` of
+/// depth 5) at n ≤ 6 and bound the *worst-case* step complexity over
+/// all of them. The large randomized sweep stays `slow-tests`-gated
+/// below.
 #[test]
 fn theorem5_exhaustive_small_n_worst_case() {
-    use randomized_renaming::sched::explore::SharedExplorer;
+    use randomized_renaming::sched::explore::ExhaustiveExplorer;
     use randomized_renaming::sched::Arena;
 
     let algo = TightRenaming::calibrated(4);
     let mut arena = Arena::new();
     for n in [4usize, 5, 6] {
-        // Strict: fixed workload, so any tree-shape drift must panic.
-        let explorer = SharedExplorer::from_key("explore:depth=5").unwrap().strict();
+        // Fixed workload, so any tree-shape drift panics.
+        let mut explorer = ExhaustiveExplorer::new(5, 0);
         let mut worst = 0u64;
-        while !explorer.exhausted() {
-            let mut adv = explorer.adversary();
+        while let Some(mut adv) = explorer.next_adversary() {
             let out = algo
                 .run_dense(n, 0, &mut adv, &mut arena)
                 .unwrap_or_else(|e| panic!("n={n}: {e}\n  tape: `{}`", adv.tape().to_text()));
@@ -57,8 +56,9 @@ fn theorem5_exhaustive_small_n_worst_case() {
                 .unwrap_or_else(|v| panic!("n={n}: {v}\n  tape: `{}`", adv.tape().to_text()));
             assert_eq!(out.gave_up_count(), 0, "tight renaming never gives up (n={n})");
             worst = worst.max(out.step_complexity());
+            explorer.record(&adv);
         }
-        assert!(explorer.schedules() > 0);
+        assert!(explorer.visited() > 0);
         // Worst case over the whole bounded schedule space stays within
         // a small constant × n — far below the 200·n·(log₂ n + 16)
         // step budget, and schedule-independent in order of magnitude.
