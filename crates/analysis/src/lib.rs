@@ -30,14 +30,12 @@
 pub mod ballsbins;
 pub mod chernoff;
 pub mod fit;
-pub mod histogram;
 pub mod stats;
 pub mod table;
 pub mod verdict;
 
 pub use ballsbins::{ceil_log2, floor_log2, lemma3_bound, simulate_lemma3};
 pub use fit::{fit_form, fit_power, Fit, PowerFit, ScalingForm};
-pub use histogram::Histogram;
 pub use stats::{
     norm_log2, norm_loglog_sq, per_n, percentile_row, quantile, upper_median, Welford,
 };

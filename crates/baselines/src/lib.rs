@@ -47,5 +47,5 @@ pub use linear::{LinearScan, ScanStart};
 pub use network::{BitonicRenaming, ComparatorNetwork, NetworkProcess, NetworkShared};
 pub use registry::register_baselines;
 pub use route::{route_network, RouteRenaming, RouteTopology, ROUTE_TAS_ARRAY};
-pub use splitter_grid::{GridProcess, GridShared, Splitter, SplitterGrid};
+pub use splitter_grid::{GridProcess, GridShared, SplitterGrid};
 pub use uniform::{UniformProbing, UniformProcess};

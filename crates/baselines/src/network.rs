@@ -18,6 +18,14 @@
 //! — same code path, buildable — and provide the analytic AKS depth in
 //! [`crate::aks_model`] for the crossover tables. See README "Deviations
 //! from the paper", item 6.
+//!
+//! Every stage of the bitonic network, and of every [`crate::route`]
+//! topology, is a butterfly stage: it pairs wire `i` with `i ^ 2^b` for
+//! one address bit `b`. So a [`ComparatorNetwork`] stores only its
+//! stage-bit schedule, one `u32` per stage, and finds each comparator
+//! and its TAS index in closed form; a build costs O(depth) words
+//! instead of two width-sized tables per stage. Networks whose stages
+//! are not butterfly stages cannot be represented.
 
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
@@ -35,73 +43,44 @@ pub struct Comparator {
     pub hi: usize,
 }
 
-/// A comparator network as layers of disjoint comparators.
+/// A butterfly-stage comparator network: stage `l` pairs every wire `i`
+/// with `i ^ 2^bits[l]`, so the whole network is its stage-bit schedule
+/// and each comparator is found in closed form.
+///
+/// Comparator ids are global (for TAS register addressing): stage `l`
+/// owns ids `l·W/2 .. (l+1)·W/2`, in increasing order of the low wire.
 #[derive(Debug, Clone)]
 pub struct ComparatorNetwork {
     width: usize,
-    layers: Vec<Vec<Comparator>>,
-    /// `wire_map[layer][wire]` → index of the comparator touching `wire`
-    /// in `layer` (dense lookup), or `usize::MAX`.
-    wire_map: Vec<Vec<usize>>,
-    /// Comparator ids are global (for TAS register addressing):
-    /// `layer_base[l] + index_within_layer`.
-    layer_base: Vec<usize>,
-    total: usize,
+    /// `bits[l]` — the address bit stage `l` switches.
+    bits: Vec<u32>,
 }
 
 impl ComparatorNetwork {
-    /// Builds a network from layers.
+    /// Builds a network over `width` wires from its stage-bit schedule.
     ///
     /// # Panics
-    /// Panics if a layer reuses a wire or a comparator is degenerate.
-    pub fn new(width: usize, layers: Vec<Vec<Comparator>>) -> Self {
-        let mut wire_map = Vec::with_capacity(layers.len());
-        let mut layer_base = Vec::with_capacity(layers.len());
-        let mut total = 0usize;
-        for layer in &layers {
-            let mut map = vec![usize::MAX; width];
-            for (ci, c) in layer.iter().enumerate() {
-                assert!(c.lo < c.hi && c.hi < width, "bad comparator {c:?}");
-                assert!(map[c.lo] == usize::MAX && map[c.hi] == usize::MAX, "wire reuse");
-                map[c.lo] = ci;
-                map[c.hi] = ci;
-            }
-            wire_map.push(map);
-            layer_base.push(total);
-            total += layer.len();
+    /// Panics unless `width` is a power of two ≥ 2 and every bit
+    /// addresses a wire (`2^bit < width`).
+    pub fn from_bits(width: usize, bits: Vec<u32>) -> Self {
+        assert!(width.is_power_of_two() && width >= 2, "network needs a power-of-two width");
+        let q = width.trailing_zeros();
+        if let Some(b) = bits.iter().find(|&&b| b >= q) {
+            panic!("stage bit {b} is outside a {width}-wire network");
         }
-        Self { width, layers, wire_map, layer_base, total }
+        Self { width, bits }
     }
 
     /// Batcher's bitonic sorting network for `width` wires
-    /// (power of two).
+    /// (power of two): merge stage `s = 1..=q` switches bits
+    /// `s−1, …, 0`. For renaming only the (lo, hi) ordering matters, so
+    /// every comparator sends its winner to the lower wire.
     ///
     /// # Panics
     /// Panics unless `width` is a power of two ≥ 2.
     pub fn bitonic(width: usize) -> Self {
-        assert!(width.is_power_of_two() && width >= 2, "bitonic needs a power-of-two width");
-        let mut layers = Vec::new();
-        let mut k = 2;
-        while k <= width {
-            let mut j = k / 2;
-            while j >= 1 {
-                let mut layer = Vec::new();
-                for i in 0..width {
-                    let partner = i ^ j;
-                    if partner > i {
-                        // Direction of the bitonic stage (ascending when
-                        // the k-block bit is clear). For renaming only
-                        // the (lo, hi) ordering matters; we normalize so
-                        // winners always move toward the lower wire.
-                        layer.push(Comparator { lo: i, hi: partner });
-                    }
-                }
-                layers.push(layer);
-                j /= 2;
-            }
-            k *= 2;
-        }
-        Self::new(width, layers)
+        let q = width.trailing_zeros();
+        Self::from_bits(width, (1..=q).flat_map(|s| (0..s).rev()).collect())
     }
 
     /// Number of wires.
@@ -111,18 +90,23 @@ impl ComparatorNetwork {
 
     /// Network depth (number of layers).
     pub fn depth(&self) -> usize {
-        self.layers.len()
+        self.bits.len()
     }
 
     /// Total number of comparators (= TAS registers required).
     pub fn size(&self) -> usize {
-        self.total
+        self.depth() * (self.width / 2)
     }
 
-    /// Comparator touching `wire` in `layer`, with its global id.
-    pub fn comparator_at(&self, layer: usize, wire: usize) -> Option<(usize, Comparator)> {
-        let ci = self.wire_map[layer][wire];
-        (ci != usize::MAX).then(|| (self.layer_base[layer] + ci, self.layers[layer][ci]))
+    /// Comparator touching `wire` in `layer`, with its global id: the
+    /// low wire's rank among the wires whose bit `b` is clear, offset by
+    /// the layer's first id.
+    pub fn comparator_at(&self, layer: usize, wire: usize) -> (usize, Comparator) {
+        let b = self.bits[layer];
+        let mask = 1usize << b;
+        let lo = wire & !mask;
+        let rank = ((lo >> (b + 1)) << b) | (lo & (mask - 1));
+        (layer * (self.width / 2) + rank, Comparator { lo, hi: lo | mask })
     }
 }
 
@@ -166,42 +150,35 @@ impl NetworkProcess {
         assert!(pid < shared.network.width(), "initial wire out of range");
         Self { pid, shared, layer: 0, wire: pid, array }
     }
-
-    /// Skips layers with no comparator on the current wire (free — pure
-    /// routing), stopping at the next comparator or the network end.
-    fn advance_to_comparator(&mut self) -> Option<(usize, Comparator)> {
-        while self.layer < self.shared.network.depth() {
-            if let Some(hit) = self.shared.network.comparator_at(self.layer, self.wire) {
-                return Some(hit);
-            }
-            self.layer += 1;
-        }
-        None
-    }
 }
 
 impl Process for NetworkProcess {
     fn announce(&mut self) -> Access {
-        match self.advance_to_comparator() {
-            Some((cid, _)) => Access::Tas { array: self.array, index: cid },
-            None => Access::Local,
+        if self.layer < self.shared.network.depth() {
+            Access::Tas {
+                array: self.array,
+                index: self.shared.network.comparator_at(self.layer, self.wire).0,
+            }
+        } else {
+            Access::Local
         }
     }
 
     fn step(&mut self) -> StepOutcome {
-        match self.advance_to_comparator() {
-            Some((cid, comp)) => {
-                let won = self.shared.splitters.tas(cid);
-                self.wire = if won { comp.lo } else { comp.hi };
-                self.layer += 1;
-                // Exiting the last comparator ends the protocol — the
-                // final wire is the name; no extra step is charged.
-                match self.advance_to_comparator() {
-                    Some(_) => StepOutcome::Continue,
-                    None => StepOutcome::Done(self.wire),
-                }
-            }
-            None => StepOutcome::Done(self.wire),
+        let network = &self.shared.network;
+        if self.layer == network.depth() {
+            return StepOutcome::Done(self.wire);
+        }
+        let (cid, comp) = network.comparator_at(self.layer, self.wire);
+        let won = self.shared.splitters.tas(cid);
+        self.wire = if won { comp.lo } else { comp.hi };
+        self.layer += 1;
+        // Exiting the last comparator ends the protocol — the final wire
+        // is the name; no extra step is charged.
+        if self.layer == network.depth() {
+            StepOutcome::Done(self.wire)
+        } else {
+            StepOutcome::Continue
         }
     }
 
@@ -248,10 +225,14 @@ mod tests {
         // Size = depth · W/2 = 6·4 = 24.
         assert_eq!(net.size(), 24);
         assert_eq!(net.width(), 8);
-        // Every layer pairs all 8 wires (bitonic is a full butterfly).
+        // Every layer pairs all 8 wires (bitonic is a full butterfly),
+        // each comparator with one id of its own layer.
         for l in 0..net.depth() {
             for w in 0..8 {
-                assert!(net.comparator_at(l, w).is_some());
+                let (id, c) = net.comparator_at(l, w);
+                assert!(c.lo == w || c.hi == w);
+                assert_eq!(net.comparator_at(l, c.lo ^ c.hi ^ w), (id, c));
+                assert!((4 * l..4 * (l + 1)).contains(&id));
             }
         }
     }
@@ -263,12 +244,99 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wire reuse")]
-    fn layer_wire_reuse_rejected() {
-        ComparatorNetwork::new(
-            4,
-            vec![vec![Comparator { lo: 0, hi: 1 }, Comparator { lo: 1, hi: 2 }]],
-        );
+    #[should_panic(expected = "stage bit 2 is outside a 4-wire network")]
+    fn stage_bit_beyond_width_rejected() {
+        ComparatorNetwork::from_bits(4, vec![0, 2]);
+    }
+
+    /// The comparator layers Batcher's construction lists for `width`
+    /// wires: for each block size `k` and distance `j`, every wire `i`
+    /// paired with `i ^ j` above it.
+    fn bitonic_layers(width: usize) -> Vec<Vec<Comparator>> {
+        let mut layers = Vec::new();
+        let mut k = 2;
+        while k <= width {
+            let mut j = k / 2;
+            while j >= 1 {
+                let layer = (0..width)
+                    .filter(|&i| i ^ j > i)
+                    .map(|i| Comparator { lo: i, hi: i ^ j })
+                    .collect();
+                layers.push(layer);
+                j /= 2;
+            }
+            k *= 2;
+        }
+        layers
+    }
+
+    /// The switch layers of a `route` topology: stage `s` pairs every
+    /// wire with its bit `schedule[s mod len]` clear to the wire with it
+    /// set.
+    fn route_layers(
+        topology: crate::route::RouteTopology,
+        width: usize,
+        stages: Option<usize>,
+    ) -> Vec<Vec<Comparator>> {
+        let schedule = topology.bit_schedule(width.trailing_zeros());
+        (0..stages.unwrap_or(schedule.len()))
+            .map(|s| {
+                let mask = 1usize << schedule[s % schedule.len()];
+                (0..width)
+                    .filter(|i| i & mask == 0)
+                    .map(|i| Comparator { lo: i, hi: i | mask })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Asserts that `net` finds, at every `(layer, wire)`, the comparator
+    /// and global id a per-layer wire table over `layers` gives: ids
+    /// numbered layer by layer in list order.
+    fn assert_matches_table(net: &ComparatorNetwork, layers: &[Vec<Comparator>], what: &str) {
+        assert_eq!(net.depth(), layers.len(), "{what}");
+        let mut base = 0;
+        for (l, layer) in layers.iter().enumerate() {
+            let mut table = vec![None; net.width()];
+            for (ci, &c) in layer.iter().enumerate() {
+                assert!(table[c.lo].is_none() && table[c.hi].is_none(), "{what}: wire reuse");
+                table[c.lo] = Some((base + ci, c));
+                table[c.hi] = Some((base + ci, c));
+            }
+            for (w, entry) in table.into_iter().enumerate() {
+                assert_eq!(Some(net.comparator_at(l, w)), entry, "{what}: layer {l} wire {w}");
+            }
+            base += layer.len();
+        }
+        assert_eq!(net.size(), base, "{what}");
+    }
+
+    /// The closed form gives the same comparator and id as the tables the
+    /// layered constructor built, for every width 2…256, bitonic and every
+    /// `route` topology with and without a `stages` override; so announced
+    /// TAS indices are unchanged.
+    #[test]
+    fn closed_form_matches_the_comparator_tables() {
+        use crate::route::{route_network, RouteTopology};
+        for q in 1..=8u32 {
+            let width = 1usize << q;
+            assert_matches_table(
+                &ComparatorNetwork::bitonic(width),
+                &bitonic_layers(width),
+                &format!("bitonic({width})"),
+            );
+            for topology in [RouteTopology::Benes, RouteTopology::Butterfly, RouteTopology::Variant]
+            {
+                let closed = topology.closed_form_depth(width);
+                for stages in [None, Some(1), Some(2), Some(3), Some(closed + 3)] {
+                    assert_matches_table(
+                        &route_network(topology, width, stages),
+                        &route_layers(topology, width, stages),
+                        &format!("route({},{width},{stages:?})", topology.label()),
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -356,43 +424,28 @@ mod proptests {
             prop_assert!(out.steps.iter().all(|&s| s <= depth));
         }
 
-        /// Random legal layered networks (not just bitonic) still give
+        /// Arbitrary stage-bit schedules (not just bitonic or a routing
+        /// topology: any bits, depth 0–12) at any occupancy still give
         /// distinct names — distinctness is a property of TAS splitters,
         /// not of the sorting structure.
         #[test]
         fn arbitrary_networks_are_renaming_safe(
-            width in 2usize..24,
-            layer_seeds in proptest::collection::vec(0u64..u64::MAX, 0..12),
+            width_log in 1u32..6,
+            raw_bits in proptest::collection::vec(0u32..u32::MAX, 0..13),
+            occupancy in 1usize..=32,
             seed in 0u64..200,
         ) {
-            use rand::{RngExt, SeedableRng};
-            // Build random disjoint comparator layers.
-            let layers: Vec<Vec<Comparator>> = layer_seeds
-                .iter()
-                .map(|&ls| {
-                    let mut rng = rand::rngs::ChaCha8Rng::seed_from_u64(ls);
-                    let mut wires: Vec<usize> = (0..width).collect();
-                    // Fisher-Yates then pair up a random prefix.
-                    for i in (1..wires.len()).rev() {
-                        let j = rng.random_range(0..=i);
-                        wires.swap(i, j);
-                    }
-                    let pairs = rng.random_range(0..=width / 2);
-                    (0..pairs)
-                        .map(|k| {
-                            let a = wires[2 * k];
-                            let b = wires[2 * k + 1];
-                            Comparator { lo: a.min(b), hi: a.max(b) }
-                        })
-                        .collect()
-                })
-                .collect();
-            let net = ComparatorNetwork::new(width, layers);
-            let shared = Arc::new(NetworkShared::new(net));
+            let width = 1usize << width_log;
+            let n = occupancy.min(width);
+            let bits = raw_bits.iter().map(|b| b % width_log).collect();
+            let shared = Arc::new(NetworkShared::new(ComparatorNetwork::from_bits(width, bits)));
             let mut procs: Vec<NetworkProcess> =
-                (0..width).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect();
+                (0..n).map(|pid| NetworkProcess::new(pid, Arc::clone(&shared))).collect();
             let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(seed), 1 << 22).unwrap();
             prop_assert!(out.verify_renaming(width).is_ok());
+            prop_assert_eq!(out.gave_up_count(), 0);
+            let depth = shared.network.depth() as u64;
+            prop_assert!(out.steps.iter().all(|&s| s <= depth.max(1)));
         }
     }
 }

@@ -60,7 +60,7 @@ pub fn register_baselines(reg: &mut AlgorithmRegistry) {
     );
     reg.register_sized(
         "splitter-grid",
-        "Moir–Anderson read/write grid (quadratic space)",
+        "Moir–Anderson read/write grid (n(n+1)/2 cells, 4 B + 1 bit each)",
         "splitter-grid",
         1,
         Some(1 << 12),

@@ -10,14 +10,16 @@
 //! the TAS at every switch it meets (winner exits on the low wire,
 //! loser on the high wire), and its final wire is its new name.
 //! Distinctness is a property of TAS splitters alone, not of the
-//! routing structure (proved for arbitrary layered networks by the
+//! routing structure (checked over arbitrary stage-bit schedules by the
 //! proptests in [`crate::network`]), so *any* stage schedule is safe —
 //! which is what makes the family parameterizable.
 //!
-//! Every stage pairs all `W = 2^q` wires along one address bit, so
-//! under full occupancy each process meets exactly one switch per stage
-//! and per-process step complexity **equals the network depth** — the
-//! depth-vs-steps trade-off the `ROUTE` experiment measures:
+//! Every stage pairs all `W = 2^q` wires along one address bit, so a
+//! network is its bit schedule (a [`ComparatorNetwork`] stores only
+//! that, finding each switch in closed form). Under full occupancy each
+//! process meets exactly one switch per stage and per-process step
+//! complexity **equals the network depth** — the depth-vs-steps
+//! trade-off the `ROUTE` experiment measures:
 //!
 //! | topology | stage bit schedule | depth |
 //! |---|---|---|
@@ -27,9 +29,9 @@
 //!
 //! The `stages=K` parameter overrides the depth by cycling the
 //! topology's bit schedule to exactly `K` stages — shallower prefixes
-//! and deeper repetitions are both legal layered networks.
+//! and deeper repetitions are both legal networks.
 
-use crate::network::{Comparator, ComparatorNetwork, NetworkProcess, NetworkShared};
+use crate::network::{ComparatorNetwork, NetworkProcess, NetworkShared};
 use rr_renaming::traits::RenamingProtocol;
 use std::sync::Arc;
 
@@ -113,16 +115,8 @@ pub fn route_network(
     let schedule = topology.bit_schedule(width.trailing_zeros());
     let depth = stages.unwrap_or(schedule.len());
     assert!(depth >= 1, "route needs at least one stage");
-    let layers = (0..depth)
-        .map(|s| {
-            let mask = 1usize << schedule[s % schedule.len()];
-            (0..width)
-                .filter(|i| i & mask == 0)
-                .map(|i| Comparator { lo: i, hi: i | mask })
-                .collect()
-        })
-        .collect();
-    ComparatorNetwork::new(width, layers)
+    let bits = (0..depth).map(|s| schedule[s % schedule.len()]).collect();
+    ComparatorNetwork::from_bits(width, bits)
 }
 
 /// Topology-routed renaming as a [`RenamingProtocol`]: width = next
@@ -228,7 +222,8 @@ mod tests {
             assert_eq!(net.size(), depth * 4, "{}", topo.label());
             for l in 0..net.depth() {
                 for w in 0..8 {
-                    assert!(net.comparator_at(l, w).is_some(), "{} layer {l}", topo.label());
+                    let (_, c) = net.comparator_at(l, w);
+                    assert!(c.lo == w || c.hi == w, "{} layer {l}", topo.label());
                 }
             }
         }
@@ -247,7 +242,7 @@ mod tests {
     fn stages_override_cycles_the_schedule() {
         // Truncation below the closed form…
         assert_eq!(route_network(RouteTopology::Benes, 8, Some(2)).depth(), 2);
-        // …and repetition above it are both legal layered networks.
+        // …and repetition above it are both legal networks.
         let deep = route_network(RouteTopology::Butterfly, 8, Some(7));
         assert_eq!(deep.depth(), 7);
         assert_eq!(deep.size(), 7 * 4);

@@ -22,29 +22,20 @@
 //! every process stops within `n−1` moves, and the stop position is its
 //! unique name. Every register access is charged as one step (four per
 //! splitter visit), faithful to the read/write cost model.
+//!
+//! The grid is stored as registers, not as splitter structs: a cell's
+//! `X` is a 4-byte word holding `pid + 1` (0 for nobody) and its `Y` is
+//! one bit of a 64-cell word, so a cell costs 4 B plus 1 bit. Both
+//! tables start zeroed, so the pages of cells no process reaches are
+//! never touched. Every access is `SeqCst`, as the splitter's
+//! correctness argument assumes.
 
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::Access;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Sentinel for an unwritten `X` register.
-const NOBODY: usize = usize::MAX;
-
-/// One splitter: the two read/write registers.
-#[derive(Debug)]
-pub struct Splitter {
-    x: AtomicUsize,
-    y: AtomicBool,
-}
-
-impl Default for Splitter {
-    fn default() -> Self {
-        Self { x: AtomicUsize::new(NOBODY), y: AtomicBool::new(false) }
-    }
-}
 
 /// Result of a completed splitter visit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,29 +48,14 @@ pub enum SplitOutcome {
     Down,
 }
 
-impl Splitter {
-    /// Runs the whole splitter procedure at once (test helper; the
-    /// [`GridProcess`] state machine performs it register by register).
-    pub fn split(&self, pid: usize) -> SplitOutcome {
-        self.x.store(pid, Ordering::SeqCst);
-        if self.y.load(Ordering::SeqCst) {
-            return SplitOutcome::Right;
-        }
-        self.y.store(true, Ordering::SeqCst);
-        if self.x.load(Ordering::SeqCst) == pid {
-            SplitOutcome::Stop
-        } else {
-            SplitOutcome::Down
-        }
-    }
-}
-
 /// The triangular grid: cells `(r, d)` with `r + d < n`.
 #[derive(Debug)]
 pub struct GridShared {
     n: usize,
-    /// Row-major triangular storage.
-    splitters: Vec<Splitter>,
+    /// `x[cell]` — `pid + 1` of the cell's last `X` writer, 0 for nobody.
+    x: Vec<AtomicU32>,
+    /// The `Y` flag of `cell` is bit `cell % 64` of `y[cell / 64]`.
+    y: Vec<AtomicU64>,
 }
 
 impl GridShared {
@@ -87,7 +63,11 @@ impl GridShared {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
         let cells = n * (n + 1) / 2;
-        Self { n, splitters: (0..cells).map(|_| Splitter::default()).collect() }
+        // Collected in place from zeroed allocations: no cell is written
+        // until a process visits it.
+        let x = vec![0u32; cells].into_iter().map(AtomicU32::new).collect();
+        let y = vec![0u64; cells.div_ceil(64)].into_iter().map(AtomicU64::new).collect();
+        Self { n, x, y }
     }
 
     /// Flat index of cell `(r, d)` (diagonal enumeration — also the name
@@ -98,14 +78,29 @@ impl GridShared {
         diag * (diag + 1) / 2 + down
     }
 
-    /// The splitter at `(r, d)`.
-    pub fn splitter(&self, right: usize, down: usize) -> &Splitter {
-        &self.splitters[self.cell_index(right, down)]
-    }
-
     /// Total cells (= name-space size).
     pub fn cells(&self) -> usize {
-        self.splitters.len()
+        self.x.len()
+    }
+
+    /// `X ← pid` at `cell`.
+    fn write_x(&self, cell: usize, pid: usize) {
+        self.x[cell].store(pid as u32 + 1, Ordering::SeqCst);
+    }
+
+    /// Whether `X = pid` at `cell`.
+    fn x_is(&self, cell: usize, pid: usize) -> bool {
+        self.x[cell].load(Ordering::SeqCst) == pid as u32 + 1
+    }
+
+    /// Reads `Y` at `cell`.
+    fn y(&self, cell: usize) -> bool {
+        self.y[cell / 64].load(Ordering::SeqCst) & (1 << (cell % 64)) != 0
+    }
+
+    /// `Y ← true` at `cell`.
+    fn set_y(&self, cell: usize) {
+        self.y[cell / 64].fetch_or(1 << (cell % 64), Ordering::SeqCst);
     }
 }
 
@@ -129,7 +124,11 @@ pub struct GridProcess {
 
 impl GridProcess {
     /// Process `pid` entering at cell (0, 0).
+    ///
+    /// # Panics
+    /// Panics if `pid + 1` does not fit an `X` register.
     pub fn new(pid: usize, shared: Arc<GridShared>) -> Self {
+        assert!(pid < u32::MAX as usize, "pid {pid} does not fit an X register");
         Self { pid, shared, right: 0, down: 0, micro: Micro::WriteX }
     }
 
@@ -167,15 +166,15 @@ impl Process for GridProcess {
     }
 
     fn step(&mut self) -> StepOutcome {
-        let s = self.shared.splitter(self.right, self.down);
+        let cell = self.shared.cell_index(self.right, self.down);
         match self.micro {
             Micro::WriteX => {
-                s.x.store(self.pid, Ordering::SeqCst);
+                self.shared.write_x(cell, self.pid);
                 self.micro = Micro::ReadY;
                 StepOutcome::Continue
             }
             Micro::ReadY => {
-                if s.y.load(Ordering::SeqCst) {
+                if self.shared.y(cell) {
                     match self.move_to(SplitOutcome::Right) {
                         Some(name) => StepOutcome::Done(name),
                         None => StepOutcome::Continue,
@@ -186,12 +185,12 @@ impl Process for GridProcess {
                 }
             }
             Micro::WriteY => {
-                s.y.store(true, Ordering::SeqCst);
+                self.shared.set_y(cell);
                 self.micro = Micro::ReadX;
                 StepOutcome::Continue
             }
             Micro::ReadX => {
-                let outcome = if s.x.load(Ordering::SeqCst) == self.pid {
+                let outcome = if self.shared.x_is(cell, self.pid) {
                     SplitOutcome::Stop
                 } else {
                     SplitOutcome::Down
@@ -254,13 +253,57 @@ mod tests {
         assert_eq!(p.position(), (0, 0));
     }
 
+    /// The whole splitter procedure of `pid` at `cell`, at once.
+    fn split(g: &GridShared, cell: usize, pid: usize) -> SplitOutcome {
+        g.write_x(cell, pid);
+        if g.y(cell) {
+            return SplitOutcome::Right;
+        }
+        g.set_y(cell);
+        if g.x_is(cell, pid) {
+            SplitOutcome::Stop
+        } else {
+            SplitOutcome::Down
+        }
+    }
+
     #[test]
     fn splitter_at_most_one_stop() {
         // Sequential entries: first stops, later ones leave Right (Y set).
-        let s = Splitter::default();
-        assert_eq!(s.split(1), SplitOutcome::Stop);
-        assert_eq!(s.split(2), SplitOutcome::Right);
-        assert_eq!(s.split(3), SplitOutcome::Right);
+        // Pid 0 is stored as 1, so it is told apart from an unwritten X.
+        let g = GridShared::new(2);
+        assert_eq!(split(&g, 0, 0), SplitOutcome::Stop);
+        assert_eq!(split(&g, 0, 1), SplitOutcome::Right);
+        assert_eq!(split(&g, 0, 0), SplitOutcome::Right);
+        // Neighbouring cells share a Y word but not a Y bit.
+        assert_eq!(split(&g, 1, 1), SplitOutcome::Stop);
+        assert_eq!(split(&g, 2, 0), SplitOutcome::Stop);
+    }
+
+    /// An `X` read after another process's write sends the reader down.
+    #[test]
+    fn overwritten_x_sends_the_reader_down() {
+        let g = GridShared::new(2);
+        g.write_x(0, 0);
+        assert!(!g.y(0));
+        g.write_x(0, 1);
+        g.set_y(0);
+        assert!(!g.x_is(0, 0), "pid 0 sees pid 1's write and leaves down");
+        assert!(g.x_is(0, 1));
+    }
+
+    /// Layout guard: a cell is a 4-byte `X` register plus one `Y` bit
+    /// (it was a 16-byte splitter), so the n(n+1)/2-cell grid stays at
+    /// about 4 B per name.
+    #[test]
+    fn splitter_cell_is_four_bytes_and_a_bit() {
+        for n in [1usize, 11, 64, 100] {
+            let g = GridShared::new(n);
+            let cells = g.cells();
+            assert_eq!(cells, n * (n + 1) / 2);
+            assert_eq!(std::mem::size_of_val(g.x.as_slice()), 4 * cells);
+            assert_eq!(std::mem::size_of_val(g.y.as_slice()), 8 * cells.div_ceil(64));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() -> ExitCode {
         let defaults = ExploreOptions::defaults(&args.cfg);
         let strengths = args.counts("--strengths");
         if let Some(bad) = strengths.iter().flatten().find(|&&s| s > 1000) {
-            return Err(format!("strength {bad} exceeds 1000 permille"));
+            return Err(format!("strength {bad} exceeds 1000 permille").into());
         }
         let opts = ExploreOptions {
             algorithms: args.keys("--algos").unwrap_or(defaults.algorithms),

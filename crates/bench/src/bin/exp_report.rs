@@ -19,7 +19,9 @@
 //! matrix-safety and schedule-space cross-checks).
 //!
 //! Exit status: 1 if any claim or cross-check FAILs (the CI gate),
-//! 2 on CLI errors; INCONCLUSIVE does not fail the run.
+//! 2 on CLI errors; INCONCLUSIVE does not fail the run. A stdout closed
+//! early (`| head`) stops the printing, not the report: `--out` and
+//! `--json` are still written.
 //!
 //! `--help` lists the flags, declared in [`rr_bench::cli::REPORT`].
 
@@ -27,6 +29,8 @@ use rr_bench::cli::{self, REPORT};
 use rr_bench::scenario::{self, check_writable, specs, JsonSink, ReportSink, Sink, TableSink};
 use rr_report::records::Rec;
 use rr_report::Verdict;
+use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -42,7 +46,9 @@ fn main() -> ExitCode {
             // silently ignored — reject them instead of misleading the
             // user.
             if let Some(flag) = ["--json", "--backend"].into_iter().find(|f| args.has(f)) {
-                return Err(format!("{flag} has no effect with --ingest (nothing is executed)"));
+                return Err(
+                    format!("{flag} has no effect with --ingest (nothing is executed)").into()
+                );
             }
         }
         // Both output paths are checked, and every --from file is read,
@@ -58,6 +64,7 @@ fn main() -> ExitCode {
         }
         let mut recs: Vec<Rec> = Vec::new();
         let mut inputs: Vec<String> = Vec::new();
+        let mut printed = Ok(());
 
         if !ingest {
             let claim_specs: Vec<_> =
@@ -76,10 +83,7 @@ fn main() -> ExitCode {
                 for spec in claim_specs {
                     scenario::run_spec(spec, cfg, &mut sinks);
                 }
-                sinks
-                    .iter_mut()
-                    .try_for_each(|sink| sink.finish())
-                    .map_err(|e| format!("cannot write output: {e}"))?;
+                printed = scenario::finish_all(&mut sinks);
             }
             inputs.push(match &cfg.json_path {
                 Some(path) => path.display().to_string(),
@@ -94,19 +98,21 @@ fn main() -> ExitCode {
         std::fs::write(out_path, report.to_markdown())
             .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
 
-        println!("\n=== REPORT: statistical claim verdicts -> {out_path} ===");
+        let worst = report.worst_verdict();
+        let mut summary = format!("\n=== REPORT: statistical claim verdicts -> {out_path} ===\n");
         for c in &report.claims {
-            println!("  {:12} {:4}  {}", c.id, c.scenario, c.verdict.label());
+            let _ = writeln!(summary, "  {:12} {:4}  {}", c.id, c.scenario, c.verdict.label());
         }
         for c in &report.cross {
-            println!("  {:17}  {}", "cross-check", c.verdict.label());
+            let _ = writeln!(summary, "  {:17}  {}", "cross-check", c.verdict.label());
         }
-        let worst = report.worst_verdict();
-        println!("overall: {}", worst.label());
+        let _ = writeln!(summary, "overall: {}", worst.label());
+        printed = printed.and_then(|()| io::stdout().write_all(summary.as_bytes()));
         if worst == Verdict::Fail {
             eprintln!("exp_report: at least one claim FAILED — see {out_path}");
             return Ok(ExitCode::from(1));
         }
+        printed?;
         Ok(ExitCode::SUCCESS)
     })
 }

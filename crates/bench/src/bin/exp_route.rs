@@ -32,7 +32,7 @@ fn main() -> ExitCode {
         let reg = registry();
         for key in &opts.networks {
             if !key.starts_with("route") {
-                return Err(format!("`{key}` is not a `route:` key"));
+                return Err(format!("`{key}` is not a `route:` key").into());
             }
             reg.build(key)?;
         }

@@ -13,6 +13,9 @@
 //!   entries and the removed `--rng` all exit 2 with one
 //!   `{bin}: {message}` line on stderr, before any row runs;
 //! * a repeated flag keeps its last value;
+//! * a failed write of the output is a [`Failure::Output`]: quietly
+//!   exit 0 when the reader closed the pipe (`exp_lemma3 | head -1`),
+//!   otherwise exit 2 with `{bin}: cannot write output: {reason}`;
 //! * exit 1 is left to the binaries: a FAIL verdict or a violation.
 //!
 //! `--quick`, `--json PATH` and `--backend KEY` fill the [`RunConfig`]
@@ -22,8 +25,37 @@
 use crate::runner::{runner_threads, ExecBackend, RunConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
+
+/// Why a binary's body stopped without an exit code of its own.
+#[derive(Debug)]
+pub enum Failure {
+    /// A refused input: one `{bin}: {message}` line on stderr, exit 2.
+    Usage(String),
+    /// Writing the output failed. A closed pipe means the reader took all
+    /// it wanted, so [`main`] exits 0 without a word; any other error is
+    /// `{bin}: cannot write output: {reason}` with exit 2.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Self::Usage(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Self::Usage(message.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Self::Output(e)
+    }
+}
 
 /// How a flag takes its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,10 +333,11 @@ fn split_list(flag: &str, raw: &str) -> Result<Vec<String>, String> {
 /// place in the crate that does) and parses it against `cli`, then
 /// hands the arguments to `body`, with `threads` taken from
 /// `RR_RUNNER_THREADS`. Help goes to stdout with exit 0; a parse error,
-/// or an `Err` from `body`, is one `{bin}: {message}` line on stderr
-/// with exit 2. `body` checks its inputs before running anything and
-/// returns the exit code of a run (1 for a FAIL verdict or a violation).
-pub fn main(cli: &Cli<'_>, body: impl FnOnce(Args) -> Result<ExitCode, String>) -> ExitCode {
+/// or a [`Failure`] from `body`, is one `{bin}: {message}` line on
+/// stderr with exit 2, except that a closed stdout pipe exits 0 quietly.
+/// `body` checks its inputs before running anything and returns the
+/// exit code of a run (1 for a FAIL verdict or a violation).
+pub fn main(cli: &Cli<'_>, body: impl FnOnce(Args) -> Result<ExitCode, Failure>) -> ExitCode {
     let mut os_args = std::env::args_os();
     let arg0 = os_args.next().unwrap_or_default();
     let bin = std::path::Path::new(&arg0)
@@ -313,10 +346,10 @@ pub fn main(cli: &Cli<'_>, body: impl FnOnce(Args) -> Result<ExitCode, String>) 
     let argv: Result<Vec<String>, String> = os_args
         .map(|a| a.into_string().map_err(|a| format!("argument {a:?} is not valid UTF-8")))
         .collect();
-    let outcome = argv.and_then(|argv| parse(&bin, cli, &argv)).and_then(|parsed| match parsed {
+    let parsed = argv.and_then(|argv| parse(&bin, cli, &argv)).map_err(Failure::Usage);
+    let outcome = parsed.and_then(|parsed| match parsed {
         Parsed::Help(usage) => {
-            // A closed pipe (`--help | head -1`) is not an error.
-            let _ = writeln!(std::io::stdout(), "{usage}");
+            writeln!(io::stdout(), "{usage}")?;
             Ok(ExitCode::SUCCESS)
         }
         Parsed::Run(mut args) => {
@@ -324,10 +357,17 @@ pub fn main(cli: &Cli<'_>, body: impl FnOnce(Args) -> Result<ExitCode, String>) 
             body(args)
         }
     });
-    outcome.unwrap_or_else(|e| {
-        eprintln!("{bin}: {e}");
-        ExitCode::from(2)
-    })
+    match outcome {
+        Ok(code) => code,
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(failure) => {
+            match failure {
+                Failure::Usage(message) => eprintln!("{bin}: {message}"),
+                Failure::Output(e) => eprintln!("{bin}: cannot write output: {e}"),
+            }
+            ExitCode::from(2)
+        }
+    }
 }
 
 const JSON: Flag = Flag::text("--json", "PATH", "also write the structured records to PATH");

@@ -23,7 +23,9 @@ pub mod sink;
 pub mod spec;
 pub mod specs;
 
-pub use sink::{check_writable, Emitter, JsonSink, Record, ReportSink, Sink, TableSink, Value};
+pub use sink::{
+    check_writable, finish_all, Emitter, JsonSink, Record, ReportSink, Sink, TableSink, Value,
+};
 pub use spec::{
     BatchSection, CellFn, ClaimCheck, Column, CustomSection, RowCtx, RowSpec, ScenarioSpec, Section,
 };
@@ -61,8 +63,8 @@ pub fn drive(build: impl Fn(&RunConfig) -> ScenarioSpec) -> ExitCode {
 ///
 /// # Errors
 /// [`check_spec`]'s or [`check_writable`]'s refusal, before any row
-/// runs, or a failed write.
-pub fn run_checked(spec: ScenarioSpec, cfg: &RunConfig) -> Result<(), String> {
+/// runs, or the first failed write of a sink.
+pub fn run_checked(spec: ScenarioSpec, cfg: &RunConfig) -> Result<(), cli::Failure> {
     check_spec(&spec, cfg)?;
     let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(TableSink::stdout())];
     if let Some(path) = &cfg.json_path {
@@ -70,10 +72,7 @@ pub fn run_checked(spec: ScenarioSpec, cfg: &RunConfig) -> Result<(), String> {
         sinks.push(Box::new(JsonSink::new(path.clone())));
     }
     run_spec(spec, cfg, &mut sinks);
-    sinks
-        .iter_mut()
-        .try_for_each(|sink| sink.finish())
-        .map_err(|e| format!("cannot write output: {e}"))
+    finish_all(&mut sinks).map_err(cli::Failure::Output)
 }
 
 /// Checks that `cfg.backend` can run every batch row of `spec`, before

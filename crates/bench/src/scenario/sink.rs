@@ -140,10 +140,14 @@ impl<S: Sink + ?Sized> Sink for &mut S {
 }
 
 /// Prints the text stream to a writer — stdout in the binaries, a byte
-/// buffer in the golden tests. Ignores records.
+/// buffer in the golden tests. Ignores records. The first failed write
+/// (say, a reader that closed the pipe) stops the printing and is
+/// returned by [`Sink::finish`], so the run itself carries on and its
+/// other sinks stay complete.
 #[derive(Debug)]
 pub struct TableSink<W: Write> {
     out: W,
+    failed: Option<io::Error>,
 }
 
 impl TableSink<io::Stdout> {
@@ -156,16 +160,41 @@ impl TableSink<io::Stdout> {
 impl<W: Write> TableSink<W> {
     /// Wraps any writer.
     pub fn new(out: W) -> Self {
-        Self { out }
+        Self { out, failed: None }
     }
 }
 
 impl<W: Write> Sink for TableSink<W> {
     fn text(&mut self, chunk: &str) {
-        writeln!(self.out, "{chunk}").expect("scenario text sink write failed");
+        if self.failed.is_none() {
+            self.failed = writeln!(self.out, "{chunk}").err();
+        }
     }
 
     fn record(&mut self, _record: &Record) {}
+
+    fn finish(&mut self) -> io::Result<()> {
+        match self.failed.take() {
+            Some(e) => Err(e),
+            None => self.out.flush(),
+        }
+    }
+}
+
+/// Finishes every sink, so a closed stdout still leaves the `--json` file
+/// complete, and returns the first error.
+///
+/// # Errors
+/// The first sink's [`Sink::finish`] error, in sink order.
+pub fn finish_all(sinks: &mut [Box<dyn Sink + '_>]) -> io::Result<()> {
+    let mut first = Ok(());
+    for sink in sinks.iter_mut() {
+        let result = sink.finish();
+        if first.is_ok() {
+            first = result;
+        }
+    }
+    first
 }
 
 /// Checks that `path` can be written, so a bad `--json` or `--out` path
@@ -329,6 +358,48 @@ mod tests {
     fn json_strings_escape() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("tab\there"), "\"tab\\there\"");
+    }
+
+    /// A writer whose reader has gone: every write fails as a closed
+    /// pipe does.
+    struct ClosedPipe {
+        writes: usize,
+    }
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A failed write neither panics nor repeats: the sink stops at the
+    /// first error and hands it to `finish`, and `finish_all` still
+    /// finishes the sinks after it.
+    #[test]
+    fn table_sink_keeps_its_first_write_error_for_finish() {
+        let dir = std::env::temp_dir().join(format!("rr-sink-pipe-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        let mut pipe = ClosedPipe { writes: 0 };
+        {
+            let mut sinks: Vec<Box<dyn Sink + '_>> =
+                vec![Box::new(TableSink::new(&mut pipe)), Box::new(JsonSink::new(&path))];
+            let mut em = Emitter::new(&mut sinks);
+            em.text("header");
+            em.text("row");
+            em.record(&sample());
+            let err = finish_all(&mut sinks).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        }
+        assert_eq!(pipe.writes, 1, "the sink stops writing after the first failure");
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(rr_report::parse_records(&body).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -444,7 +444,7 @@ fn registry_listing_shows_each_size_bound() {
     for (line, row) in [
         ("Corollary 9 full loose renaming [n ≥ 4]", "Corollary 9 full loose renaming (n ≥ 4)"),
         ("(Theorem 5) [n ≥ 2]", "(Theorem 5) (n ≥ 2)"),
-        ("(quadratic space) [n ≤ 4096]", "(quadratic space) (n ≤ 4096)"),
+        ("(n(n+1)/2 cells, 4 B + 1 bit each) [n ≤ 4096]", "4 B + 1 bit each) (n ≤ 4096)"),
     ] {
         assert!(listing.contains(line), "--list lacks `{line}`");
         assert!(tables.contains(row), "--list-md lacks `{row}`");
@@ -490,6 +490,29 @@ fn lint_allowlist_errors_name_the_offending_line() {
         "unknown rule `hash-map` (known: hash-iter, raw-pid-index, thread-spawn, unsafe-comment, \
          wall-clock)"
     );
+}
+
+/// A reader that stops after one line (`exp_lemma3 --quick | head -1`)
+/// closes the pipe while the binary still has rows to print: the failed
+/// write ends the run quietly with exit 0, not with a panic.
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_exp_lemma3"))
+        .arg("--quick")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(!first.is_empty(), "the binary printed nothing");
+    // The reader is dropped: the pipe is closed under the running binary.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "a closed pipe is not reported: {stderr}");
 }
 
 /// Every `exp_*` binary with the flag table it parses against.

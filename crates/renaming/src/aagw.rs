@@ -26,19 +26,33 @@ use rr_shmem::Access;
 use std::sync::Arc;
 
 /// Shared spare name space: `spare` TAS registers whose register `i`
-/// corresponds to name `base + i`.
+/// corresponds to name `base + i`, and the one segment plan every
+/// finisher over them follows. The registers are built from the plan,
+/// so the two always agree on the spare size.
 #[derive(Debug)]
 pub struct SpareShared {
     /// First name in the spare space (e.g. `n`).
     pub base: usize,
-    /// The spare registers.
-    pub registers: AtomicTasArray,
+    /// The spare registers, one per name of `plan.spare`.
+    registers: AtomicTasArray,
+    /// The finishers' segment plan, stored once per run.
+    plan: FinisherPlan,
 }
 
 impl SpareShared {
-    /// Spare space of `spare` names starting at `base`.
+    /// Spare space of `spare` names starting at `base`, with the
+    /// standard [`FinisherPlan`].
+    ///
+    /// # Panics
+    /// Panics if `spare == 0`.
     pub fn new(base: usize, spare: usize) -> Self {
-        Self { base, registers: AtomicTasArray::new(spare) }
+        Self::with_plan(base, FinisherPlan::new(spare))
+    }
+
+    /// Spare space of `plan.spare` names starting at `base`, probed by
+    /// `plan` (the ablations vary its probe budgets).
+    pub fn with_plan(base: usize, plan: FinisherPlan) -> Self {
+        Self { base, registers: AtomicTasArray::new(plan.spare), plan }
     }
 
     /// Spare names already claimed.
@@ -61,7 +75,6 @@ pub struct AagwProcess {
     pid: usize,
     rng: ProcessRng,
     shared: Arc<SpareShared>,
-    plan: FinisherPlan,
     state: State,
     pending: Option<usize>,
     /// Whether the deterministic full sweep runs after the random
@@ -73,38 +86,21 @@ pub struct AagwProcess {
 }
 
 impl AagwProcess {
-    /// Finisher for process `pid` over `shared`.
-    ///
-    /// # Panics
-    /// Panics if the plan's spare size differs from the shared space.
-    pub fn new(pid: usize, seed: u64, shared: Arc<SpareShared>, plan: FinisherPlan) -> Self {
-        assert_eq!(plan.spare, shared.registers.len(), "plan/space size mismatch");
-        let state = if plan.segments() == 0 {
+    /// Finisher for process `pid` over `shared`, following its plan.
+    pub fn new(pid: usize, seed: u64, shared: Arc<SpareShared>) -> Self {
+        let state = if shared.plan.segments() == 0 {
             State::Sweep { cursor: 0, start: 0, visited: 0 }
         } else {
             State::Segment { seg: 0, spent: 0 }
         };
-        Self {
-            pid,
-            rng: ProcessRng::new(seed, pid),
-            shared,
-            plan,
-            state,
-            pending: None,
-            sweep: true,
-        }
+        Self { pid, rng: ProcessRng::new(seed, pid), shared, state, pending: None, sweep: true }
     }
 
     /// A finisher that gives up instead of falling back to the
     /// deterministic sweep (used by the adaptive guess ladder on
     /// non-final segments).
-    pub fn without_sweep(
-        pid: usize,
-        seed: u64,
-        shared: Arc<SpareShared>,
-        plan: FinisherPlan,
-    ) -> Self {
-        let mut p = Self::new(pid, seed, shared, plan);
+    pub fn without_sweep(pid: usize, seed: u64, shared: Arc<SpareShared>) -> Self {
+        let mut p = Self::new(pid, seed, shared);
         p.sweep = false;
         p
     }
@@ -112,7 +108,8 @@ impl AagwProcess {
     fn draw_target(&mut self) -> usize {
         match self.state {
             State::Segment { seg, .. } => {
-                self.plan.offsets[seg] + self.rng.index(self.plan.sizes[seg])
+                let plan = &self.shared.plan;
+                plan.offsets[seg] + self.rng.index(plan.sizes[seg])
             }
             State::Sweep { cursor, .. } => cursor,
         }
@@ -153,9 +150,9 @@ impl Process for AagwProcess {
         self.state = match self.state {
             State::Segment { seg, spent } => {
                 let spent = spent + 1;
-                if spent < self.plan.probes[seg] {
+                if spent < self.shared.plan.probes[seg] {
                     State::Segment { seg, spent }
-                } else if seg + 1 < self.plan.segments() {
+                } else if seg + 1 < self.shared.plan.segments() {
                     State::Segment { seg: seg + 1, spent: 0 }
                 } else {
                     self.enter_sweep()
@@ -192,10 +189,8 @@ mod tests {
 
     fn finish(k: usize, spare: usize, seed: u64) -> rr_sched::virtual_exec::RunOutcome {
         let shared = Arc::new(SpareShared::new(1000, spare));
-        let plan = FinisherPlan::new(spare);
-        let mut procs: Vec<_> = (0..k)
-            .map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone()))
-            .collect();
+        let mut procs: Vec<_> =
+            (0..k).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared))).collect();
         Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap()
     }
 
@@ -243,10 +238,8 @@ mod tests {
     #[test]
     fn safety_under_random_adversary() {
         let shared = Arc::new(SpareShared::new(0, 128));
-        let plan = FinisherPlan::new(128);
-        let mut procs: Vec<_> = (0..64)
-            .map(|pid| AagwProcess::new(pid, 3, Arc::clone(&shared), plan.clone()))
-            .collect();
+        let mut procs: Vec<_> =
+            (0..64).map(|pid| AagwProcess::new(pid, 3, Arc::clone(&shared))).collect();
         let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(8), 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
         assert_eq!(shared.claimed(), 64);

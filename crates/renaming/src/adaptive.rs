@@ -27,7 +27,7 @@
 
 use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
-use crate::params::{FinisherPlan, Lemma6Schedule};
+use crate::params::Lemma6Schedule;
 use crate::phase::Chain;
 use crate::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
@@ -87,11 +87,11 @@ impl AdaptiveLayout {
 #[derive(Debug)]
 struct Segment {
     primary: Arc<LooseShared>,
-    /// The finisher area, based at the segment's primary size so the
-    /// segment's [`Chain`] returns names relative to the segment.
+    /// The finisher area and its plan, based at the segment's primary
+    /// size so the segment's [`Chain`] returns names relative to the
+    /// segment.
     spare: Arc<SpareShared>,
     schedule: Lemma6Schedule,
-    plan: FinisherPlan,
 }
 
 /// Shared memory for an adaptive run: all segments.
@@ -115,7 +115,6 @@ impl AdaptiveShared {
                     primary: Arc::new(LooseShared::new(primary_size)),
                     spare: Arc::new(SpareShared::new(primary_size, spare_size)),
                     schedule: Lemma6Schedule::new(sched_n, 1),
-                    plan: FinisherPlan::new(spare_size),
                 }
             })
             .collect();
@@ -135,13 +134,13 @@ impl AdaptiveShared {
         // independent.
         let seed = seed ^ ((j as u64 + 1) << 32);
         let primary = L6Process::new(pid, seed, Arc::clone(&seg.primary), seg.schedule.clone());
-        let (spare, plan) = (Arc::clone(&seg.spare), seg.plan.clone());
+        let spare = Arc::clone(&seg.spare);
         // Only the top segment keeps the deterministic sweep (it is the
         // global termination guarantee); lower segments climb instead.
         let finisher = if j + 1 == self.segments.len() {
-            AagwProcess::new(pid, seed ^ 0x5eed, spare, plan)
+            AagwProcess::new(pid, seed ^ 0x5eed, spare)
         } else {
-            AagwProcess::without_sweep(pid, seed ^ 0x5eed, spare, plan)
+            AagwProcess::without_sweep(pid, seed ^ 0x5eed, spare)
         };
         Chain::new(primary, finisher)
     }

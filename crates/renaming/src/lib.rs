@@ -61,7 +61,7 @@ pub use aagw::{AagwProcess, SpareShared};
 pub use adaptive::{AdaptiveLayout, AdaptiveProcess, AdaptiveRenaming, AdaptiveShared};
 pub use longlived::{LongLivedClient, ReleasableTasArray};
 pub use loose_l6::{L6Process, LooseShared};
-pub use loose_l8::L8Process;
+pub use loose_l8::{L8Process, L8Shared};
 pub use params::{spare, FinisherPlan, Lemma6Schedule, Lemma8Schedule, TightPlan, TightVariant};
 pub use phase::Chain;
 pub use registry::{AlgorithmRegistry, BoxedAlgorithm};

@@ -9,21 +9,40 @@
 //! contenders; the proof bounds the survivors after all phases by
 //! `n/(log n)^ℓ` w.h.p., with `2ℓ(log log n)²` total steps.
 
-use crate::loose_l6::LooseShared;
 use crate::params::Lemma8Schedule;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
 use rr_shmem::rng::ProcessRng;
-use rr_shmem::tas::TasMemory;
+use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
+
+/// Shared memory of a Lemma 8 run: the `n` primary registers (register
+/// `i` holds name `i`) and the phase schedule every process follows,
+/// stored once per run.
+#[derive(Debug)]
+pub struct L8Shared {
+    /// The primary registers.
+    registers: AtomicTasArray,
+    /// The cluster/phase schedule, whose clusters fit the registers.
+    schedule: Lemma8Schedule,
+}
+
+impl L8Shared {
+    /// `n` primary registers under the Lemma 8 schedule for `ell`.
+    ///
+    /// # Panics
+    /// As [`Lemma8Schedule::new`]: if `n < 4` or `ell == 0`.
+    pub fn new(n: usize, ell: u32) -> Self {
+        Self { registers: AtomicTasArray::new(n), schedule: Lemma8Schedule::new(n, ell) }
+    }
+}
 
 /// One Lemma 8 stage.
 pub struct L8Process {
     pid: usize,
     rng: ProcessRng,
-    shared: Arc<LooseShared>,
-    schedule: Lemma8Schedule,
+    shared: Arc<L8Shared>,
     /// Current phase, 0-based (`phase == phases` ⇒ exhausted).
     phase: u32,
     /// Probes spent within the current phase.
@@ -32,13 +51,12 @@ pub struct L8Process {
 }
 
 impl L8Process {
-    /// Process `pid` over `shared`, following `schedule`.
-    pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>, schedule: Lemma8Schedule) -> Self {
+    /// Process `pid` over `shared`, following its schedule.
+    pub fn new(pid: usize, seed: u64, shared: Arc<L8Shared>) -> Self {
         Self {
             pid,
             rng: ProcessRng::new(seed, pid),
             shared,
-            schedule,
             phase: 0,
             spent_in_phase: 0,
             pending: None,
@@ -51,14 +69,13 @@ impl L8Process {
     }
 
     fn exhausted(&self) -> bool {
-        self.phase >= self.schedule.phases
+        self.phase >= self.shared.schedule.phases
     }
 
     fn draw_target(&mut self) -> usize {
         let j = self.phase as usize;
-        let offset = self.schedule.cluster_offsets[j];
-        let size = self.schedule.cluster_sizes[j];
-        offset + self.rng.index(size)
+        let schedule = &self.shared.schedule;
+        schedule.cluster_offsets[j] + self.rng.index(schedule.cluster_sizes[j])
     }
 }
 
@@ -83,7 +100,7 @@ impl Process for L8Process {
             None => self.draw_target(),
         };
         self.spent_in_phase += 1;
-        if self.spent_in_phase >= self.schedule.steps_per_phase {
+        if self.spent_in_phase >= self.shared.schedule.steps_per_phase {
             self.phase += 1;
             self.spent_in_phase = 0;
         }
@@ -112,12 +129,9 @@ mod tests {
     use rr_sched::adversary::{FairAdversary, RandomAdversary};
     use rr_sched::shard::Arena;
 
-    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<L8Process>) {
-        let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma8Schedule::new(n, ell);
-        let procs = (0..n)
-            .map(|pid| L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
-            .collect();
+    fn instance(n: usize, ell: u32, seed: u64) -> (Arc<L8Shared>, Vec<L8Process>) {
+        let shared = Arc::new(L8Shared::new(n, ell));
+        let procs = (0..n).map(|pid| L8Process::new(pid, seed, Arc::clone(&shared))).collect();
         (shared, procs)
     }
 
@@ -137,18 +151,17 @@ mod tests {
     #[test]
     fn step_complexity_is_exactly_bounded() {
         let n = 1 << 10;
-        let schedule = Lemma8Schedule::new(n, 2);
-        let (_s, mut procs) = instance(n, 2, 3);
+        let (s, mut procs) = instance(n, 2, 3);
         let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap();
-        assert!(out.step_complexity() <= schedule.total_steps());
+        assert!(out.step_complexity() <= s.schedule.total_steps());
     }
 
     #[test]
     fn probes_stay_inside_current_cluster() {
         let n = 256;
-        let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma8Schedule::new(n, 1);
-        let mut p = L8Process::new(0, 9, Arc::clone(&shared), schedule.clone());
+        let shared = Arc::new(L8Shared::new(n, 1));
+        let schedule = &shared.schedule;
+        let mut p = L8Process::new(0, 9, Arc::clone(&shared));
         // Fill every register so the process never wins and walks all
         // phases; check each announced index lies in the right cluster.
         for i in 0..n {

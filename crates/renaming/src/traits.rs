@@ -9,8 +9,8 @@
 
 use crate::aagw::{AagwProcess, SpareShared};
 use crate::loose_l6::{L6Process, LooseShared};
-use crate::loose_l8::L8Process;
-use crate::params::{spare, FinisherPlan, Lemma6Schedule, Lemma8Schedule};
+use crate::loose_l8::{L8Process, L8Shared};
+use crate::params::{spare, Lemma6Schedule};
 use crate::phase::Chain;
 use crate::tight::{TightProcess, TightRenaming};
 use rr_sched::adversary::Adversary;
@@ -242,9 +242,8 @@ impl RenamingProtocol for LooseL8 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma8Schedule::new(n, self.ell);
-        (0..n).map(|pid| L8Process::new(pid, seed, Arc::clone(&shared), schedule.clone())).collect()
+        let shared = Arc::new(L8Shared::new(n, self.ell));
+        (0..n).map(|pid| L8Process::new(pid, seed, Arc::clone(&shared))).collect()
     }
 }
 
@@ -268,14 +267,12 @@ impl RenamingProtocol for Cor7 {
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let primary = Arc::new(LooseShared::new(n));
-        let spare_size = spare::cor7(n, self.ell);
-        let spare_mem = Arc::new(SpareShared::new(n, spare_size));
+        let spare_mem = Arc::new(SpareShared::new(n, spare::cor7(n, self.ell)));
         let schedule = Lemma6Schedule::new(n, self.ell);
-        let plan = FinisherPlan::new(spare_size);
         (0..n)
             .map(|pid| {
                 let a = L6Process::new(pid, seed, Arc::clone(&primary), schedule.clone());
-                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem), plan.clone());
+                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem));
                 Chain::new(a, b)
             })
             .collect()
@@ -301,15 +298,12 @@ impl RenamingProtocol for Cor9 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let primary = Arc::new(LooseShared::new(n));
-        let spare_size = spare::cor9(n, self.ell);
-        let spare_mem = Arc::new(SpareShared::new(n, spare_size));
-        let schedule = Lemma8Schedule::new(n, self.ell);
-        let plan = FinisherPlan::new(spare_size);
+        let primary = Arc::new(L8Shared::new(n, self.ell));
+        let spare_mem = Arc::new(SpareShared::new(n, spare::cor9(n, self.ell)));
         (0..n)
             .map(|pid| {
-                let a = L8Process::new(pid, seed, Arc::clone(&primary), schedule.clone());
-                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem), plan.clone());
+                let a = L8Process::new(pid, seed, Arc::clone(&primary));
+                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem));
                 Chain::new(a, b)
             })
             .collect()
@@ -334,15 +328,31 @@ impl RenamingProtocol for AagwLoose {
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
         let shared = Arc::new(SpareShared::new(0, 2 * n));
-        let plan = FinisherPlan::new(2 * n);
-        (0..n).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared), plan.clone())).collect()
+        (0..n).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared))).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{AagwLoose, Arena, Cor7, Cor9, LooseL6, LooseL8, RenamingAlgorithm, TightRenaming};
+    use super::{
+        AagwLoose, AagwProcess, Arena, Chain, Cor7, Cor9, L6Process, L8Process, LooseL6, LooseL8,
+        RenamingAlgorithm, TightRenaming,
+    };
     use rr_sched::adversary::FairAdversary;
+    use std::mem::size_of;
+
+    /// Layout guard: each stage reads its schedule or finisher plan
+    /// through its run's shared memory, so no process carries a copy of
+    /// a plan's vectors. Per-process clones of `FinisherPlan` (80 B) and
+    /// `Lemma8Schedule` (72 B) made these 240, 208, 456 and 400 B, with
+    /// five heap allocations per Corollary 9 process.
+    #[test]
+    fn loose_processes_hold_no_plan_copy() {
+        assert_eq!(size_of::<AagwProcess>(), 160);
+        assert_eq!(size_of::<L8Process>(), 136);
+        assert_eq!(size_of::<Chain<L8Process, AagwProcess>>(), 304);
+        assert_eq!(size_of::<Chain<L6Process, AagwProcess>>(), 320);
+    }
 
     fn check_full(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) {
         let out =

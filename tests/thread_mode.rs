@@ -2,7 +2,9 @@
 //! with the independent `NameSpaceAudit` referee claiming names as the
 //! algorithms emit them.
 
-use randomized_renaming::baselines::{BitonicRenaming, FetchAddRenaming, UniformProbing};
+use randomized_renaming::baselines::{
+    BitonicRenaming, FetchAddRenaming, RouteRenaming, RouteTopology, SplitterGrid, UniformProbing,
+};
 use randomized_renaming::renaming::traits::{Cor7, Cor9, RenamingAlgorithm};
 use randomized_renaming::renaming::TightRenaming;
 use randomized_renaming::sched::process::run_to_completion;
@@ -57,6 +59,21 @@ fn cor9_on_threads_with_audit() {
 #[test]
 fn bitonic_on_threads_with_audit() {
     threaded_audit(&BitonicRenaming, 256, 32);
+}
+
+/// Every Beneš stage pairs all wires, so concurrent processes meet at
+/// switches found in closed form from the stage-bit schedule.
+#[test]
+fn route_benes_on_threads_with_audit() {
+    threaded_audit(&RouteRenaming { topology: RouteTopology::Benes, stages: None }, 256, 32);
+}
+
+/// Real interleavings of the read/write splitters: 64 cells share each
+/// `Y` word, which the visitors set with `fetch_or`, and `X` holds
+/// `pid + 1` in 4 bytes.
+#[test]
+fn splitter_grid_on_threads_with_audit() {
+    threaded_audit(&SplitterGrid, 256, 32);
 }
 
 #[test]
