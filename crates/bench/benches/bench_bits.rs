@@ -1,6 +1,8 @@
 //! Microbenchmarks for the word-packed status bitmap behind the dense
-//! and shard backends: next-runnable scan, runnable popcount, and
-//! status transitions, each against a scalar per-pid reference loop.
+//! and shard backends: next-runnable scan, runnable popcount, status
+//! transitions, each against a scalar per-pid reference loop, and the
+//! `fair` adversary's batch against the per-grant `next_runnable` loop
+//! it replaced.
 //!
 //! Every benchmark body first asserts that the packed answer equals the
 //! scalar-scan answer on the same roster, so the speed numbers can
@@ -8,7 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rr_sched::ids::Pid;
-use rr_sched::{Status, StatusBitmap};
+use rr_sched::{Adversary, Decision, FairAdversary, RunView, Status, StatusBitmap, ViewFixture};
+use rr_shmem::Access;
 use std::hint::black_box;
 
 const N: usize = 1 << 16;
@@ -147,5 +150,94 @@ fn bench_status_transition(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_next_runnable, bench_runnable_count, bench_status_transition);
+/// Decisions the executor asks for per batch (`DECISION_BATCH`).
+const BATCH: usize = 32;
+
+/// A view in which exactly `bm`'s runnable pids are runnable.
+fn fixture(bm: &StatusBitmap) -> ViewFixture {
+    ViewFixture::new(
+        (0..bm.len()).map(|i| bm.is_runnable(Pid::new(i)).then_some(Access::Local)).collect(),
+    )
+}
+
+/// Reference: `fair`'s batch as one `next_runnable` call per grant, each
+/// reloading and re-masking the runnable word.
+fn per_grant_batch(view: &RunView<'_>, cursor: &mut usize, out: &mut Vec<Decision>, max: usize) {
+    let start = out.len();
+    let mut from = *cursor;
+    while out.len() - start < max {
+        match view.next_runnable(from) {
+            Some(pid) => {
+                out.push(Decision::Grant(pid));
+                from = pid.index() + 1;
+            }
+            None => break,
+        }
+    }
+    if out.len() == start {
+        let pid = view.next_runnable(0).expect("a runnable pid");
+        out.push(Decision::Grant(pid));
+        from = pid.index() + 1;
+    }
+    *cursor = from;
+}
+
+/// One lap of `fair` over the roster, batch by batch: as many grants
+/// as there are runnable pids.
+fn bench_fair_decide_batch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fair");
+    g.sample_size(20);
+    for n in [1usize << 12, 1 << 18] {
+        for (tag, bm) in [("dense", mixed_roster(n)), ("sparse", sparse_roster(n))] {
+            let fx = fixture(&bm);
+            let view = fx.view();
+            let live = view.runnable_count();
+            // Parity: three laps, batch for batch.
+            let (mut adv, mut cursor) = (FairAdversary::default(), 0usize);
+            let (mut got, mut expect) = (Vec::new(), Vec::new());
+            for _ in 0..3 * live.div_ceil(BATCH) + 3 {
+                got.clear();
+                expect.clear();
+                adv.decide_batch(&view, &mut got, BATCH);
+                per_grant_batch(&view, &mut cursor, &mut expect, BATCH);
+                assert_eq!(got, expect, "fair batch must match the per-grant scan on {tag} n={n}");
+            }
+            g.bench_function(format!("decide_batch/walk/{tag}/n={n}"), |b| {
+                let mut out = Vec::with_capacity(BATCH);
+                b.iter(|| {
+                    let mut adv = FairAdversary::default();
+                    let mut granted = 0;
+                    while granted < live {
+                        out.clear();
+                        adv.decide_batch(&view, &mut out, BATCH);
+                        granted += out.len();
+                    }
+                    black_box(granted)
+                })
+            });
+            g.bench_function(format!("decide_batch/per_grant/{tag}/n={n}"), |b| {
+                let mut out = Vec::with_capacity(BATCH);
+                b.iter(|| {
+                    let mut cursor = 0;
+                    let mut granted = 0;
+                    while granted < live {
+                        out.clear();
+                        per_grant_batch(&view, &mut cursor, &mut out, BATCH);
+                        granted += out.len();
+                    }
+                    black_box(granted)
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_next_runnable,
+    bench_runnable_count,
+    bench_status_transition,
+    bench_fair_decide_batch
+);
 criterion_main!(benches);

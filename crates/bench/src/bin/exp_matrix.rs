@@ -19,6 +19,7 @@
 use rr_bench::cli::{self, MATRIX};
 use rr_bench::scenario::specs::{matrix, MatrixOptions};
 use rr_bench::scenario::{registry, run_checked};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -26,11 +27,11 @@ fn main() -> ExitCode {
         // One source of truth: the same listing module the README's
         // generated key tables come from (drift-checked in readme_sync.rs).
         if args.has("--list") {
-            print!("{}", rr_bench::listing::registry_listing());
+            io::stdout().write_all(rr_bench::listing::registry_listing().as_bytes())?;
             return Ok(ExitCode::SUCCESS);
         }
         if args.has("--list-md") {
-            print!("{}", rr_bench::listing::registry_tables_markdown());
+            io::stdout().write_all(rr_bench::listing::registry_tables_markdown().as_bytes())?;
             return Ok(ExitCode::SUCCESS);
         }
         let defaults = MatrixOptions::defaults(&args.cfg);

@@ -6,12 +6,16 @@
 //! Defaults: every registered scenario. `--quick` skips the largest
 //! (`collect`) scenario — the CI smoke shape. Exit status is non-zero
 //! when any interleaving fails its checker; the minimal failing trace
-//! is printed in `ModelTrace::to_text` form.
+//! is printed in `ModelTrace::to_text` form. A stdout closed early
+//! (`| head`) stops the printing, not the checks or their verdict.
 //!
 //! `--help` lists the flags, declared in [`rr_bench::cli::MODEL`].
 
+use rr_bench::cli::Failure;
 use rr_bench::cli::{self, MODEL};
 use rr_bench::modelcheck::{scenario_by_key, scenarios, ModelScenario};
+use rr_sched::ModelReport;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -28,43 +32,57 @@ fn main() -> ExitCode {
                 s.limit = limit as u64;
             }
         }
-        Ok(run(&list))
+        run(&list, &mut io::stdout().lock())
     })
 }
 
 /// Checks each scenario in turn and prints its row; exit 1 on a failure.
-fn run(list: &[ModelScenario]) -> ExitCode {
-    println!("=== exp_model: exhaustive interleaving checks (lock-free core) ===");
-    println!(
-        "{:<12} {:>14} {:>8} {:>10} {:>9}  verdict",
-        "scenario", "interleavings", "pruned", "exhausted", "failures"
-    );
+/// A failed write stops the printing; every scenario still runs.
+fn run(list: &[ModelScenario], w: &mut impl Write) -> Result<ExitCode, Failure> {
+    let mut printed = header(w);
     let mut failed = false;
     for s in list {
         let report = s.run();
-        println!(
-            "{:<12} {:>14} {:>8} {:>10} {:>9}  {}",
-            s.key,
-            report.interleavings,
-            report.pruned,
-            report.exhausted,
-            report.failures,
-            if !report.passed() {
-                "FAIL"
-            } else if report.exhausted {
-                "PASS (exhaustive)"
-            } else {
-                "PASS (bounded)"
-            }
-        );
-        if let Some(trace) = &report.counterexample {
-            println!("  minimal counterexample ({}): {}", trace.reason, trace.to_text());
-        }
+        printed = printed.and_then(|()| row(w, s.key, &report));
         failed |= !report.passed();
     }
     if failed {
         eprintln!("exp_model: non-linearizable interleaving(s) found — see traces above");
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    printed?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn header(w: &mut impl Write) -> io::Result<()> {
+    writeln!(w, "=== exp_model: exhaustive interleaving checks (lock-free core) ===")?;
+    writeln!(
+        w,
+        "{:<12} {:>14} {:>8} {:>10} {:>9}  verdict",
+        "scenario", "interleavings", "pruned", "exhausted", "failures"
+    )
+}
+
+/// One scenario's row, then its minimal counterexample if it failed.
+fn row(w: &mut impl Write, key: &str, report: &ModelReport) -> io::Result<()> {
+    writeln!(
+        w,
+        "{:<12} {:>14} {:>8} {:>10} {:>9}  {}",
+        key,
+        report.interleavings,
+        report.pruned,
+        report.exhausted,
+        report.failures,
+        if !report.passed() {
+            "FAIL"
+        } else if report.exhausted {
+            "PASS (exhaustive)"
+        } else {
+            "PASS (bounded)"
+        }
+    )?;
+    if let Some(trace) = &report.counterexample {
+        writeln!(w, "  minimal counterexample ({}): {}", trace.reason, trace.to_text())?;
+    }
+    Ok(())
 }

@@ -494,7 +494,8 @@ fn lint_allowlist_errors_name_the_offending_line() {
 
 /// A reader that stops after one line (`exp_lemma3 --quick | head -1`)
 /// closes the pipe while the binary still has rows to print: the failed
-/// write ends the run quietly with exit 0, not with a panic.
+/// write ends the run quietly with exit 0, not with a panic. The same
+/// holds for `exp_lint`, `exp_model` and `exp_matrix --list`/`--list-md`.
 #[test]
 fn closed_stdout_pipe_exits_quietly() {
     use std::io::{BufRead, BufReader};
@@ -513,6 +514,25 @@ fn closed_stdout_pipe_exits_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
     assert!(stderr.is_empty(), "a closed pipe is not reported: {stderr}");
+
+    // The binaries that print without a scenario sink, each spawned on a
+    // pipe whose read end is already closed, so the first write fails.
+    let no_workspace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-workspace");
+    let cases: [(&str, Vec<&str>); 5] = [
+        (env!("CARGO_BIN_EXE_exp_lint"), vec!["--list-rules"]),
+        (env!("CARGO_BIN_EXE_exp_lint"), vec!["--root", no_workspace.to_str().unwrap()]),
+        (env!("CARGO_BIN_EXE_exp_model"), vec!["--scenarios", "tas"]),
+        (env!("CARGO_BIN_EXE_exp_matrix"), vec!["--list"]),
+        (env!("CARGO_BIN_EXE_exp_matrix"), vec!["--list-md"]),
+    ];
+    for (exe, args) in cases {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(exe).args(&args).stdout(writer).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{exe} {args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{exe} {args:?}: a closed pipe is not reported: {stderr}");
+    }
 }
 
 /// Every `exp_*` binary with the flag table it parses against.

@@ -86,12 +86,12 @@ impl AdaptiveLayout {
 /// Per-segment shared memory.
 #[derive(Debug)]
 struct Segment {
+    /// The primary registers and the segment's Lemma 6 schedule.
     primary: Arc<LooseShared>,
     /// The finisher area and its plan, based at the segment's primary
     /// size so the segment's [`Chain`] returns names relative to the
     /// segment.
     spare: Arc<SpareShared>,
-    schedule: Lemma6Schedule,
 }
 
 /// Shared memory for an adaptive run: all segments.
@@ -112,9 +112,11 @@ impl AdaptiveShared {
                 // schedule (a handful of probes — correct, just coarse).
                 let sched_n = primary_size.max(4);
                 Segment {
-                    primary: Arc::new(LooseShared::new(primary_size)),
+                    primary: Arc::new(LooseShared::new(
+                        primary_size,
+                        Lemma6Schedule::new(sched_n, 1),
+                    )),
                     spare: Arc::new(SpareShared::new(primary_size, spare_size)),
-                    schedule: Lemma6Schedule::new(sched_n, 1),
                 }
             })
             .collect();
@@ -133,7 +135,7 @@ impl AdaptiveShared {
         // Distinct stream per (process, segment) so ladder retries are
         // independent.
         let seed = seed ^ ((j as u64 + 1) << 32);
-        let primary = L6Process::new(pid, seed, Arc::clone(&seg.primary), seg.schedule.clone());
+        let primary = L6Process::new(pid, seed, Arc::clone(&seg.primary));
         let spare = Arc::clone(&seg.spare);
         // Only the top segment keeps the deterministic sweep (it is the
         // global termination guarantee); lower segments climb instead.

@@ -21,17 +21,20 @@ use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
 
-/// Shared memory: the primary name space as one TAS array.
+/// Shared memory of a Lemma 6 run: the primary name space as one TAS
+/// array, and the round schedule every process follows, stored once per
+/// run.
 #[derive(Debug)]
 pub struct LooseShared {
     /// Register `i` holds name `i`.
     pub registers: AtomicTasArray,
+    schedule: Lemma6Schedule,
 }
 
 impl LooseShared {
-    /// `n` primary registers.
-    pub fn new(n: usize) -> Self {
-        Self { registers: AtomicTasArray::new(n) }
+    /// `n` primary registers, probed under `schedule`.
+    pub fn new(n: usize, schedule: Lemma6Schedule) -> Self {
+        Self { registers: AtomicTasArray::new(n), schedule }
     }
 
     /// Names already claimed.
@@ -45,7 +48,6 @@ pub struct L6Process {
     pid: usize,
     rng: ProcessRng,
     shared: Arc<LooseShared>,
-    schedule: Lemma6Schedule,
     /// Probes spent so far (drives the round bookkeeping).
     spent: u64,
     /// Pending random target (announce/step idempotency).
@@ -53,27 +55,32 @@ pub struct L6Process {
 }
 
 impl L6Process {
-    /// Process `pid` over `shared`, following `schedule`.
-    pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>, schedule: Lemma6Schedule) -> Self {
-        Self { pid, rng: ProcessRng::new(seed, pid), shared, schedule, spent: 0, pending: None }
+    /// Process `pid` over `shared`, following its schedule.
+    pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>) -> Self {
+        Self { pid, rng: ProcessRng::new(seed, pid), shared, spent: 0, pending: None }
     }
 
     /// The round (1-based) that probe number `spent` (0-based) falls in.
     pub fn round_of(&self, spent: u64) -> u32 {
+        let schedule = &self.shared.schedule;
         let mut acc = 0u64;
-        for i in 1..=self.schedule.rounds {
-            acc += self.schedule.steps_in_round(i);
+        for i in 1..=schedule.rounds {
+            acc += schedule.steps_in_round(i);
             if spent < acc {
                 return i;
             }
         }
-        self.schedule.rounds
+        schedule.rounds
+    }
+
+    fn exhausted(&self) -> bool {
+        self.spent >= self.shared.schedule.total_steps
     }
 }
 
 impl Process for L6Process {
     fn announce(&mut self) -> Access {
-        if self.spent >= self.schedule.total_steps {
+        if self.exhausted() {
             // Exhausted; step() will report it. Announce a no-op.
             return Access::Local;
         }
@@ -82,7 +89,7 @@ impl Process for L6Process {
     }
 
     fn step(&mut self) -> StepOutcome {
-        if self.spent >= self.schedule.total_steps {
+        if self.exhausted() {
             return StepOutcome::GaveUp;
         }
         let idx = match self.pending.take() {
@@ -92,7 +99,7 @@ impl Process for L6Process {
         self.spent += 1;
         if self.shared.registers.tas(idx) {
             StepOutcome::Done(idx)
-        } else if self.spent >= self.schedule.total_steps {
+        } else if self.exhausted() {
             // The losing final probe doubles as the exhaustion report, so
             // step complexity is exactly the schedule's probe count.
             StepOutcome::GaveUp
@@ -117,11 +124,8 @@ mod tests {
     use rr_sched::shard::Arena;
 
     fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<L6Process>) {
-        let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma6Schedule::new(n, ell);
-        let procs = (0..n)
-            .map(|pid| L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone()))
-            .collect();
+        let shared = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, ell)));
+        let procs = (0..n).map(|pid| L6Process::new(pid, seed, Arc::clone(&shared))).collect();
         (shared, procs)
     }
 
@@ -179,9 +183,9 @@ mod tests {
 
     #[test]
     fn round_of_is_consistent_with_schedule() {
-        let shared = Arc::new(LooseShared::new(1 << 10));
         let schedule = Lemma6Schedule::new(1 << 10, 2);
-        let p = L6Process::new(0, 0, shared, schedule.clone());
+        let shared = Arc::new(LooseShared::new(1 << 10, schedule.clone()));
+        let p = L6Process::new(0, 0, shared);
         assert_eq!(p.round_of(0), 1);
         assert_eq!(p.round_of(1), 1);
         assert_eq!(p.round_of(2), 2); // round 1 has 2^1 = 2 probes
@@ -190,13 +194,13 @@ mod tests {
 
     #[test]
     fn exhausted_stage_announces_local() {
-        let shared = Arc::new(LooseShared::new(16));
+        let schedule = Lemma6Schedule::new(16, 1);
+        let shared = Arc::new(LooseShared::new(16, schedule.clone()));
         // Fill everything so no probe can ever win.
         for i in 0..16 {
             shared.registers.tas(i);
         }
-        let schedule = Lemma6Schedule::new(16, 1);
-        let mut p = L6Process::new(0, 0, Arc::clone(&shared), schedule.clone());
+        let mut p = L6Process::new(0, 0, Arc::clone(&shared));
         for _ in 0..schedule.total_steps - 1 {
             let _ = p.announce();
             assert_eq!(p.step(), StepOutcome::Continue);

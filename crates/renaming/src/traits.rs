@@ -213,9 +213,8 @@ impl RenamingProtocol for LooseL6 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let shared = Arc::new(LooseShared::new(n));
-        let schedule = Lemma6Schedule::new(n, self.ell);
-        (0..n).map(|pid| L6Process::new(pid, seed, Arc::clone(&shared), schedule.clone())).collect()
+        let shared = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, self.ell)));
+        (0..n).map(|pid| L6Process::new(pid, seed, Arc::clone(&shared))).collect()
     }
 }
 
@@ -266,12 +265,11 @@ impl RenamingProtocol for Cor7 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let primary = Arc::new(LooseShared::new(n));
+        let primary = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, self.ell)));
         let spare_mem = Arc::new(SpareShared::new(n, spare::cor7(n, self.ell)));
-        let schedule = Lemma6Schedule::new(n, self.ell);
         (0..n)
             .map(|pid| {
-                let a = L6Process::new(pid, seed, Arc::clone(&primary), schedule.clone());
+                let a = L6Process::new(pid, seed, Arc::clone(&primary));
                 let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem));
                 Chain::new(a, b)
             })
@@ -345,13 +343,14 @@ mod tests {
     /// through its run's shared memory, so no process carries a copy of
     /// a plan's vectors. Per-process clones of `FinisherPlan` (80 B) and
     /// `Lemma8Schedule` (72 B) made these 240, 208, 456 and 400 B, with
-    /// five heap allocations per Corollary 9 process.
+    /// five heap allocations per Corollary 9 process; a per-process
+    /// `Lemma6Schedule` (24 B) made the Corollary 7 chain 320 B.
     #[test]
     fn loose_processes_hold_no_plan_copy() {
         assert_eq!(size_of::<AagwProcess>(), 160);
         assert_eq!(size_of::<L8Process>(), 136);
         assert_eq!(size_of::<Chain<L8Process, AagwProcess>>(), 304);
-        assert_eq!(size_of::<Chain<L6Process, AagwProcess>>(), 320);
+        assert_eq!(size_of::<Chain<L6Process, AagwProcess>>(), 296);
     }
 
     fn check_full(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) {

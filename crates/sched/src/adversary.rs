@@ -15,9 +15,12 @@
 //! strategies that scan the runnable set do it word-at-a-time. Strategies
 //! that can commit to several grants from one view implement
 //! [`Adversary::decide_batch`] and the executor applies the whole batch
-//! without re-entering the dispatch loop.
+//! without re-entering the dispatch loop. The ascending strategies
+//! (`fair`, `bursty`'s burst phase, `victim`, `lookahead`'s refill) take
+//! a whole batch from one [`RunView::runnable_from`] walk, so each
+//! runnable word is loaded once per batch rather than once per grant.
 
-use crate::bits::{SlotSnapshot, StatusBitmap};
+use crate::bits::{RunnableIter, SlotSnapshot, StatusBitmap};
 use crate::ids::{EntityVec, Pid};
 use rand::rngs::ChaCha8Rng;
 use rand::{RngExt, SeedableRng, UniformBelow};
@@ -30,8 +33,8 @@ use rr_shmem::Access;
 pub struct RunView<'a> {
     /// Packed per-process lifecycle state. `status.is_runnable(pid)` /
     /// `announced[pid].is_some()` are interchangeable ground truths for
-    /// runnability; the word-wide scans ([`RunView::next_runnable`],
-    /// [`RunView::runnable`]) come from here.
+    /// runnability; the word-wide scans ([`RunView::runnable_from`] and
+    /// the queries built on it) come from here.
     pub status: &'a StatusBitmap,
     /// The slot-numbered roster as of the executor's last compaction
     /// point — a sorted *superset* of the runnable pids. Slots whose pid
@@ -77,8 +80,16 @@ impl<'a> RunView<'a> {
     }
 
     /// All runnable pids, ascending.
-    pub fn runnable(&self) -> crate::bits::RunnableIter<'a> {
+    #[inline]
+    pub fn runnable(&self) -> RunnableIter<'a> {
         self.status.runnable()
+    }
+
+    /// The runnable pids with index ≥ `from`, ascending, from one walk
+    /// over the runnable words — the source of every ascending batch.
+    #[inline]
+    pub fn runnable_from(&self, from: usize) -> RunnableIter<'a> {
+        self.status.runnable_from(from)
     }
 
     /// Number of runnable pids.
@@ -169,7 +180,9 @@ impl<A: Adversary + ?Sized> Adversary for Box<A> {
 /// provably what sequential `decide` calls would have granted (the
 /// runnable set only shrinks mid-batch, and only by a grantee halting on
 /// its own step, which never affects a *later*, strictly greater pid's
-/// runnability at its grant time).
+/// runnability at its grant time). A batch is the first `max` items of
+/// one [`RunView::runnable_from`] walk from the cursor, so each runnable
+/// word is loaded once per batch.
 #[derive(Debug, Default)]
 pub struct FairAdversary {
     cursor: usize,
@@ -189,25 +202,13 @@ impl Adversary for FairAdversary {
         // Strictly ascending grants only: no wrap inside a batch, so no
         // pid is granted twice from one (unrefreshed) view.
         let start = out.len();
-        let mut from = self.cursor;
-        while out.len() - start < max {
-            match view.next_runnable(from) {
-                Some(pid) => {
-                    out.push(Decision::Grant(pid));
-                    from = pid.index() + 1;
-                }
-                None => break,
-            }
-        }
-        if out.len() == start {
+        out.extend(view.runnable_from(self.cursor).take(max).map(Decision::Grant));
+        match out[start..].last() {
+            Some(&Decision::Grant(last)) => self.cursor = last.index() + 1,
             // Cursor past every runnable pid: wrap, as decide() would,
             // but commit to just the one grant.
-            let pid =
-                view.next_runnable(0).expect("decide() requires at least one runnable process");
-            out.push(Decision::Grant(pid));
-            from = pid.index() + 1;
+            _ => out.push(self.decide(view)),
         }
-        self.cursor = from;
     }
 
     fn name(&self) -> &'static str {
@@ -469,29 +470,13 @@ impl LookaheadAdversary {
 
     /// Commits to up to `k` runnable pids from `view`: ascending from
     /// the cursor, wrapping once to the pids strictly below it (so the
-    /// window never holds a duplicate).
+    /// window never holds a duplicate) — one walk over the runnable
+    /// words, chained to a second that stops at the cursor.
     fn refill(&mut self, view: &RunView<'_>) {
         let start = self.cursor;
-        let mut from = start;
-        while self.window.len() < self.k {
-            match view.next_runnable(from) {
-                Some(pid) => {
-                    self.window.push_back(pid);
-                    from = pid.index() + 1;
-                }
-                None => break,
-            }
-        }
-        let mut from = 0;
-        while self.window.len() < self.k {
-            match view.next_runnable(from) {
-                Some(pid) if pid.index() < start => {
-                    self.window.push_back(pid);
-                    from = pid.index() + 1;
-                }
-                _ => break,
-            }
-        }
+        let room = self.k - self.window.len();
+        let wrapped = view.runnable().take_while(|pid| pid.index() < start);
+        self.window.extend(view.runnable_from(start).chain(wrapped).take(room));
         if let Some(last) = self.window.back() {
             self.cursor = last.index() + 1;
         }
@@ -545,10 +530,11 @@ impl Adversary for LookaheadAdversary {
 /// interleaving.
 ///
 /// Burst-phase grants are strictly ascending with no wrap, so they
-/// batch exactly like [`FairAdversary`]; the gap phase grants the
-/// lowest runnable pid, which may halt on its own grant and change the
-/// *next* gap grant — so a gap decision is always a batch of one, as is
-/// the burst wrap.
+/// batch exactly like [`FairAdversary`], from one
+/// [`RunView::runnable_from`] walk cut at the burst boundary; the gap
+/// phase grants the lowest runnable pid, which may halt on its own grant
+/// and change the *next* gap grant — so a gap decision is always a batch
+/// of one, as is the burst wrap.
 #[derive(Debug)]
 pub struct BurstyAdversary {
     len: usize,
@@ -593,22 +579,14 @@ impl Adversary for BurstyAdversary {
         // and at the end of pid space (the wrap is its own batch).
         let start = out.len();
         let room = max.min(self.len - phase);
-        let mut from = self.cursor;
-        while out.len() - start < room {
-            match view.next_runnable(from) {
-                Some(pid) => {
-                    out.push(Decision::Grant(pid));
-                    from = pid.index() + 1;
-                }
-                None => break,
+        out.extend(view.runnable_from(self.cursor).take(room).map(Decision::Grant));
+        match out[start..].last() {
+            Some(&Decision::Grant(last)) => {
+                self.cursor = last.index() + 1;
+                self.tick += out.len() - start;
             }
+            _ => out.push(self.decide(view)),
         }
-        if out.len() == start {
-            out.push(self.decide(view));
-            return;
-        }
-        self.cursor = from;
-        self.tick += out.len() - start;
     }
 
     fn name(&self) -> &'static str {
@@ -672,8 +650,9 @@ impl Adversary for DiurnalAdversary {
 ///
 /// A `victim ≥ n` names nobody and degenerates to the fair schedule.
 /// Batching is [`FairAdversary`]'s argument verbatim with one pid
-/// excluded: strictly ascending non-victim grants from one view; the
-/// wrap and the victim-only endgame are single-decision batches.
+/// excluded: strictly ascending non-victim grants, filtered from one
+/// [`RunView::runnable_from`] walk; the wrap and the victim-only endgame
+/// are single-decision batches.
 #[derive(Debug)]
 pub struct VictimAdversary {
     victim: usize,
@@ -686,23 +665,19 @@ impl VictimAdversary {
         Self { victim, cursor: 0 }
     }
 
-    /// First runnable non-victim pid at or after `from`.
-    fn next_non_victim(&self, view: &RunView<'_>, mut from: usize) -> Option<Pid> {
-        while let Some(pid) = view.next_runnable(from) {
-            if pid.index() != self.victim {
-                return Some(pid);
-            }
-            from = pid.index() + 1;
-        }
-        None
+    /// The runnable non-victim pids at or after `from`, ascending.
+    fn others<'a>(&self, view: &RunView<'a>, from: usize) -> impl Iterator<Item = Pid> + 'a {
+        let victim = self.victim;
+        view.runnable_from(from).filter(move |pid| pid.index() != victim)
     }
 }
 
 impl Adversary for VictimAdversary {
     fn decide(&mut self, view: &RunView<'_>) -> Decision {
         let pid = self
-            .next_non_victim(view, self.cursor)
-            .or_else(|| self.next_non_victim(view, 0))
+            .others(view, self.cursor)
+            .next()
+            .or_else(|| self.others(view, 0).next())
             .unwrap_or_else(|| {
                 // Only the victim is left — forced progress.
                 view.next_runnable(0).expect("decide() requires at least one runnable process")
@@ -713,21 +688,11 @@ impl Adversary for VictimAdversary {
 
     fn decide_batch(&mut self, view: &RunView<'_>, out: &mut Vec<Decision>, max: usize) {
         let start = out.len();
-        let mut from = self.cursor;
-        while out.len() - start < max {
-            match self.next_non_victim(view, from) {
-                Some(pid) => {
-                    out.push(Decision::Grant(pid));
-                    from = pid.index() + 1;
-                }
-                None => break,
-            }
+        out.extend(self.others(view, self.cursor).take(max).map(Decision::Grant));
+        match out[start..].last() {
+            Some(&Decision::Grant(last)) => self.cursor = last.index() + 1,
+            _ => out.push(self.decide(view)),
         }
-        if out.len() == start {
-            out.push(self.decide(view));
-            return;
-        }
-        self.cursor = from;
     }
 
     fn name(&self) -> &'static str {

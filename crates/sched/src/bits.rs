@@ -19,9 +19,13 @@
 //! * [`StatusBitmap`] — the packed table, indexed by typed
 //!   [`Pid`]s like an [`EntityVec`](crate::ids::EntityVec). Alongside
 //!   the 2-bit lanes it maintains a coherent 1-bit *runnable* companion
-//!   (64 pids per word, bit set ⟺ `Running`), so "next runnable pid ≥
-//!   `from`" is a masked load + count-trailing-zeros per word, and a
-//!   running count makes "runnable population" one load.
+//!   (64 pids per word, bit set ⟺ `Running`), so "the runnable pids ≥
+//!   `from`" is one ascending walk that masks the first word below
+//!   `from` and then yields every set bit of each word it loads by
+//!   count-trailing-zeros, and a running count makes "runnable
+//!   population" one load. An adversary that grants a batch of
+//!   ascending pids takes them all from one such walk, so a word of up
+//!   to 64 grants is loaded once, not once per grant.
 //! * [`SlotSnapshot`] — the flat list of pids runnable at a capture
 //!   point, so `select(i)` is one load. This reproduces,
 //!   observationally, the historical executor's tombstoned `active`
@@ -144,10 +148,10 @@ const RUN_BITS: usize = u64::BITS as usize;
 /// raw `usize` indexing does not type-check.
 ///
 /// The companion is what makes the hot-loop queries word-wide:
-/// [`StatusBitmap::next_runnable`] is a masked load +
-/// `trailing_zeros` per word, [`StatusBitmap::runnable_count`] one
-/// load of a count `set` keeps, and [`SlotSnapshot::capture`] one walk
-/// over the runnable words.
+/// [`StatusBitmap::runnable_from`] loads each runnable word once and
+/// yields its pids by `trailing_zeros`, [`StatusBitmap::runnable_count`]
+/// is one load of a count `set` keeps, and [`SlotSnapshot::capture`]
+/// one walk over the runnable words.
 #[derive(Debug, Default, Clone)]
 pub struct StatusBitmap {
     /// 2-bit status lanes, [`Status::LANES`] pids per word.
@@ -237,37 +241,35 @@ impl StatusBitmap {
         self.running
     }
 
-    /// The first running pid with index ≥ `from`, scanning
-    /// word-at-a-time via `trailing_zeros`.
+    /// The first running pid with index ≥ `from`: the first item of
+    /// [`StatusBitmap::runnable_from`].
     #[inline]
     pub fn next_runnable(&self, from: usize) -> Option<Pid> {
-        if from >= self.len {
-            return None;
-        }
-        let mut w = from / RUN_BITS;
-        // Mask off the sub-`from` bits of the first word; later words
-        // scan whole.
-        let mut word = self.run[w] & (!0u64 << (from % RUN_BITS));
-        loop {
-            if word != 0 {
-                return Some(Pid::new(w * RUN_BITS + word.trailing_zeros() as usize));
-            }
-            w += 1;
-            if w >= self.run.len() {
-                return None;
-            }
-            word = self.run[w];
-        }
+        self.runnable_from(from).next()
     }
 
     /// All running pids, ascending — the word-at-a-time replacement for
     /// "iterate `active`, filter `announced.is_some()`".
+    #[inline]
     pub fn runnable(&self) -> RunnableIter<'_> {
-        RunnableIter { words: &self.run, word: self.run.first().copied().unwrap_or(0), at: 0 }
+        self.runnable_from(0)
+    }
+
+    /// The running pids with index ≥ `from`, ascending: the one scan
+    /// every other query is built on. Only the first word is masked
+    /// below `from`; after that the iterator clears one bit per item
+    /// (`w &= w − 1`) of a word it holds, so a caller taking a batch of
+    /// grants loads each runnable word once.
+    #[inline]
+    pub fn runnable_from(&self, from: usize) -> RunnableIter<'_> {
+        let at = from / RUN_BITS;
+        let word = self.run.get(at).map_or(0, |&w| w & (!0u64 << (from % RUN_BITS)));
+        RunnableIter { words: &self.run, word, at }
     }
 }
 
-/// Iterator over running pids; see [`StatusBitmap::runnable`].
+/// Iterator over running pids, ascending; see
+/// [`StatusBitmap::runnable_from`].
 #[derive(Debug, Clone)]
 pub struct RunnableIter<'a> {
     words: &'a [u64],
@@ -464,6 +466,7 @@ mod tests {
         assert_eq!(bm.runnable_count(), 0);
         assert_eq!(bm.next_runnable(0), None);
         assert_eq!(bm.runnable().count(), 0);
+        assert_eq!(bm.runnable_from(64).count(), 0);
         let mut snap = SlotSnapshot::new();
         snap.capture(&bm);
         assert!(snap.is_empty());
@@ -518,11 +521,19 @@ mod tests {
                 prop_assert_eq!(&scan, &oracle_scan);
                 prop_assert_eq!(bm.runnable_count(), oracle_scan.len());
 
-                // next_runnable from every origin matches a filtered scan.
-                for from in 0..=n {
+                // next_runnable and runnable_from from every origin
+                // match a filtered scan: word boundaries, the ragged
+                // tail and origins at or past the end (a whole word
+                // beyond it included).
+                for from in 0..=n + 64 {
                     prop_assert_eq!(
                         bm.next_runnable(from).map(|p| p.index()),
                         oracle_scan.iter().copied().find(|&i| i >= from)
+                    );
+                    let tail: Vec<usize> = bm.runnable().map(|p| p.index()).filter(|&i| i >= from).collect();
+                    prop_assert_eq!(
+                        bm.runnable_from(from).map(|p| p.index()).collect::<Vec<_>>(),
+                        tail
                     );
                 }
 

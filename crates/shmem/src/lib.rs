@@ -11,9 +11,6 @@
 //! * [`namespace`] — [`NameSpaceAudit`], an always-on referee that detects
 //!   any violation of the renaming safety property (two processes holding
 //!   the same name) the moment it happens.
-//! * [`stats`] — cache-padded per-process step counters and their
-//!   summary statistics. No run path records into them: the arena keeps
-//!   its own per-process step table.
 //! * [`rng`] — seed-stable per-process random streams so that experiment
 //!   tables are reproducible run-to-run regardless of thread scheduling.
 //! * [`intent`] — the vocabulary of *announced accesses*. Algorithms
@@ -44,12 +41,10 @@ pub mod atomics;
 pub mod intent;
 pub mod namespace;
 pub mod rng;
-pub mod stats;
 pub mod tas;
 
 pub use atomics::AtomicWord;
 pub use intent::Access;
 pub use namespace::{AuditError, NameSpaceAudit};
 pub use rng::ProcessRng;
-pub use stats::{StepCounters, StepSummary};
 pub use tas::{AtomicTasArray, TasMemory};
