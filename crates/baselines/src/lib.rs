@@ -48,4 +48,4 @@ pub use network::{BitonicRenaming, ComparatorNetwork, NetworkProcess, NetworkSha
 pub use registry::register_baselines;
 pub use route::{route_network, RouteRenaming, RouteTopology, ROUTE_TAS_ARRAY};
 pub use splitter_grid::{GridProcess, GridShared, SplitterGrid};
-pub use uniform::{UniformProbing, UniformProcess};
+pub use uniform::{UniformProbing, UniformProcess, UniformShared};

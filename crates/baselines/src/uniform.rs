@@ -9,44 +9,66 @@
 use rr_renaming::traits::RenamingProtocol;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::ProcessRng;
+use rr_shmem::rng::{ProcessRng, StreamKey};
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
+
+/// Shared memory of a uniform-probing run: the name space and the key
+/// of the processes' random streams.
+#[derive(Debug)]
+pub struct UniformShared {
+    /// Register `i` holds name `i`.
+    mem: AtomicTasArray,
+    key: StreamKey,
+}
+
+impl UniformShared {
+    /// `m` registers, probed with the streams of `seed`.
+    pub fn new(m: usize, seed: u64) -> Self {
+        Self { mem: AtomicTasArray::new(m), key: StreamKey::new(seed) }
+    }
+
+    /// One uniform draw of a register.
+    fn draw(&self, rng: &mut ProcessRng) -> usize {
+        rng.index(&self.key, self.mem.len())
+    }
+}
 
 /// One uniform-probing process.
 pub struct UniformProcess {
     pid: usize,
     rng: ProcessRng,
-    mem: Arc<AtomicTasArray>,
+    shared: Arc<UniformShared>,
     pending: Option<usize>,
     /// Safety valve: probes before giving up (≫ w.h.p. bound).
     budget: u64,
 }
 
 impl UniformProcess {
-    /// Process `pid` probing `mem`.
-    pub fn new(pid: usize, seed: u64, mem: Arc<AtomicTasArray>, budget: u64) -> Self {
-        Self { pid, rng: ProcessRng::new(seed, pid), mem, pending: None, budget }
+    /// Process `pid` probing `shared`'s registers, drawing from stream
+    /// `pid` under its key.
+    pub fn new(pid: usize, shared: Arc<UniformShared>, budget: u64) -> Self {
+        Self { pid, rng: ProcessRng::new(pid), shared, pending: None, budget }
     }
 }
 
 impl Process for UniformProcess {
     fn announce(&mut self) -> Access {
-        let idx = *self.pending.get_or_insert_with(|| self.rng.index(self.mem.len()));
+        let idx = *self.pending.get_or_insert_with(|| self.shared.draw(&mut self.rng));
         Access::Tas { array: 0, index: idx }
     }
 
     fn step(&mut self) -> StepOutcome {
         let idx = match self.pending.take() {
             Some(i) => i,
-            None => self.rng.index(self.mem.len()),
+            None => self.shared.draw(&mut self.rng),
         };
         if self.budget == 0 {
             return StepOutcome::GaveUp;
         }
         self.budget -= 1;
-        if self.mem.tas(idx) {
+        if self.shared.mem.tas(idx) {
             StepOutcome::Done(idx)
         } else {
             StepOutcome::Continue
@@ -96,10 +118,10 @@ impl RenamingProtocol for UniformProbing {
     fn build(&self, n: usize, seed: u64) -> Vec<UniformProcess> {
         assert!(self.epsilon > 0.0, "uniform probing needs m > n");
         assert!(self.epsilon <= MAX_EPSILON, "uniform probing needs eps ≤ {MAX_EPSILON}");
-        let mem = Arc::new(AtomicTasArray::new(self.m(n)));
+        let shared = Arc::new(UniformShared::new(self.m(n), seed));
         // W.h.p. bound is O(log n / log(1+ε)); budget 100× that.
         let budget = (100.0 * (n.max(2) as f64).log2() / (1.0 + self.epsilon).log2()).ceil() as u64;
-        (0..n).map(|pid| UniformProcess::new(pid, seed, Arc::clone(&mem), budget)).collect()
+        (0..n).map(|pid| UniformProcess::new(pid, Arc::clone(&shared), budget)).collect()
     }
 }
 

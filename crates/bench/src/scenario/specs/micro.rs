@@ -502,9 +502,9 @@ fn ablate_finisher(em: &mut Emitter<'_, '_>, k: usize, spare: usize, seeds: u64)
                 *p = probes(j);
             }
             let random_budget = plan.max_random_probes();
-            let shared = Arc::new(SpareShared::with_plan(0, plan));
+            let shared = Arc::new(SpareShared::with_plan(0, plan, seed));
             let mut procs: Vec<_> =
-                (0..k).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared))).collect();
+                (0..k).map(|pid| AagwProcess::new(pid, Arc::clone(&shared))).collect();
             let out = Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 30).unwrap();
             out.verify_renaming(spare).unwrap();
             max_steps = max_steps.max(out.step_complexity());

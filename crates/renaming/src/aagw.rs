@@ -20,15 +20,15 @@
 use crate::params::FinisherPlan;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::ProcessRng;
+use rr_shmem::rng::{ProcessRng, StreamKey};
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
 
 /// Shared spare name space: `spare` TAS registers whose register `i`
-/// corresponds to name `base + i`, and the one segment plan every
-/// finisher over them follows. The registers are built from the plan,
-/// so the two always agree on the spare size.
+/// corresponds to name `base + i`, and the one segment plan and stream
+/// key every finisher over them follows. The registers are built from
+/// the plan, so the two always agree on the spare size.
 #[derive(Debug)]
 pub struct SpareShared {
     /// First name in the spare space (e.g. `n`).
@@ -37,22 +37,24 @@ pub struct SpareShared {
     registers: AtomicTasArray,
     /// The finishers' segment plan, stored once per run.
     plan: FinisherPlan,
+    key: StreamKey,
 }
 
 impl SpareShared {
     /// Spare space of `spare` names starting at `base`, with the
-    /// standard [`FinisherPlan`].
+    /// standard [`FinisherPlan`] and the streams of `seed`.
     ///
     /// # Panics
     /// Panics if `spare == 0`.
-    pub fn new(base: usize, spare: usize) -> Self {
-        Self::with_plan(base, FinisherPlan::new(spare))
+    pub fn new(base: usize, spare: usize, seed: u64) -> Self {
+        Self::with_plan(base, FinisherPlan::new(spare), seed)
     }
 
     /// Spare space of `plan.spare` names starting at `base`, probed by
-    /// `plan` (the ablations vary its probe budgets).
-    pub fn with_plan(base: usize, plan: FinisherPlan) -> Self {
-        Self { base, registers: AtomicTasArray::new(plan.spare), plan }
+    /// `plan` (the ablations vary its probe budgets) with the streams of
+    /// `seed`.
+    pub fn with_plan(base: usize, plan: FinisherPlan, seed: u64) -> Self {
+        Self { base, registers: AtomicTasArray::new(plan.spare), plan, key: StreamKey::new(seed) }
     }
 
     /// Spare names already claimed.
@@ -86,21 +88,22 @@ pub struct AagwProcess {
 }
 
 impl AagwProcess {
-    /// Finisher for process `pid` over `shared`, following its plan.
-    pub fn new(pid: usize, seed: u64, shared: Arc<SpareShared>) -> Self {
+    /// Finisher for process `pid` over `shared`, following its plan and
+    /// drawing from stream `pid` under its key.
+    pub fn new(pid: usize, shared: Arc<SpareShared>) -> Self {
         let state = if shared.plan.segments() == 0 {
             State::Sweep { cursor: 0, start: 0, visited: 0 }
         } else {
             State::Segment { seg: 0, spent: 0 }
         };
-        Self { pid, rng: ProcessRng::new(seed, pid), shared, state, pending: None, sweep: true }
+        Self { pid, rng: ProcessRng::new(pid), shared, state, pending: None, sweep: true }
     }
 
     /// A finisher that gives up instead of falling back to the
     /// deterministic sweep (used by the adaptive guess ladder on
     /// non-final segments).
-    pub fn without_sweep(pid: usize, seed: u64, shared: Arc<SpareShared>) -> Self {
-        let mut p = Self::new(pid, seed, shared);
+    pub fn without_sweep(pid: usize, shared: Arc<SpareShared>) -> Self {
+        let mut p = Self::new(pid, shared);
         p.sweep = false;
         p
     }
@@ -108,8 +111,9 @@ impl AagwProcess {
     fn draw_target(&mut self) -> usize {
         match self.state {
             State::Segment { seg, .. } => {
-                let plan = &self.shared.plan;
-                plan.offsets[seg] + self.rng.index(plan.sizes[seg])
+                let shared = &*self.shared;
+                let plan = &shared.plan;
+                plan.offsets[seg] + self.rng.index(&shared.key, plan.sizes[seg])
             }
             State::Sweep { cursor, .. } => cursor,
         }
@@ -118,7 +122,7 @@ impl AagwProcess {
     /// Enters the sweep at a random start position (spreads concurrent
     /// sweepers).
     fn enter_sweep(&mut self) -> State {
-        let start = self.rng.index(self.shared.registers.len());
+        let start = self.rng.index(&self.shared.key, self.shared.registers.len());
         State::Sweep { cursor: start, start, visited: 0 }
     }
 }
@@ -188,9 +192,9 @@ mod tests {
     use rr_sched::shard::Arena;
 
     fn finish(k: usize, spare: usize, seed: u64) -> rr_sched::virtual_exec::RunOutcome {
-        let shared = Arc::new(SpareShared::new(1000, spare));
+        let shared = Arc::new(SpareShared::new(1000, spare, seed));
         let mut procs: Vec<_> =
-            (0..k).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared))).collect();
+            (0..k).map(|pid| AagwProcess::new(pid, Arc::clone(&shared))).collect();
         Arena::new().run(&mut procs, &mut FairAdversary::default(), 1 << 26).unwrap()
     }
 
@@ -237,9 +241,9 @@ mod tests {
 
     #[test]
     fn safety_under_random_adversary() {
-        let shared = Arc::new(SpareShared::new(0, 128));
+        let shared = Arc::new(SpareShared::new(0, 128, 3));
         let mut procs: Vec<_> =
-            (0..64).map(|pid| AagwProcess::new(pid, 3, Arc::clone(&shared))).collect();
+            (0..64).map(|pid| AagwProcess::new(pid, Arc::clone(&shared))).collect();
         let out = Arena::new().run(&mut procs, &mut RandomAdversary::new(8), 1 << 26).unwrap();
         out.verify_renaming(128).unwrap();
         assert_eq!(shared.claimed(), 64);

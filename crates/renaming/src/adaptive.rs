@@ -86,11 +86,12 @@ impl AdaptiveLayout {
 /// Per-segment shared memory.
 #[derive(Debug)]
 struct Segment {
-    /// The primary registers and the segment's Lemma 6 schedule.
+    /// The primary registers and the segment's Lemma 6 schedule and
+    /// stream key.
     primary: Arc<LooseShared>,
-    /// The finisher area and its plan, based at the segment's primary
-    /// size so the segment's [`Chain`] returns names relative to the
-    /// segment.
+    /// The finisher area, its plan and its stream key, based at the
+    /// segment's primary size so the segment's [`Chain`] returns names
+    /// relative to the segment.
     spare: Arc<SpareShared>,
 }
 
@@ -102,8 +103,8 @@ pub struct AdaptiveShared {
 }
 
 impl AdaptiveShared {
-    /// Builds all segments of `layout`.
-    pub fn new(layout: AdaptiveLayout) -> Self {
+    /// Builds all segments of `layout`, with the streams of `seed`.
+    pub fn new(layout: AdaptiveLayout, seed: u64) -> Self {
         let segments = (0..layout.segments())
             .map(|j| {
                 let primary_size = layout.primaries[j];
@@ -111,12 +112,16 @@ impl AdaptiveShared {
                 // Schedules need n ≥ 4; tiny guesses borrow the n = 4
                 // schedule (a handful of probes — correct, just coarse).
                 let sched_n = primary_size.max(4);
+                // Distinct streams per (process, segment) so ladder
+                // retries are independent.
+                let seed = seed ^ ((j as u64 + 1) << 32);
                 Segment {
                     primary: Arc::new(LooseShared::new(
                         primary_size,
                         Lemma6Schedule::new(sched_n, 1),
+                        seed,
                     )),
-                    spare: Arc::new(SpareShared::new(primary_size, spare_size)),
+                    spare: Arc::new(SpareShared::new(primary_size, spare_size, seed ^ 0x5eed)),
                 }
             })
             .collect();
@@ -130,19 +135,16 @@ impl AdaptiveShared {
 
     /// Process `pid`'s Lemma 6 stage in segment `j`, chained to the
     /// segment's finisher.
-    fn chain(&self, pid: usize, seed: u64, j: usize) -> Chain<L6Process, AagwProcess> {
+    fn chain(&self, pid: usize, j: usize) -> Chain<L6Process, AagwProcess> {
         let seg = &self.segments[j];
-        // Distinct stream per (process, segment) so ladder retries are
-        // independent.
-        let seed = seed ^ ((j as u64 + 1) << 32);
-        let primary = L6Process::new(pid, seed, Arc::clone(&seg.primary));
+        let primary = L6Process::new(pid, Arc::clone(&seg.primary));
         let spare = Arc::clone(&seg.spare);
         // Only the top segment keeps the deterministic sweep (it is the
         // global termination guarantee); lower segments climb instead.
         let finisher = if j + 1 == self.segments.len() {
-            AagwProcess::new(pid, seed ^ 0x5eed, spare)
+            AagwProcess::new(pid, spare)
         } else {
-            AagwProcess::without_sweep(pid, seed ^ 0x5eed, spare)
+            AagwProcess::without_sweep(pid, spare)
         };
         Chain::new(primary, finisher)
     }
@@ -151,7 +153,6 @@ impl AdaptiveShared {
 /// One adaptive process: walks the guess ladder.
 pub struct AdaptiveProcess {
     pid: usize,
-    seed: u64,
     shared: Arc<AdaptiveShared>,
     segment: usize,
     /// The current segment's stages.
@@ -163,9 +164,9 @@ pub struct AdaptiveProcess {
 
 impl AdaptiveProcess {
     /// Process `pid` starting at segment 0.
-    pub fn new(pid: usize, seed: u64, shared: Arc<AdaptiveShared>) -> Self {
-        let chain = shared.chain(pid, seed, 0);
-        Self { pid, seed, shared, segment: 0, chain, words_spent: 0 }
+    pub fn new(pid: usize, shared: Arc<AdaptiveShared>) -> Self {
+        let chain = shared.chain(pid, 0);
+        Self { pid, shared, segment: 0, chain, words_spent: 0 }
     }
 
     /// Segment the process is currently working in (experiments read it).
@@ -194,7 +195,7 @@ impl Process for AdaptiveProcess {
                 );
                 self.words_spent += self.chain.rng_words().unwrap_or(0);
                 self.segment = next;
-                self.chain = self.shared.chain(self.pid, self.seed, next);
+                self.chain = self.shared.chain(self.pid, next);
                 StepOutcome::Continue
             }
         }
@@ -232,9 +233,8 @@ impl AdaptiveRenaming {
         // Segments up to 2^(⌈log₂ max_n⌉ + 1): one guess beyond max_n so
         // the w.h.p. straggler bound of the top segment has headroom.
         let max_guess_log = (usize::BITS - (max_n - 1).leading_zeros()).max(1) + 1;
-        let shared = Arc::new(AdaptiveShared::new(AdaptiveLayout::new(max_guess_log)));
-        let procs =
-            (0..k).map(|pid| AdaptiveProcess::new(pid, seed, Arc::clone(&shared))).collect();
+        let shared = Arc::new(AdaptiveShared::new(AdaptiveLayout::new(max_guess_log), seed));
+        let procs = (0..k).map(|pid| AdaptiveProcess::new(pid, Arc::clone(&shared))).collect();
         (shared, procs)
     }
 }

@@ -13,7 +13,7 @@
 //! offer. We add it as owner-only `release`, which is how hardware TAS
 //! (e.g. a lock bit) behaves in practice.
 
-use rr_shmem::rng::ProcessRng;
+use rr_shmem::rng::{ProcessRng, StreamKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// TAS registers with owner release: bit set = name held.
@@ -75,10 +75,12 @@ impl ReleasableTasArray {
 /// into `(1+ε)·n` registers, use it, release it.
 ///
 /// Expected acquire cost is at most `(1+ε)/ε` probes while at most `n`
-/// names are simultaneously held.
+/// names are simultaneously held. A client is driven directly, not as a
+/// run's process array, so it keeps its own copy of the stream key.
 #[derive(Debug)]
 pub struct LongLivedClient {
     pid: usize,
+    key: StreamKey,
     rng: ProcessRng,
     held: Option<usize>,
     probes: u64,
@@ -88,7 +90,14 @@ pub struct LongLivedClient {
 impl LongLivedClient {
     /// Client `pid` with stream `(seed, pid)`.
     pub fn new(pid: usize, seed: u64) -> Self {
-        Self { pid, rng: ProcessRng::new(seed, pid), held: None, probes: 0, acquires: 0 }
+        Self {
+            pid,
+            key: StreamKey::new(seed),
+            rng: ProcessRng::new(pid),
+            held: None,
+            probes: 0,
+            acquires: 0,
+        }
     }
 
     /// Client id.
@@ -109,7 +118,7 @@ impl LongLivedClient {
         assert!(self.held.is_none(), "client {} already holds a name", self.pid);
         loop {
             self.probes += 1;
-            let idx = self.rng.index(names.len());
+            let idx = self.rng.index(&self.key, names.len());
             if names.tas(idx) {
                 self.held = Some(idx);
                 self.acquires += 1;

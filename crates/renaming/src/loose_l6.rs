@@ -16,30 +16,37 @@
 use crate::params::Lemma6Schedule;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::ProcessRng;
+use rr_shmem::rng::{ProcessRng, StreamKey};
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
 
 /// Shared memory of a Lemma 6 run: the primary name space as one TAS
-/// array, and the round schedule every process follows, stored once per
-/// run.
+/// array, and the round schedule and stream key every process follows,
+/// stored once per run.
 #[derive(Debug)]
 pub struct LooseShared {
     /// Register `i` holds name `i`.
     pub registers: AtomicTasArray,
     schedule: Lemma6Schedule,
+    key: StreamKey,
 }
 
 impl LooseShared {
-    /// `n` primary registers, probed under `schedule`.
-    pub fn new(n: usize, schedule: Lemma6Schedule) -> Self {
-        Self { registers: AtomicTasArray::new(n), schedule }
+    /// `n` primary registers, probed under `schedule` with the streams of
+    /// `seed`.
+    pub fn new(n: usize, schedule: Lemma6Schedule, seed: u64) -> Self {
+        Self { registers: AtomicTasArray::new(n), schedule, key: StreamKey::new(seed) }
     }
 
     /// Names already claimed.
     pub fn claimed(&self) -> usize {
         self.registers.count_set()
+    }
+
+    /// One uniform draw of a register.
+    fn draw(&self, rng: &mut ProcessRng) -> usize {
+        rng.index(&self.key, self.registers.len())
     }
 }
 
@@ -55,9 +62,10 @@ pub struct L6Process {
 }
 
 impl L6Process {
-    /// Process `pid` over `shared`, following its schedule.
-    pub fn new(pid: usize, seed: u64, shared: Arc<LooseShared>) -> Self {
-        Self { pid, rng: ProcessRng::new(seed, pid), shared, spent: 0, pending: None }
+    /// Process `pid` over `shared`, following its schedule and drawing
+    /// from stream `pid` under its key.
+    pub fn new(pid: usize, shared: Arc<LooseShared>) -> Self {
+        Self { pid, rng: ProcessRng::new(pid), shared, spent: 0, pending: None }
     }
 
     /// The round (1-based) that probe number `spent` (0-based) falls in.
@@ -84,7 +92,7 @@ impl Process for L6Process {
             // Exhausted; step() will report it. Announce a no-op.
             return Access::Local;
         }
-        let idx = *self.pending.get_or_insert_with(|| self.rng.index(self.shared.registers.len()));
+        let idx = *self.pending.get_or_insert_with(|| self.shared.draw(&mut self.rng));
         Access::Tas { array: 0, index: idx }
     }
 
@@ -94,7 +102,7 @@ impl Process for L6Process {
         }
         let idx = match self.pending.take() {
             Some(i) => i,
-            None => self.rng.index(self.shared.registers.len()),
+            None => self.shared.draw(&mut self.rng),
         };
         self.spent += 1;
         if self.shared.registers.tas(idx) {
@@ -124,8 +132,8 @@ mod tests {
     use rr_sched::shard::Arena;
 
     fn instance(n: usize, ell: u32, seed: u64) -> (Arc<LooseShared>, Vec<L6Process>) {
-        let shared = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, ell)));
-        let procs = (0..n).map(|pid| L6Process::new(pid, seed, Arc::clone(&shared))).collect();
+        let shared = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, ell), seed));
+        let procs = (0..n).map(|pid| L6Process::new(pid, Arc::clone(&shared))).collect();
         (shared, procs)
     }
 
@@ -184,8 +192,8 @@ mod tests {
     #[test]
     fn round_of_is_consistent_with_schedule() {
         let schedule = Lemma6Schedule::new(1 << 10, 2);
-        let shared = Arc::new(LooseShared::new(1 << 10, schedule.clone()));
-        let p = L6Process::new(0, 0, shared);
+        let shared = Arc::new(LooseShared::new(1 << 10, schedule.clone(), 0));
+        let p = L6Process::new(0, shared);
         assert_eq!(p.round_of(0), 1);
         assert_eq!(p.round_of(1), 1);
         assert_eq!(p.round_of(2), 2); // round 1 has 2^1 = 2 probes
@@ -195,12 +203,12 @@ mod tests {
     #[test]
     fn exhausted_stage_announces_local() {
         let schedule = Lemma6Schedule::new(16, 1);
-        let shared = Arc::new(LooseShared::new(16, schedule.clone()));
+        let shared = Arc::new(LooseShared::new(16, schedule.clone(), 0));
         // Fill everything so no probe can ever win.
         for i in 0..16 {
             shared.registers.tas(i);
         }
-        let mut p = L6Process::new(0, 0, Arc::clone(&shared));
+        let mut p = L6Process::new(0, Arc::clone(&shared));
         for _ in 0..schedule.total_steps - 1 {
             let _ = p.announce();
             assert_eq!(p.step(), StepOutcome::Continue);

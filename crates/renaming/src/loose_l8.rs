@@ -12,29 +12,35 @@
 use crate::params::Lemma8Schedule;
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::ProcessRng;
+use rr_shmem::rng::{ProcessRng, StreamKey};
 use rr_shmem::tas::{AtomicTasArray, TasMemory};
 use rr_shmem::Access;
 use std::sync::Arc;
 
 /// Shared memory of a Lemma 8 run: the `n` primary registers (register
-/// `i` holds name `i`) and the phase schedule every process follows,
-/// stored once per run.
+/// `i` holds name `i`) and the phase schedule and stream key every
+/// process follows, stored once per run.
 #[derive(Debug)]
 pub struct L8Shared {
     /// The primary registers.
     registers: AtomicTasArray,
     /// The cluster/phase schedule, whose clusters fit the registers.
     schedule: Lemma8Schedule,
+    key: StreamKey,
 }
 
 impl L8Shared {
-    /// `n` primary registers under the Lemma 8 schedule for `ell`.
+    /// `n` primary registers under the Lemma 8 schedule for `ell`, with
+    /// the streams of `seed`.
     ///
     /// # Panics
     /// As [`Lemma8Schedule::new`]: if `n < 4` or `ell == 0`.
-    pub fn new(n: usize, ell: u32) -> Self {
-        Self { registers: AtomicTasArray::new(n), schedule: Lemma8Schedule::new(n, ell) }
+    pub fn new(n: usize, ell: u32, seed: u64) -> Self {
+        Self {
+            registers: AtomicTasArray::new(n),
+            schedule: Lemma8Schedule::new(n, ell),
+            key: StreamKey::new(seed),
+        }
     }
 }
 
@@ -51,16 +57,10 @@ pub struct L8Process {
 }
 
 impl L8Process {
-    /// Process `pid` over `shared`, following its schedule.
-    pub fn new(pid: usize, seed: u64, shared: Arc<L8Shared>) -> Self {
-        Self {
-            pid,
-            rng: ProcessRng::new(seed, pid),
-            shared,
-            phase: 0,
-            spent_in_phase: 0,
-            pending: None,
-        }
+    /// Process `pid` over `shared`, following its schedule and drawing
+    /// from stream `pid` under its key.
+    pub fn new(pid: usize, shared: Arc<L8Shared>) -> Self {
+        Self { pid, rng: ProcessRng::new(pid), shared, phase: 0, spent_in_phase: 0, pending: None }
     }
 
     /// The phase this process is currently in (0-based), for experiments.
@@ -74,8 +74,9 @@ impl L8Process {
 
     fn draw_target(&mut self) -> usize {
         let j = self.phase as usize;
-        let schedule = &self.shared.schedule;
-        schedule.cluster_offsets[j] + self.rng.index(schedule.cluster_sizes[j])
+        let shared = &*self.shared;
+        let schedule = &shared.schedule;
+        schedule.cluster_offsets[j] + self.rng.index(&shared.key, schedule.cluster_sizes[j])
     }
 }
 
@@ -130,8 +131,8 @@ mod tests {
     use rr_sched::shard::Arena;
 
     fn instance(n: usize, ell: u32, seed: u64) -> (Arc<L8Shared>, Vec<L8Process>) {
-        let shared = Arc::new(L8Shared::new(n, ell));
-        let procs = (0..n).map(|pid| L8Process::new(pid, seed, Arc::clone(&shared))).collect();
+        let shared = Arc::new(L8Shared::new(n, ell, seed));
+        let procs = (0..n).map(|pid| L8Process::new(pid, Arc::clone(&shared))).collect();
         (shared, procs)
     }
 
@@ -159,9 +160,9 @@ mod tests {
     #[test]
     fn probes_stay_inside_current_cluster() {
         let n = 256;
-        let shared = Arc::new(L8Shared::new(n, 1));
+        let shared = Arc::new(L8Shared::new(n, 1, 9));
         let schedule = &shared.schedule;
-        let mut p = L8Process::new(0, 9, Arc::clone(&shared));
+        let mut p = L8Process::new(0, Arc::clone(&shared));
         // Fill every register so the process never wins and walks all
         // phases; check each announced index lies in the right cluster.
         for i in 0..n {

@@ -20,7 +20,7 @@
 use crate::params::{TightPlan, TightVariant};
 use rr_sched::ids::Pid;
 use rr_sched::process::{Process, StepOutcome};
-use rr_shmem::rng::{ProcessRng, RngMode};
+use rr_shmem::rng::{ProcessRng, RngMode, StreamKey};
 use rr_shmem::Access;
 use rr_tau::ConcurrentTauRegister;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +61,8 @@ impl RequestRecorder {
     }
 }
 
-/// Shared memory of a tight-renaming run: the τ-registers plus the plan.
+/// Shared memory of a tight-renaming run: the τ-registers, the plan and
+/// the key of the processes' random streams.
 #[derive(Debug)]
 pub struct TightShared {
     /// The cluster layout in force.
@@ -71,19 +72,29 @@ pub struct TightShared {
     pub registers: Vec<ConcurrentTauRegister>,
     /// Optional request recorder (E3).
     pub recorder: Option<RequestRecorder>,
+    /// The run's stream key; process `pid` draws from stream `pid`.
+    key: StreamKey,
+    /// Probes after which a final-round sweep gives up (≫ one full
+    /// sweep; only reachable if the w.h.p. guarantee failed *and*
+    /// scheduling starved the sweep repeatedly).
+    sweep_budget: u32,
 }
 
 impl TightShared {
-    /// Builds the registers for `plan`.
+    /// Builds the registers for `plan`, with the streams of `seed`.
     ///
     /// # Panics
-    /// Panics if the register count does not fit the `u32` register
-    /// index a [`TightProcess`] keeps. Rounds and slots are bounded by
-    /// the register count and by `2·log n` respectively, so they fit too.
-    pub fn new(plan: TightPlan, record: bool) -> Self {
+    /// Panics if the register count or the sweep budget, eight probes
+    /// per device bit, does not fit the `u32` a [`TightProcess`] keeps
+    /// for it. Rounds and slots are bounded by the register count and by
+    /// `2·log n` respectively, so they fit too.
+    pub fn new(plan: TightPlan, seed: u64, record: bool) -> Self {
         let count = plan.register_tau.len();
         u32::try_from(count)
             .unwrap_or_else(|_| panic!("{count} τ-registers do not fit the u32 register index"));
+        let probes = 8 * plan.total_bits();
+        let sweep_budget = u32::try_from(probes)
+            .unwrap_or_else(|_| panic!("a sweep budget of {probes} probes does not fit a u32"));
         let recorder = record.then(|| RequestRecorder::new(&plan));
         let width = 2 * plan.l;
         let registers = plan
@@ -92,7 +103,7 @@ impl TightShared {
             .enumerate()
             .map(|(r, &tau)| ConcurrentTauRegister::new(width, tau, plan.base_name(r)))
             .collect();
-        Self { plan, registers, recorder }
+        Self { plan, registers, recorder, key: StreamKey::new(seed), sweep_budget }
     }
 
     /// Total names claimed so far across all registers.
@@ -121,39 +132,43 @@ enum Planned {
     },
 }
 
-/// Per-process protocol state. Register indices, slots and rounds are
-/// `u32` ([`TightShared::new`] checks the register count fits), which
-/// keeps the whole enum at 24 bytes.
+/// Per-process protocol state. Register indices, rounds, slots and
+/// sweep attempts are `u32` ([`TightShared::new`] checks the register
+/// count and the sweep budget fit) and device bits are `u8` (a register
+/// is at most 64 bits wide), which keeps the whole enum at 12 bytes.
 #[derive(Debug, Clone, Copy)]
 enum State {
-    /// Probing cluster `round`. `drawn` caches the `(register, bit)`
-    /// request once it has been drawn (by `announce`, or by `step` when
-    /// no announcement came first), so the draw is made exactly once.
-    Round { round: u32, drawn: Option<(u32, u32)> },
+    /// Probing cluster `round`, its request not drawn yet.
+    Round { round: u32 },
+    /// Probing cluster `round` with the request `(reg, bit)` drawn (by
+    /// `announce`, or by `step` when no announcement came first), so the
+    /// draw is made exactly once.
+    Drawn { round: u32, reg: u32, bit: u8 },
     /// Admitted at `reg`; scanning its name slots from `slot`.
     Slots { reg: u32, slot: u32 },
     /// Final-round sweep, register granularity: read `reg`'s confirmed
     /// map; if quota remains, drop into `SweepBits`.
-    Sweep { reg: u32, attempts: u64 },
-    /// Requesting the lowest unset bit of `reg` recorded in `free` (a
-    /// snapshot). Any lost attempt returns to `Sweep` on the *same*
-    /// register for a fresh read: a loss means another process won
-    /// meanwhile (stale snapshot), so re-reading is both correct and
-    /// globally bounded — at most n losses can ever occur system-wide.
-    SweepBits { reg: u32, free: u64, attempts: u64 },
+    Sweep { reg: u32, attempts: u32 },
+    /// Requesting `bit`, the lowest bit of `reg` the last read saw unset.
+    /// Any lost attempt returns to `Sweep` on the *same* register for a
+    /// fresh read: a loss means another process won meanwhile (stale
+    /// read), so re-reading is both correct and globally bounded — at
+    /// most n losses can ever occur system-wide.
+    SweepBits { reg: u32, bit: u8, attempts: u32 },
 }
 
-/// One §III process: its random stream (which also holds its pid), the
-/// shared memory and its protocol state — 120 bytes of fields, padded to
-/// 128 by the 64-byte alignment, so each process occupies exactly two
-/// cache lines.
+/// One §III process: its random stream (a 40-byte half block, position
+/// and pid; the key lives in [`TightShared`]), the shared memory and its
+/// 12-byte protocol state — 64 bytes, one cache line's worth, so a fair
+/// round over 2^20 processes streams 64 MiB of process state.
 ///
-/// The alignment is not only about lines. At 120 B the 2^18 processes of
-/// a `tight-random` run take just under 32 MiB, the cap of glibc's
-/// dynamic mmap threshold, so malloc serves the array from the heap
-/// instead of its own mapping, and that run's peak RSS read 38 % higher.
-/// At 128 B the array is exactly 32 MiB and gets its own mapping.
-#[repr(align(64))]
+/// The alignment is left at the default 8 on purpose. Forced to 64 at
+/// the same size, stepbench's `tight-random` read a peak RSS of 119.4
+/// MiB after its set-up builds and about 16 MiB more, one process array,
+/// for each further build (231.4 MiB after 11), against 41.0 MiB at the
+/// default. That is most likely glibc's aligned-allocation path, which
+/// keeps each freed 16 MiB array on the heap once the dynamic mmap
+/// threshold has grown to 16 MiB. So a process may straddle two lines.
 pub struct TightProcess {
     rng: ProcessRng,
     shared: Arc<TightShared>,
@@ -161,8 +176,8 @@ pub struct TightProcess {
 }
 
 impl TightProcess {
-    /// Process `pid` drawing randomness from stream `(seed, pid)`.
-    pub fn new(pid: usize, seed: u64, shared: Arc<TightShared>) -> Self {
+    /// Process `pid` drawing from stream `pid` under `shared`'s key.
+    pub fn new(pid: usize, shared: Arc<TightShared>) -> Self {
         // The last cluster is the paper's "final round": processes
         // access its TAS bits systematically instead of randomly
         // ("the processes will access each of the TAS bits and
@@ -171,9 +186,9 @@ impl TightProcess {
         let state = if shared.plan.probing_rounds() == 0 {
             Self::final_round_state(&shared)
         } else {
-            State::Round { round: 0, drawn: None }
+            State::Round { round: 0 }
         };
-        Self { rng: ProcessRng::new(seed, pid), shared, state }
+        Self { rng: ProcessRng::new(pid), shared, state }
     }
 
     /// Entry state for the systematic final round: sweep backward from
@@ -184,17 +199,10 @@ impl TightProcess {
         State::Sweep { reg: shared.registers.len() as u32 - 1, attempts: 0 }
     }
 
-    /// The sweep gives up after this many probes (≫ one full sweep; only
-    /// reachable if the w.h.p. guarantee failed *and* scheduling starved
-    /// the sweep repeatedly). Derived, not stored: only the sweep reads it.
-    fn fallback_budget(&self) -> u64 {
-        8 * self.shared.plan.total_bits() as u64
-    }
-
     /// Advances the sweep cursor (backward, wrapping), respecting the
     /// attempt budget.
-    fn advance_sweep(&self, reg: u32, attempts: u64) -> Option<State> {
-        if attempts >= self.fallback_budget() {
+    fn advance_sweep(&self, reg: u32, attempts: u32) -> Option<State> {
+        if attempts >= self.shared.sweep_budget {
             return None;
         }
         let next = if reg == 0 { self.shared.registers.len() as u32 - 1 } else { reg - 1 };
@@ -206,23 +214,21 @@ impl TightProcess {
     /// pure function of the state.
     fn next_op(&mut self) -> Planned {
         match self.state {
-            State::Round { round, drawn } => {
-                let (reg, bit) = drawn.unwrap_or_else(|| {
-                    let l2 = 2 * self.shared.plan.l as usize;
-                    let cluster = self.shared.plan.clusters[round as usize];
-                    let idx = self.rng.index(cluster.registers * l2);
-                    let draw = ((cluster.first_register + idx / l2) as u32, (idx % l2) as u32);
-                    self.state = State::Round { round, drawn: Some(draw) };
-                    draw
-                });
-                Planned::Request { reg: reg as usize, bit: bit as usize }
+            State::Round { round } => {
+                let shared = &*self.shared;
+                let l2 = 2 * shared.plan.l as usize;
+                let cluster = shared.plan.clusters[round as usize];
+                let idx = self.rng.index(&shared.key, cluster.registers * l2);
+                let reg = cluster.first_register + idx / l2;
+                let bit = idx % l2;
+                self.state = State::Drawn { round, reg: reg as u32, bit: bit as u8 };
+                Planned::Request { reg, bit }
+            }
+            State::Drawn { reg, bit, .. } | State::SweepBits { reg, bit, .. } => {
+                Planned::Request { reg: reg as usize, bit: usize::from(bit) }
             }
             State::Slots { reg, slot } => Planned::Slot { reg: reg as usize, slot: slot as usize },
             State::Sweep { reg, .. } => Planned::Inspect { reg: reg as usize },
-            State::SweepBits { reg, free, .. } => {
-                debug_assert!(free != 0, "SweepBits requires a candidate bit");
-                Planned::Request { reg: reg as usize, bit: free.trailing_zeros() as usize }
-            }
         }
     }
 }
@@ -242,7 +248,7 @@ impl Process for TightProcess {
         match self.next_op() {
             Planned::Request { reg, bit } => {
                 let won = self.shared.registers[reg].request_bit(bit);
-                if let (State::Round { round, .. }, Some(rec)) = (self.state, &self.shared.recorder)
+                if let (State::Drawn { round, .. }, Some(rec)) = (self.state, &self.shared.recorder)
                 {
                     let cluster = self.shared.plan.clusters[round as usize];
                     rec.record(round as usize, reg - cluster.first_register);
@@ -252,9 +258,9 @@ impl Process for TightProcess {
                     return StepOutcome::Continue;
                 }
                 self.state = match self.state {
-                    State::Round { round, .. } => {
+                    State::Drawn { round, .. } => {
                         if round as usize + 1 < self.shared.plan.probing_rounds() {
-                            State::Round { round: round + 1, drawn: None }
+                            State::Round { round: round + 1 }
                         } else {
                             // Probing rounds exhausted: systematic final-round sweep.
                             Self::final_round_state(&self.shared)
@@ -266,13 +272,13 @@ impl Process for TightProcess {
                         // register; if its quota is gone the sweep moves
                         // on, otherwise we get a fresh bit map.
                         let attempts = attempts + 1;
-                        if attempts >= self.fallback_budget() {
+                        if attempts >= self.shared.sweep_budget {
                             return StepOutcome::GaveUp;
                         }
                         State::Sweep { reg, attempts }
                     }
-                    State::Sweep { .. } | State::Slots { .. } => {
-                        unreachable!("requests are planned only in Round/SweepBits states")
+                    State::Round { .. } | State::Sweep { .. } | State::Slots { .. } => {
+                        unreachable!("requests are planned only in Drawn/SweepBits states")
                     }
                 };
                 StepOutcome::Continue
@@ -286,7 +292,8 @@ impl Process for TightProcess {
                 let (free_quota, confirmed) = register.quota_and_bits();
                 let unset = !confirmed & (((1u128 << (2 * self.shared.plan.l)) - 1) as u64);
                 if free_quota > 0 && unset != 0 {
-                    self.state = State::SweepBits { reg: cur, free: unset, attempts };
+                    let bit = unset.trailing_zeros() as u8;
+                    self.state = State::SweepBits { reg: cur, bit, attempts };
                 } else {
                     match self.advance_sweep(cur, attempts) {
                         Some(s) => self.state = s,
@@ -322,8 +329,8 @@ impl Process for TightProcess {
     /// not yet drawn names no register, and touching never draws.
     fn touch(&self) {
         let reg = match self.state {
-            State::Round { drawn: None, .. } => return,
-            State::Round { drawn: Some((reg, _)), .. }
+            State::Round { .. } => return,
+            State::Drawn { reg, .. }
             | State::Slots { reg, .. }
             | State::Sweep { reg, .. }
             | State::SweepBits { reg, .. } => reg,
@@ -394,9 +401,8 @@ impl TightRenaming {
             TightVariant::Calibrated => TightPlan::calibrated(n, self.c),
             TightVariant::PaperExact => TightPlan::paper_exact(n, self.c),
         };
-        let shared = Arc::new(TightShared::new(plan, self.record));
-        let processes =
-            (0..n).map(|pid| TightProcess::new(pid, seed, Arc::clone(&shared))).collect();
+        let shared = Arc::new(TightShared::new(plan, seed, self.record));
+        let processes = (0..n).map(|pid| TightProcess::new(pid, Arc::clone(&shared))).collect();
         (shared, processes)
     }
 }
@@ -667,15 +673,28 @@ mod tests {
     }
 
     /// Layout guard: a fair round streams every process once, so a
-    /// process must not outgrow two cache lines; and below 128 B the
-    /// 2^18-process `tight-random` array leaves its own mapping for the
-    /// heap and peak RSS jumps (see [`TightProcess`]), so it must not
-    /// shrink either.
+    /// process stays at one cache line's worth of bytes. Its alignment
+    /// stays at most 16: forced to 64, `tight-random`'s peak RSS read
+    /// 119.4 MiB after set-up and grew by an array per build, against
+    /// 41.0 MiB at the default (see [`TightProcess`]).
     #[test]
-    fn process_fits_two_cache_lines() {
-        assert_eq!(std::mem::size_of::<TightProcess>(), 128);
-        assert_eq!(std::mem::align_of::<TightProcess>(), 64);
-        assert!(std::mem::size_of::<State>() <= 24, "{}", std::mem::size_of::<State>());
+    fn process_fits_one_cache_line() {
+        let align = std::mem::align_of::<TightProcess>();
+        assert_eq!(std::mem::size_of::<TightProcess>(), 64);
+        assert!(align <= 16, "{align}");
+        assert!(std::mem::size_of::<State>() <= 12, "{}", std::mem::size_of::<State>());
+    }
+
+    /// The sweep budget, eight probes per device bit, must fit the `u32`
+    /// attempt count a process keeps, and the plan is refused before
+    /// anything is built: one 2^30-bit-wide register gives 2^33 probes.
+    #[test]
+    #[should_panic(expected = "a sweep budget of 8589934592 probes does not fit a u32")]
+    fn sweep_budget_beyond_u32_is_rejected() {
+        let mut plan = TightPlan::calibrated(64, 4);
+        plan.l = 1 << 29;
+        plan.register_tau = vec![1];
+        TightShared::new(plan, 0, false);
     }
 
     #[test]

@@ -213,8 +213,8 @@ impl RenamingProtocol for LooseL6 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let shared = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, self.ell)));
-        (0..n).map(|pid| L6Process::new(pid, seed, Arc::clone(&shared))).collect()
+        let shared = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, self.ell), seed));
+        (0..n).map(|pid| L6Process::new(pid, Arc::clone(&shared))).collect()
     }
 }
 
@@ -241,8 +241,8 @@ impl RenamingProtocol for LooseL8 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let shared = Arc::new(L8Shared::new(n, self.ell));
-        (0..n).map(|pid| L8Process::new(pid, seed, Arc::clone(&shared))).collect()
+        let shared = Arc::new(L8Shared::new(n, self.ell, seed));
+        (0..n).map(|pid| L8Process::new(pid, Arc::clone(&shared))).collect()
     }
 }
 
@@ -265,12 +265,12 @@ impl RenamingProtocol for Cor7 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let primary = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, self.ell)));
-        let spare_mem = Arc::new(SpareShared::new(n, spare::cor7(n, self.ell)));
+        let primary = Arc::new(LooseShared::new(n, Lemma6Schedule::new(n, self.ell), seed));
+        let spare_mem = Arc::new(SpareShared::new(n, spare::cor7(n, self.ell), seed ^ 0x5eed));
         (0..n)
             .map(|pid| {
-                let a = L6Process::new(pid, seed, Arc::clone(&primary));
-                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem));
+                let a = L6Process::new(pid, Arc::clone(&primary));
+                let b = AagwProcess::new(pid, Arc::clone(&spare_mem));
                 Chain::new(a, b)
             })
             .collect()
@@ -296,12 +296,12 @@ impl RenamingProtocol for Cor9 {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let primary = Arc::new(L8Shared::new(n, self.ell));
-        let spare_mem = Arc::new(SpareShared::new(n, spare::cor9(n, self.ell)));
+        let primary = Arc::new(L8Shared::new(n, self.ell, seed));
+        let spare_mem = Arc::new(SpareShared::new(n, spare::cor9(n, self.ell), seed ^ 0x5eed));
         (0..n)
             .map(|pid| {
-                let a = L8Process::new(pid, seed, Arc::clone(&primary));
-                let b = AagwProcess::new(pid, seed ^ 0x5eed, Arc::clone(&spare_mem));
+                let a = L8Process::new(pid, Arc::clone(&primary));
+                let b = AagwProcess::new(pid, Arc::clone(&spare_mem));
                 Chain::new(a, b)
             })
             .collect()
@@ -325,8 +325,8 @@ impl RenamingProtocol for AagwLoose {
     }
 
     fn build(&self, n: usize, seed: u64) -> Vec<Self::Proc> {
-        let shared = Arc::new(SpareShared::new(0, 2 * n));
-        (0..n).map(|pid| AagwProcess::new(pid, seed, Arc::clone(&shared))).collect()
+        let shared = Arc::new(SpareShared::new(0, 2 * n, seed));
+        (0..n).map(|pid| AagwProcess::new(pid, Arc::clone(&shared))).collect()
     }
 }
 
@@ -339,18 +339,20 @@ mod tests {
     use rr_sched::adversary::FairAdversary;
     use std::mem::size_of;
 
-    /// Layout guard: each stage reads its schedule or finisher plan
-    /// through its run's shared memory, so no process carries a copy of
-    /// a plan's vectors. Per-process clones of `FinisherPlan` (80 B) and
-    /// `Lemma8Schedule` (72 B) made these 240, 208, 456 and 400 B, with
-    /// five heap allocations per Corollary 9 process; a per-process
-    /// `Lemma6Schedule` (24 B) made the Corollary 7 chain 320 B.
+    /// Layout guard: each stage reads its schedule or finisher plan, and
+    /// its stream key, through its run's shared memory, so no process
+    /// carries a copy of a plan's vectors or of the key. Per-process
+    /// clones of `FinisherPlan` (80 B) and `Lemma8Schedule` (72 B) made
+    /// these 240, 208, 456 and 400 B, with five heap allocations per
+    /// Corollary 9 process; a per-process `Lemma6Schedule` (24 B) made
+    /// the Corollary 7 chain 320 B; and an 88-byte stream holding a whole
+    /// block and the seed made them 160, 136, 304 and 296 B.
     #[test]
     fn loose_processes_hold_no_plan_copy() {
-        assert_eq!(size_of::<AagwProcess>(), 160);
-        assert_eq!(size_of::<L8Process>(), 136);
-        assert_eq!(size_of::<Chain<L8Process, AagwProcess>>(), 304);
-        assert_eq!(size_of::<Chain<L6Process, AagwProcess>>(), 296);
+        assert_eq!(size_of::<AagwProcess>(), 112);
+        assert_eq!(size_of::<L8Process>(), 88);
+        assert_eq!(size_of::<Chain<L8Process, AagwProcess>>(), 208);
+        assert_eq!(size_of::<Chain<L6Process, AagwProcess>>(), 200);
     }
 
     fn check_full(algo: &dyn RenamingAlgorithm, n: usize, seed: u64) {

@@ -46,5 +46,5 @@ pub mod tas;
 pub use atomics::AtomicWord;
 pub use intent::Access;
 pub use namespace::{AuditError, NameSpaceAudit};
-pub use rng::ProcessRng;
+pub use rng::{ProcessRng, StreamKey};
 pub use tas::{AtomicTasArray, TasMemory};

@@ -10,7 +10,7 @@
 
 use rand::rngs::ChaCha8Rng;
 use rand::{RngExt, SeedableRng};
-use rr_shmem::rng::ProcessRng;
+use rr_shmem::rng::{ProcessRng, StreamKey};
 
 /// `(seed, pid)` pairs: `pid = 0`, `seed = u64::MAX`, and the last pid of
 /// an n = 2^20 run.
@@ -185,20 +185,22 @@ const CHACHA_MIXED: [[(usize, u64); 40]; 3] = [
 
 /// 24 full-width draws as `(value, words_drawn())` pairs.
 fn full_draws(seed: u64, pid: usize) -> Vec<(u64, u64)> {
-    let mut rng = ProcessRng::new(seed, pid);
-    (0..24).map(|_| (rng.index(usize::MAX) as u64, rng.words_drawn())).collect()
+    let key = StreamKey::new(seed);
+    let mut rng = ProcessRng::new(pid);
+    (0..24).map(|_| (rng.index(&key, usize::MAX) as u64, rng.words_drawn())).collect()
 }
 
 /// A coin, then bounds 1000, 6 and 2^20, repeated ten times.
 fn mixed_draws(seed: u64, pid: usize) -> Vec<(usize, u64)> {
-    let mut rng = ProcessRng::new(seed, pid);
+    let key = StreamKey::new(seed);
+    let mut rng = ProcessRng::new(pid);
     (0..40)
         .map(|i| {
             let value = match i % 4 {
-                0 => usize::from(rng.coin()),
-                1 => rng.index(1000),
-                2 => rng.index(6),
-                _ => rng.index(1 << 20),
+                0 => usize::from(rng.coin(&key)),
+                1 => rng.index(&key, 1000),
+                2 => rng.index(&key, 6),
+                _ => rng.index(&key, 1 << 20),
             };
             (value, rng.words_drawn())
         })
@@ -227,11 +229,12 @@ fn mixed_draws_and_word_counts_are_pinned() {
 #[test]
 fn new_is_the_chacha8_mode() {
     for (seed, pid) in PAIRS {
-        let mut a = ProcessRng::new(seed, pid);
+        let key = StreamKey::new(seed);
+        let mut a = ProcessRng::new(pid);
         let mut b = ChaCha8Rng::seed_from_u64(seed);
         b.set_stream(pid as u64);
         for _ in 0..48 {
-            assert_eq!(a.index(usize::MAX), b.random_range(0..usize::MAX));
+            assert_eq!(a.index(&key, usize::MAX), b.random_range(0..usize::MAX));
         }
     }
 }

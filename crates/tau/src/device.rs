@@ -44,7 +44,7 @@ pub enum BitOutcome {
 pub type Request = (usize, usize);
 
 /// Everything one clock cycle did — consumed by tests, the E10 experiment
-/// and the trace demo.
+/// and the `tau_register_demo` example.
 #[derive(Debug, Clone)]
 pub struct CycleReport {
     /// Cycle number (0-based).

@@ -15,7 +15,6 @@
 //!   search a winner performs, in one lock-free word each so free-running
 //!   OS threads share it; every request is its own device cycle, a
 //!   schedule the asynchronous hardware also allows.
-//! * [`trace`] — cycle-by-cycle rendering for demos and experiments.
 //!
 //! ```
 //! use rr_tau::CountingDevice;
@@ -34,7 +33,6 @@
 
 pub mod concurrent;
 pub mod device;
-pub mod trace;
 
 pub use concurrent::ConcurrentTauRegister;
 pub use device::{BitOutcome, CountingDevice, CycleReport};

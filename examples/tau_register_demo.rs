@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release --example tau_register_demo`
 
-use randomized_renaming::tau::device::CountingDevice;
-use randomized_renaming::tau::trace::{bits, render_cycle};
+use randomized_renaming::tau::device::{BitOutcome, CountingDevice};
 use randomized_renaming::tau::ConcurrentTauRegister;
 
 fn main() {
@@ -27,11 +26,25 @@ fn main() {
     ];
     for reqs in &cycles {
         let report = device.clock_cycle(reqs);
-        println!("{}", render_cycle(&report, 8));
+        // The processes whose request ended with `outcome`.
+        let tags = |outcome| {
+            let tags = report.outcomes.iter().filter(|&&(_, o)| o == outcome);
+            tags.map(|(t, _)| format!("p{t}")).collect::<Vec<_>>().join(" ")
+        };
+        // Register values as 8-bit strings, the paper's position 1 on the left.
+        println!(
+            "cycle {:>3}  in/out {:08b} -> {:08b}  discarded {:08b}  won [{}]  lost [{}]",
+            report.cycle,
+            report.before,
+            report.after,
+            report.discarded,
+            tags(BitOutcome::Won),
+            tags(BitOutcome::Lost),
+        );
     }
     println!(
-        "\nfinal in_reg/out_reg = {} (popcount {} ≤ τ = {})",
-        bits(device.confirmed(), 8),
+        "\nfinal in_reg/out_reg = {:08b} (popcount {} ≤ τ = {})",
+        device.confirmed(),
         device.confirmed_count(),
         device.tau()
     );

@@ -44,10 +44,11 @@ fn different_seeds_differ() {
 fn pid_streams_are_independent_of_population() {
     // The per-process RNG derivation (seed, pid) must not depend on n:
     // the first coin of pid 7 is the same in a 64- and a 256-process run.
-    use randomized_renaming::shmem::rng::ProcessRng;
-    let mut small = ProcessRng::new(9, 7);
-    let mut large = ProcessRng::new(9, 7);
+    use randomized_renaming::shmem::rng::{ProcessRng, StreamKey};
+    let key = StreamKey::new(9);
+    let mut small = ProcessRng::new(7);
+    let mut large = ProcessRng::new(7);
     for _ in 0..16 {
-        assert_eq!(small.index(1000), large.index(1000));
+        assert_eq!(small.index(&key, 1000), large.index(&key, 1000));
     }
 }
